@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import closed_form, dynamics, fsvie
 from .discounting import DiscountSpec
-from .model import InfeasibleError, MarketModel, Preferences, UnboundedLoadingError, validate
+from .model import MarketModel, Preferences, UnboundedLoadingError, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,12 +54,16 @@ def _fail_usage(message: str):
     raise SystemExit(EXIT_USAGE)
 
 
-def _fail_infeasible(problems):
+def _report_infeasible(problems) -> int:
     if isinstance(problems, str):
         problems = [problems]
     sys.stderr.write(json.dumps({"error": "; ".join(problems), "problems": list(problems)},
                                 sort_keys=True) + "\n")
-    raise SystemExit(EXIT_INFEASIBLE)
+    return EXIT_INFEASIBLE
+
+
+def _fail_infeasible(problems):
+    raise SystemExit(_report_infeasible(problems))
 
 
 def _plain(obj):
@@ -89,9 +94,10 @@ def _ensure_outdir(path):
 
 
 def _write_json(path, payload):
+    # strict JSON: a NaN or infinity raises ValueError before the file opens
+    text = json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_plain(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, columns):
@@ -101,6 +107,17 @@ def _write_csv(path, header, columns):
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def _non_finite(value, where):
+    """Locations of the NaN and infinite numbers in a parsed JSON value."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [where]
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _non_finite(v, f"{where}.{k}")]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _non_finite(v, f"{where}[{i}]")]
+    return []
 
 
 def _load_config(path):
@@ -113,6 +130,11 @@ def _load_config(path):
         _fail_usage(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
         _fail_usage("config must be a JSON object")
+    # Python's json reads NaN, Infinity and overflowing literals such as
+    # 1e400; no model, curve or option accepts them
+    bad = _non_finite(cfg, "config")
+    if bad:
+        _fail_infeasible([f"{where} must be finite" for where in bad])
     return cfg
 
 
@@ -180,11 +202,7 @@ def cmd_solve(args) -> int:
     n_grid = _positive_int(cfg, args, "steps", "grid_points", closed_form.DEFAULT_GRID_POINTS)
     if n_grid < 3:
         _fail_usage("grid_points must be at least 3")
-    grid = closed_form.default_grid(model.horizon, n_grid)
-    try:
-        sol = closed_form.solve(model, prefs, grid)
-    except (InfeasibleError, UnboundedLoadingError) as exc:
-        _fail_infeasible(str(exc))
+    sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon, n_grid))
     outdir = _ensure_outdir(args.out)
     sol_path = os.path.join(outdir, "solution.json")
     csv_path = os.path.join(outdir, "curves.csv")
@@ -203,11 +221,7 @@ def cmd_verify(args) -> int:
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 100_000)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 7))
-    grid = closed_form.default_grid(model.horizon, n_grid)
-    try:
-        sol = closed_form.solve(model, prefs, grid)
-    except (InfeasibleError, UnboundedLoadingError) as exc:
-        _fail_infeasible(str(exc))
+    sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon, n_grid))
     perturb = float(cfg.get("perturb_constant_term", 0.0))
     if perturb:
         sol = sol.shifted(perturb)
@@ -297,13 +311,13 @@ def cmd_check_constraint(args) -> int:
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 7))
     threshold = args.tol if args.tol is not None else float(cfg.get("threshold", 0.01))
-    if threshold <= 0.0:
-        _fail_usage("threshold must be positive")
+    if not 0.0 < threshold < math.inf:
+        _fail_usage("threshold must be positive and finite")
     family_name = str(cfg.get("family", "optimal"))
-    try:
-        sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon, n_grid))
-    except (InfeasibleError, UnboundedLoadingError) as exc:
-        _fail_infeasible(str(exc))
+    # the Volterra generator and the family's initial profile evaluate
+    # f(r - s) down to r - s = -T; a curve undefined there raises here
+    prefs.discount.value_extended(-model.horizon)
+    sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon, n_grid))
     if family_name == "optimal":
         y0_family, z_family = fsvie.separable_optimal_family(model, prefs, sol)
     elif family_name == "s_constant":
@@ -371,9 +385,12 @@ def main(argv=None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
-    except (InfeasibleError, UnboundedLoadingError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
-        return EXIT_INFEASIBLE
+    except (ValueError, UnboundedLoadingError) as exc:
+        # the one place where solver errors become exit codes: infeasible
+        # models (InfeasibleError is a ValueError), runaway loadings, curves
+        # undefined where a check needs them, and objectives without a
+        # finite maximum all exit 2
+        return _report_infeasible(str(exc))
 
 
 if __name__ == "__main__":

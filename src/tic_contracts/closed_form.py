@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .discounting import DiscountSpec
 from .hamiltonian import maximize, stars_on_grid
@@ -65,8 +64,58 @@ def default_grid(horizon: float, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, float(horizon), n)
 
 
-def _simpson(values, grid) -> float:
-    return float(simpson(values, x=grid))
+def simpson(y, x, axis=-1):
+    """Composite Simpson's rule for samples y at the points x along axis.
+
+    x is 1-D with distinct points, one per sample of y along axis.  Each
+    pair of intervals gets the parabola through its three points, with its
+    own spacings.  With an even number of points the last interval is
+    closed by Cartwright's correction (two points give the trapezoid).
+
+    The arithmetic follows the widely used reference implementation of this
+    rule step for step (the same per-interval weights and the same pairwise
+    sum), and the tests require bitwise agreement with it where it is
+    installed.  The textbook dx/3 (y0 + 4 y1 + y2) form rounds differently
+    and would move outputs in their last bits.
+    """
+    y = np.asarray(y)
+    nd = y.ndim
+    axis %= nd
+    n = y.shape[axis]
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size != n:
+        raise ValueError("x must be 1-D with one point per sample of y along axis")
+    x = x.reshape([n if k == axis else 1 for k in range(nd)])
+    h = np.diff(x, axis=axis)
+
+    def at(index):
+        return (slice(None),) * axis + (index,)
+
+    if n == 2:
+        return 0.5 * h[at(0)] * (y[at(1)] + y[at(0)])
+
+    def pairs(stop):
+        # Simpson over the interval pairs that start at 0, 2, ..., stop - 1
+        h0 = h[at(slice(0, stop, 2))]
+        h1 = h[at(slice(1, stop + 1, 2))]
+        hsum = h0 + h1
+        hprod = h0 * h1
+        h0divh1 = h0 / h1
+        tmp = hsum / 6.0 * (y[at(slice(0, stop, 2))] * (2.0 - 1.0 / h0divh1)
+                            + y[at(slice(1, stop + 1, 2))] * (hsum * (hsum / hprod))
+                            + y[at(slice(2, stop + 2, 2))] * (2.0 - h0divh1))
+        return np.sum(tmp, axis=axis)
+
+    if n % 2:
+        return pairs(n - 2)
+    result = pairs(n - 3)
+    h0 = np.squeeze(h[at(slice(-2, -1))], axis=axis)
+    h1 = np.squeeze(h[at(slice(-1, None))], axis=axis)
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+    result += alpha * y[at(-1)] + beta * y[at(-2)] - eta * y[at(-3)]
+    return result
 
 
 def _solution_grid(model: MarketModel, grid) -> np.ndarray:
@@ -297,6 +346,21 @@ def _sigma_curve(model: MarketModel, grid):
     return np.asarray(model.sigma_at(grid), dtype=float)
 
 
+def _exponential_value(gp: float, wealth: float, integral: float) -> float:
+    """The principal's exponential-utility value -exp(-gp (wealth + integral)) / gp.
+
+    Raises InfeasibleError when it diverges, as it does for extreme
+    volatilities.
+    """
+    try:
+        value = -(1.0 / gp) * math.exp(-gp * wealth) * math.exp(-gp * integral)
+    except OverflowError:
+        value = -math.inf
+    if not math.isfinite(value):
+        raise InfeasibleError("infeasible: principal value diverged")
+    return value
+
+
 def _time_free(model: MarketModel) -> bool:
     # Builtin families carry no explicit time dependence, so with constant
     # sigma the exposure objective is the same at every t.
@@ -343,10 +407,10 @@ def solve_second_best_discounted_utility(model: MarketModel, prefs: Preferences,
 
     r0_hat = prefs.agent_u_inv(prefs.r0)
     y0_hat = r0_hat + math.log(fT) / ga
-    const_adj = -_simpson(ham - 0.5 * ga * sig ** 2 * z_star ** 2, grid)
-    integral = _simpson(trade, grid)
+    const_adj = -float(simpson(ham - 0.5 * ga * sig ** 2 * z_star ** 2, grid))
+    integral = float(simpson(trade, grid))
     if gp > 0.0:
-        value_p = -(1.0 / gp) * math.exp(-gp * (model.x0 - y0_hat)) * math.exp(-gp * integral)
+        value_p = _exponential_value(gp, model.x0 - y0_hat, integral)
     else:
         value_p = model.x0 - y0_hat + integral
 
@@ -391,8 +455,8 @@ def solve_second_best_separable_rn(model: MarketModel, prefs: Preferences,
     lam, cost, eff = stars_on_grid(model, grid, z_star)
     loading = z_star / f_Tt
     gain = lam - (f_t / fT) * cost
-    value_p = model.x0 - prefs.r0 / fT + _simpson(gain, grid)
-    const_adj = -_simpson(loading * lam - f_t * cost / fT, grid)
+    value_p = model.x0 - prefs.r0 / fT + float(simpson(gain, grid))
+    const_adj = -float(simpson(loading * lam - f_t * cost / fT, grid))
 
     return ContractSolution(
         spec_tag=prefs.spec_tag,
@@ -447,11 +511,10 @@ def solve_second_best_discounted_income(model: MarketModel, prefs: Preferences,
              - 0.5 * gp * sig ** 2 * (1.0 - z_star / g_Tt) ** 2)
 
     r0_hat = prefs.agent_u_inv(prefs.r0) if prefs.agent_utility == "exponential" else prefs.r0
-    const_adj = -_simpson(lam * z0 - g_t * cost - 0.5 * ga * sig ** 2 * z0 ** 2, grid) / gT
-    integral = _simpson(big_g, grid)
+    const_adj = -float(simpson(lam * z0 - g_t * cost - 0.5 * ga * sig ** 2 * z0 ** 2, grid)) / gT
+    integral = float(simpson(big_g, grid))
     if gp > 0.0:
-        value_p = -(1.0 / gp) * math.exp(-gp * (model.x0 - r0_hat / gT)) \
-            * math.exp(-gp * integral)
+        value_p = _exponential_value(gp, model.x0 - r0_hat / gT, integral)
     else:
         value_p = model.x0 - r0_hat / gT + integral
 
@@ -498,8 +561,8 @@ def solve_first_best_separable_rn(model: MarketModel, prefs: Preferences,
         lam[i] = float(model.sigma_at(float(t)) * model.drift(float(t), res.argmax))
         cost[i] = float(model.cost(float(t), res.argmax))
 
-    value_p = model.x0 - prefs.r0 / fT + _simpson(lam - f_t * cost / fT, grid)
-    const_adj = _simpson(f_t * cost, grid) / fT
+    value_p = model.x0 - prefs.r0 / fT + float(simpson(lam - f_t * cost / fT, grid))
+    const_adj = float(simpson(f_t * cost, grid)) / fT
 
     return ContractSolution(
         spec_tag=prefs.spec_tag,
@@ -544,7 +607,7 @@ def solve_first_best_nonseparable(model: MarketModel, prefs: Preferences,
         cost[i] = float(model.cost(float(t), res.argmax))
 
     phi = lam - (g_t / gT) * cost - 0.5 * gbar * sig ** 2
-    big_phi = model.x0 + _simpson(phi, grid)
+    big_phi = model.x0 + float(simpson(phi, grid))
     if prefs.r0 >= 0.0:
         raise InfeasibleError("infeasible: reservation utility must be negative")
     try:
@@ -562,9 +625,9 @@ def solve_first_best_nonseparable(model: MarketModel, prefs: Preferences,
 
     denom = gT * ga + gp
     loading_const = gp / denom
-    k0 = _simpson(g_t * cost, grid)
-    big_lam = _simpson(lam, grid)
-    big_sig = _simpson(sig ** 2, grid)
+    k0 = float(simpson(g_t * cost, grid))
+    big_lam = float(simpson(lam, grid))
+    big_sig = float(simpson(sig ** 2, grid))
     # binding participation under the dictated effort pins the constant:
     # the reservation part absorbs the terminal discount twice (outside
     # the utility and inside the income), the adjustment part undoes the

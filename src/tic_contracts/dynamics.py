@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .closed_form import ContractSolution
+from .closed_form import ContractSolution, simpson
 from .model import MarketModel, Preferences
 
 CHUNK_PATHS = 16384
@@ -251,7 +250,7 @@ def _delta_residuals(model: MarketModel, prefs: Preferences, solution: ContractS
     cg = np.asarray([float(model.cost(float(t), float(a)))
                      for t, a in zip(sg, solution.effort_values)])
     delta = cg * (np.asarray(f.value_extended(sg - s)) - (fTs / fT) * np.asarray(f.value(sg)))
-    rhs = rhs_mc - float(simpson(delta, x=sg))
+    rhs = rhs_mc - float(simpson(delta, sg))
     return lhs - rhs
 
 
@@ -294,7 +293,7 @@ def _spike_quadrature(model: MarketModel, prefs: Preferences, solution: Contract
         cost_diff = model.cost(r, a_dev) - model.cost(r, a_eq)
         load = float(solution.loading(r))
         vals[i] = fTt * load * drift_diff - float(f.value_extended(r - t)) * cost_diff
-    gain = float(simpson(vals, x=rs))
+    gain = float(simpson(vals, rs))
     if np.all(vals == 0.0):
         gain = 0.0
     return McEstimate(mean=gain, std_error=0.0, n=n_nodes)
@@ -333,7 +332,7 @@ def _spike_nested_mc(model: MarketModel, prefs: Preferences, solution: ContractS
             a_u = float(solution.effort(float(u)))
             lam_head[i] = float(model.sigma_at(float(u)) * model.drift(float(u), a_u)) \
                 * float(solution.loading(float(u)))
-        w_t = solution.constant_term + float(simpson(lam_head, x=head))
+        w_t = solution.constant_term + float(simpson(lam_head, head))
     else:
         w_t = solution.constant_term
 
@@ -409,6 +408,9 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
         s_values = (0.25 * model.horizon, 0.5 * model.horizon) \
             if prefs.spec_tag == "separable_rn" else ()
     for s in s_values:
+        # the identity evaluates f(t - s) down to t - s = -s; a curve
+        # undefined there raises ValueError before any path is simulated
+        prefs.discount.value_extended(-s)
         delta_vals[s] = []
 
     done = 0

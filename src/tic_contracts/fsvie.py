@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
+from .closed_form import simpson
 from .dynamics import PathEnsemble
 from .hamiltonian import stars_at, stars_on_grid
 from .model import MarketModel, Preferences
@@ -67,13 +67,18 @@ class VolterraField:
                         fh.write(f"{p},{s},{float(self.t_grid[j])!r},{float(row[j])!r}\n")
 
 
+# what a scalar-only family raises on arrays: float() of an array or a
+# math function (TypeError), or an ambiguous truth value (ValueError)
+_SCALAR_ONLY = (TypeError, ValueError)
+
+
 def _family_matrix(fn, s_grid, t_grid):
     smat, tmat = np.meshgrid(s_grid, t_grid, indexing="ij")
     try:
         out = np.asarray(fn(smat, tmat), dtype=float)
         if out.shape == smat.shape:
             return out
-    except Exception:
+    except _SCALAR_ONLY:
         pass
     out = np.empty_like(smat)
     for i, s in enumerate(s_grid):
@@ -87,7 +92,7 @@ def _y0_vector(y0_family, s_grid):
         out = np.asarray(y0_family(s_grid), dtype=float)
         if out.shape == s_grid.shape:
             return out
-    except Exception:
+    except _SCALAR_ONLY:
         pass
     return np.asarray([float(y0_family(float(s))) for s in s_grid])
 
@@ -258,7 +263,7 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
         fTs = np.asarray(f.value(T - s), dtype=float)
         shifted = np.asarray(f.value_extended(sg[None, :] - s[:, None]), dtype=float)
         delta = cost_eq[None, :] * (shifted - (fTs / fT)[:, None] * f_sg[None, :])
-        integ = simpson(delta, x=sg, axis=1)
+        integ = simpson(delta, sg, axis=1)
         out = (fTs / fT) * prefs.r0 - integ
         return float(out[0]) if np.isscalar(s_values) else out
 

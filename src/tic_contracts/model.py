@@ -303,19 +303,24 @@ _ALLOWED_UTILITIES = {
 def validate(model: MarketModel, prefs: Preferences) -> list:
     """Return a list of human-readable violations; empty means usable."""
     problems = []
-    if not model.horizon > 0.0:
-        problems.append("horizon must be positive")
-    if not model.action_lo <= model.action_hi:
-        problems.append("empty action set: action_lo exceeds action_hi")
+    horizon_ok = 0.0 < model.horizon < math.inf
+    if not horizon_ok:
+        problems.append("horizon must be positive and finite")
     if not (math.isfinite(model.action_lo) and math.isfinite(model.action_hi)):
         problems.append("action interval must be bounded")
+    elif not model.action_lo <= model.action_hi:
+        problems.append("empty action set: action_lo exceeds action_hi")
+    for name, value in (("x0", model.x0), ("r0", prefs.r0),
+                        ("gamma_a", prefs.gamma_a), ("gamma_p", prefs.gamma_p)):
+        if not math.isfinite(value):
+            problems.append(f"{name} must be finite")
 
-    if model.horizon > 0.0:
+    if horizon_ok:
         ts = np.linspace(0.0, model.horizon, 33)
         try:
             sig = np.asarray([model.sigma_at(float(t)) for t in ts], dtype=float)
             if np.any(sig <= 0.0) or not np.all(np.isfinite(sig)):
-                problems.append("sigma must be positive on [0, T]")
+                problems.append("sigma must be positive and finite on [0, T]")
         except Exception as exc:
             problems.append(f"sigma evaluation failed: {exc}")
 
@@ -330,7 +335,7 @@ def validate(model: MarketModel, prefs: Preferences) -> list:
         problems.append("reservation utility must be negative for an exponential agent")
 
     if prefs.spec_tag in ("first_best_nonseparable", "first_best_separable"):
-        if model.action_lo < model.action_hi and model.horizon > 0.0:
+        if model.action_lo < model.action_hi and horizon_ok:
             grid = np.linspace(model.action_lo, model.action_hi, 65)
             for t in (0.0, 0.5 * model.horizon, model.horizon):
                 c = np.asarray([model.cost(t, float(a)) for a in grid])

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from tic_contracts import cli
 from tic_contracts.cli import main
 from tic_contracts.discounting import DiscountSpec
 
@@ -320,3 +321,99 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, bumped)
         assert main(["check-constraint", "--config", cfg]) == 1
         assert "unknown family" in capsys.readouterr().err
+
+
+def _error_of(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "x0", float("nan")),
+        ("model", "T", float("inf")),
+        ("model", "sigma", float("nan")),
+        ("preferences", "r0", float("-inf")),
+        ("preferences", "gamma_a", float("nan")),
+    ])
+    def test_non_finite_model_fields_exit_2(self, tmp_path, capsys, section, key, value):
+        bad = json.loads(json.dumps(SEPARABLE_CONFIG))
+        bad[section][key] = value
+        cfg = write_config(tmp_path, bad)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config.{section}.{key} must be finite" in _error_of(capsys)
+        assert not out.exists()
+
+    def test_non_finite_discount_and_action_bounds_exit_2(self, tmp_path, capsys):
+        bad = with_discount(SEPARABLE_CONFIG,
+                            {"variant": "hyperbolic", "gamma": 1.0, "alpha": float("inf")})
+        bad["model"]["action"] = [0.0, float("nan")]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(bad).replace("Infinity", "1e400"))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+        error = _error_of(capsys)
+        assert "config.preferences.discount.alpha must be finite" in error
+        assert "config.model.action[1] must be finite" in error
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_threshold_flag_exits_1(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path, SEPARABLE_CONFIG)
+        assert main(["check-constraint", "--config", cfg, "--tol", tol]) == 1
+        assert "threshold must be positive and finite" in capsys.readouterr().err
+
+    def test_json_writer_is_strict(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            cli._write_json(str(path), {"mean": float("nan")})
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_exposure_objective_without_finite_values_exits_2(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(HM_DU_CONFIG))
+        bad["model"]["sigma"] = 1e200
+        cfg = write_config(tmp_path, bad)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "non-finite values" in _error_of(capsys)
+
+    def test_diverging_principal_value_exits_2(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(HM_DU_CONFIG))
+        bad["model"]["sigma"] = 1e150
+        bad["preferences"].update(principal="exponential", gamma_p=0.5)
+        cfg = write_config(tmp_path, bad)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "principal value diverged" in _error_of(capsys)
+
+
+class TestNegativeShiftDomain:
+    # alpha * T = 8: the hyperbolic curve ends at t = -1/alpha = -0.25, but
+    # the correction identity needs f down to -T/2 and the Volterra
+    # generator down to -T
+    HYP4 = with_discount(SEPARABLE_CONFIG, {"variant": "hyperbolic", "gamma": 1.0, "alpha": 4.0})
+
+    def test_solve_needs_no_negative_shift(self, tmp_path):
+        cfg = write_config(tmp_path, self.HYP4)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command,report", [("verify", "report.json"),
+                                                ("check-constraint", "constraint.json")])
+    def test_out_of_domain_curve_exits_2(self, tmp_path, capsys, command, report):
+        cfg = write_config(tmp_path, self.HYP4)
+        out = tmp_path / "out"
+        rc = main([command, "--config", cfg, "--out", str(out), "--paths", "1000",
+                   "--steps", "100"])
+        assert rc == 2
+        assert "hyperbolic discount undefined" in _error_of(capsys)
+        assert not (out / report).exists()
+
+    def test_each_command_checks_only_the_shifts_it_uses(self, tmp_path, capsys):
+        # alpha * T = 1.8: f(-T/2) exists, f(-T) does not
+        cfg = write_config(tmp_path, with_discount(
+            SEPARABLE_CONFIG, {"variant": "hyperbolic", "gamma": 1.0, "alpha": 0.9}))
+        rc = main(["verify", "--config", cfg, "--out", str(tmp_path), "--paths", "2000",
+                   "--steps", "100"])
+        assert rc in (0, 3)
+        assert (tmp_path / "report.json").exists()
+        capsys.readouterr()
+        assert main(["check-constraint", "--config", cfg, "--steps", "100"]) == 2
+        assert "hyperbolic discount undefined" in _error_of(capsys)

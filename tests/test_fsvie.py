@@ -158,6 +158,42 @@ def test_picard_validation_and_nonconvergence():
     assert len(info.value.diagnostics) == 2
 
 
+def test_scalar_only_families_fall_back_and_array_bugs_propagate():
+    m = MarketModel.quadratic(0.1, 2.0, 1.0)
+    p = _rn(0.05, HYP, "separable_rn")
+    ens = simulate(m, 0.6, 2, 40, seed=4)
+
+    def y0_vec(s):
+        return 0.3 + 0.1 * np.asarray(s)
+
+    def z_vec(s, t):
+        return 0.2 * np.asarray(t) + 0.1 * np.asarray(s)
+
+    def y0_scalar(s):
+        return 0.3 + 0.1 * float(s)  # float() of an array raises TypeError
+
+    def z_scalar(s, t):
+        return 0.2 * t + 0.1 * s if t >= 0.0 else 0.0  # truth of an array: ValueError
+
+    def z_array_bug(s, t):
+        if np.ndim(s):
+            raise RuntimeError("bug in the array path")
+        return z_vec(s, t)
+
+    def y0_array_bug(s):
+        if np.ndim(s):
+            raise RuntimeError("bug in the array path")
+        return y0_vec(s)
+
+    want, _ = picard_solve(m, p, y0_vec, z_vec, ens)
+    got, _ = picard_solve(m, p, y0_scalar, z_scalar, ens)
+    np.testing.assert_array_equal(got.values, want.values)
+    with pytest.raises(RuntimeError, match="array path"):
+        picard_solve(m, p, y0_vec, z_array_bug, ens)
+    with pytest.raises(RuntimeError, match="array path"):
+        picard_solve(m, p, y0_array_bug, z_vec, ens)
+
+
 # ---------------------------------------------------------------------------
 # stochastic target constraint
 

@@ -59,6 +59,24 @@ def test_validate_flags_bad_geometry():
     assert any("bounded" in msg for msg in validate(m3, exp_prefs()))
 
 
+def test_validate_rejects_non_finite_fields():
+    nan, inf = math.nan, math.inf
+    cases = [
+        (MarketModel.quadratic(nan, 1.0, 1.0), exp_prefs(), "x0 must be finite"),
+        (MarketModel.quadratic(0.0, inf, 1.0), exp_prefs(), "horizon must be positive and finite"),
+        (MarketModel.quadratic(0.0, 1.0, inf), exp_prefs(), "sigma must be positive and finite"),
+        (MarketModel.quadratic(0.0, 1.0, 1.0, action=(nan, 1.0)), exp_prefs(), "bounded"),
+        (MarketModel.quadratic(0.0, 1.0, 1.0), exp_prefs(r0=-inf), "r0 must be finite"),
+        (MarketModel.quadratic(0.0, 1.0, 1.0), exp_prefs(gamma_a=inf), "gamma_a must be finite"),
+        (MarketModel.quadratic(0.0, 1.0, 1.0), exp_prefs(gamma_p=inf), "gamma_p must be finite"),
+    ]
+    for model, prefs, message in cases:
+        assert any(message in msg for msg in validate(model, prefs)), message
+    # a NaN bound is reported as unbounded, not as an empty interval
+    msgs = validate(MarketModel.quadratic(0.0, 1.0, 1.0, action=(0.0, nan)), exp_prefs())
+    assert not any("empty action set" in msg for msg in msgs)
+
+
 def test_validate_spec_utility_matrix():
     m = MarketModel.quadratic(0.0, 1.0, 1.0)
     rn = Preferences(agent_utility="risk_neutral", principal_utility="risk_neutral",
