@@ -110,7 +110,10 @@ def _write_csv(path, header, columns):
 
 
 def _non_finite(value, where):
-    """Locations of the NaN and infinite numbers in a parsed JSON value."""
+    """Locations of the NaN and infinite numbers in a parsed JSON value,
+    counting integers beyond the float range as infinite."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return [] if abs(value) <= sys.float_info.max else [where]
     if isinstance(value, float):
         return [] if math.isfinite(value) else [where]
     if isinstance(value, dict):
@@ -130,8 +133,8 @@ def _load_config(path):
         _fail_usage(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
         _fail_usage("config must be a JSON object")
-    # Python's json reads NaN, Infinity and overflowing literals such as
-    # 1e400; no model, curve or option accepts them
+    # Python's json reads NaN, Infinity, overflowing literals such as 1e400
+    # and integers too large for a float; no model, curve or option accepts them
     bad = _non_finite(cfg, "config")
     if bad:
         _fail_infeasible([f"{where} must be finite" for where in bad])
@@ -152,14 +155,35 @@ def _build_problem(cfg):
     return model, prefs
 
 
+def _numbers(values):
+    if not isinstance(values, (list, tuple)):
+        raise TypeError("not a list")
+    return tuple(float(v) for v in values)
+
+
+def _flag(value):
+    if not isinstance(value, bool):
+        raise TypeError("not a boolean")
+    return value
+
+
+_KINDS = {int: "an integer", float: "a number", _numbers: "a list of numbers",
+          _flag: "true or false"}
+
+
+def _config_value(cfg, key, default, kind):
+    """cfg[key], or default when absent, read by kind (int, float, _numbers
+    or _flag); a value it cannot read is a parse error."""
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError):
+        _fail_usage(f"{key} must be {_KINDS[kind]}")
+
+
 def _positive_int(cfg, args, flag_name, cfg_key, default):
     value = getattr(args, flag_name, None) if flag_name else None
     if value is None:
-        value = cfg.get(cfg_key, default)
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        _fail_usage(f"{cfg_key} must be an integer")
+        value = _config_value(cfg, cfg_key, default, int)
     if value <= 0:
         _fail_usage(f"{cfg_key} must be positive")
     return value
@@ -167,7 +191,7 @@ def _positive_int(cfg, args, flag_name, cfg_key, default):
 
 def cmd_discount(args) -> int:
     cfg = _load_config(args.config)
-    horizon = float(cfg.get("horizon", FIGURE_HORIZON))
+    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, float)
     if horizon <= 0.0:
         _fail_usage("horizon must be positive")
     points = _positive_int(cfg, args, "steps", "points", 501)
@@ -176,6 +200,8 @@ def cmd_discount(args) -> int:
     entries = cfg.get("discounts")
     if entries is None:
         named = list(FIGURE1_SPECS)
+    elif not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        _fail_usage("discounts must be a list of objects")
     else:
         named = []
         for entry in entries:
@@ -220,14 +246,15 @@ def cmd_verify(args) -> int:
     n_grid = _positive_int(cfg, args, None, "grid_points", closed_form.DEFAULT_GRID_POINTS)
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 100_000)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 7))
+    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", 7, int)
+    perturb = _config_value(cfg, "perturb_constant_term", 0.0, float)
+    antithetic = _config_value(cfg, "antithetic", False, _flag)
     sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon, n_grid))
-    perturb = float(cfg.get("perturb_constant_term", 0.0))
     if perturb:
         sol = sol.shifted(perturb)
     report = dynamics.verify_contract(
         model, prefs, sol, n_paths=n_paths, n_steps=n_steps, seed=seed,
-        antithetic=bool(cfg.get("antithetic", False)), threads=args.threads)
+        antithetic=antithetic, threads=args.threads)
     report = _plain(report)
     outdir = _ensure_outdir(args.out)
     path = os.path.join(outdir, "report.json")
@@ -272,16 +299,16 @@ def _panel_rows(specs, horizon, points):
 
 def cmd_figures(args) -> int:
     cfg = _load_config(args.config)
-    horizon = float(cfg.get("horizon", FIGURE_HORIZON))
+    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, float)
     if horizon <= 0.0:
         _fail_usage("horizon must be positive")
     points = _positive_int(cfg, args, "steps", "points", 501)
-    gamma = float(cfg.get("gamma", FIGURE2_GAMMA))
-    alphas = tuple(cfg.get("alphas", FIGURE2_ALPHAS))
-    betas = tuple(cfg.get("betas", FIGURE2_BETAS))
-    lam_center = float(cfg.get("lambda", FIGURE2_LAMBDA))
-    beta_right = float(cfg.get("beta", FIGURE2_BETA_RIGHT))
-    lambdas = tuple(cfg.get("lambdas", FIGURE2_LAMBDAS))
+    gamma = _config_value(cfg, "gamma", FIGURE2_GAMMA, float)
+    alphas = _config_value(cfg, "alphas", FIGURE2_ALPHAS, _numbers)
+    betas = _config_value(cfg, "betas", FIGURE2_BETAS, _numbers)
+    lam_center = _config_value(cfg, "lambda", FIGURE2_LAMBDA, float)
+    beta_right = _config_value(cfg, "beta", FIGURE2_BETA_RIGHT, float)
+    lambdas = _config_value(cfg, "lambdas", FIGURE2_LAMBDAS, _numbers)
 
     base = ("exp", DiscountSpec.exponential(gamma))
     panels = {
@@ -309,10 +336,11 @@ def cmd_check_constraint(args) -> int:
     n_grid = _positive_int(cfg, args, None, "grid_points", closed_form.DEFAULT_GRID_POINTS)
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 3)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 7))
-    threshold = args.tol if args.tol is not None else float(cfg.get("threshold", 0.01))
+    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", 7, int)
+    threshold = args.tol if args.tol is not None else _config_value(cfg, "threshold", 0.01, float)
     if not 0.0 < threshold < math.inf:
         _fail_usage("threshold must be positive and finite")
+    picard_tol = _config_value(cfg, "picard_tol", 1e-10, float)
     family_name = str(cfg.get("family", "optimal"))
     # the Volterra generator and the family's initial profile evaluate
     # f(r - s) down to r - s = -T; a curve undefined there raises here
@@ -328,7 +356,7 @@ def cmd_check_constraint(args) -> int:
                                  threads=args.threads)
     try:
         field, diffs = fsvie.picard_solve(model, prefs, y0_family, z_family, ensemble,
-                                          tol=float(cfg.get("picard_tol", 1e-10)))
+                                          tol=picard_tol)
     except fsvie.ConvergenceError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
         return EXIT_VERIFY

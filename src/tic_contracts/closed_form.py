@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .discounting import DiscountSpec
-from .hamiltonian import maximize, stars_on_grid
+from .hamiltonian import stars_on_grid
 from .model import MarketModel, Preferences, UnboundedLoadingError, InfeasibleError, validate
 
 DEFAULT_GRID_POINTS = 2001
@@ -342,10 +342,6 @@ class ContractSolution:
         }
 
 
-def _sigma_curve(model: MarketModel, grid):
-    return np.asarray(model.sigma_at(grid), dtype=float)
-
-
 def _exponential_value(gp: float, wealth: float, integral: float) -> float:
     """The principal's exponential-utility value -exp(-gp (wealth + integral)) / gp.
 
@@ -359,16 +355,6 @@ def _exponential_value(gp: float, wealth: float, integral: float) -> float:
     if not math.isfinite(value):
         raise InfeasibleError("infeasible: principal value diverged")
     return value
-
-
-def _time_free(model: MarketModel) -> bool:
-    # Builtin families carry no explicit time dependence, so with constant
-    # sigma the exposure objective is the same at every t.
-    return (
-        model.sigma_const is not None
-        and model.drift_family is not None
-        and model.cost_family is not None
-    )
 
 
 def solve_second_best_discounted_utility(model: MarketModel, prefs: Preferences,
@@ -386,9 +372,10 @@ def solve_second_best_discounted_utility(model: MarketModel, prefs: Preferences,
     T = model.horizon
     fT = float(f.value(T))
 
-    sig = _sigma_curve(model, grid)
-    # a time-free objective is the same at every t: search its first row only
-    rows = 1 if _time_free(model) else grid.size
+    sig = model.sigma_at(grid)
+    # builtin families and their constant sigma do not depend on time, so
+    # the objective is the same at every t: search its first row only
+    rows = 1 if model.families is not None else grid.size
     t_col, sig_col = grid[:rows, None], sig[:rows, None]
 
     def objective(zs, r):
@@ -490,7 +477,7 @@ def solve_second_best_discounted_income(model: MarketModel, prefs: Preferences,
     g_t = np.asarray(g.value(grid), dtype=float)
     g_Tt = np.asarray(g.value(T - grid), dtype=float)
 
-    sig = _sigma_curve(model, grid)
+    sig = model.sigma_at(grid)
     t_col, sig_col, gTt_col = grid[:, None], sig[:, None], g_Tt[:, None]
     wc_col = (g_t / gT)[:, None]
     wa_col = (0.5 * ga * gT / (g_Tt ** 2))[:, None]
@@ -550,16 +537,8 @@ def solve_first_best_separable_rn(model: MarketModel, prefs: Preferences,
     fT = float(f.value(T))
     f_t = np.asarray(f.value(grid), dtype=float)
 
-    eff = np.empty_like(grid)
-    lam = np.empty_like(grid)
-    cost = np.empty_like(grid)
-    for i, t in enumerate(grid):
-        w = f_t[i] / fT
-        # argmax of sigma b - w c equals the agent maximizer at exposure 1/w
-        res = maximize(model, float(t), 1.0 / w)
-        eff[i] = res.argmax
-        lam[i] = float(model.sigma_at(float(t)) * model.drift(float(t), res.argmax))
-        cost[i] = float(model.cost(float(t), res.argmax))
+    # argmax of sigma b - w c equals the agent maximizer at exposure 1/w
+    lam, cost, eff = stars_on_grid(model, grid, 1.0 / (f_t / fT))
 
     value_p = model.x0 - prefs.r0 / fT + float(simpson(lam - f_t * cost / fT, grid))
     const_adj = float(simpson(f_t * cost, grid)) / fT
@@ -595,16 +574,8 @@ def solve_first_best_nonseparable(model: MarketModel, prefs: Preferences,
     gT = float(curve.value(T))
     g_t = np.asarray(curve.value(grid), dtype=float)
     gbar = ga * gp * gT / (ga * gT + gp)
-    sig = _sigma_curve(model, grid)
-
-    eff = np.empty_like(grid)
-    lam = np.empty_like(grid)
-    cost = np.empty_like(grid)
-    for i, t in enumerate(grid):
-        res = maximize(model, float(t), gT / g_t[i])
-        eff[i] = res.argmax
-        lam[i] = float(model.sigma_at(float(t)) * model.drift(float(t), res.argmax))
-        cost[i] = float(model.cost(float(t), res.argmax))
+    sig = model.sigma_at(grid)
+    lam, cost, eff = stars_on_grid(model, grid, gT / g_t)
 
     phi = lam - (g_t / gT) * cost - 0.5 * gbar * sig ** 2
     big_phi = model.x0 + float(simpson(phi, grid))

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .closed_form import ContractSolution, simpson
-from .model import MarketModel, Preferences
+from .model import MarketModel, Preferences, pointwise
 
 CHUNK_PATHS = 16384
 INNER_SPIKE_PATHS = 10_000
@@ -89,7 +89,7 @@ def _effort_fn(effort) -> Callable[[float], float]:
     if callable(effort):
         return effort
     a = float(effort)
-    return lambda t: a
+    return lambda t: np.full(np.shape(t), a)
 
 
 def _normal_rows(out: np.ndarray, seed: int, first_key: int, threads: int):
@@ -130,14 +130,13 @@ def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
     grid = np.linspace(0.0, T, n_steps + 1)
     dt = T / n_steps
     t_left = grid[:-1]
-    actions = np.asarray([float(eff(float(t))) for t in t_left])
+    actions = pointwise(eff, t_left)
     lo, hi = model.action_lo, model.action_hi
     slack = 1e-9 * max(1.0, hi - lo)
     if np.any(actions < lo - slack) or np.any(actions > hi + slack):
         raise ValueError("effort policy leaves the action interval")
-    sig = np.asarray([float(model.sigma_at(float(t))) for t in t_left])
-    drift = np.asarray([sig[i] * float(model.drift(float(t), actions[i]))
-                        for i, t in enumerate(t_left)])
+    sig = model.sigma_at(t_left)
+    drift = sig * pointwise(model.drift, t_left, actions)
 
     threads = _thread_count(threads)
     z = np.empty((n_paths, n_steps), dtype=np.float64)
@@ -178,9 +177,7 @@ def contract_payoff(solution: ContractSolution, ensemble: PathEnsemble) -> np.nd
 
 
 def _cost_at_equilibrium(model: MarketModel, solution: ContractSolution, t_left):
-    a = solution.effort(t_left)
-    return np.asarray([float(model.cost(float(t), float(a[i])))
-                       for i, t in enumerate(t_left)])
+    return pointwise(model.cost, t_left, solution.effort(t_left))
 
 
 def _agent_values(model: MarketModel, prefs: Preferences, solution: ContractSolution,
@@ -247,8 +244,7 @@ def _delta_residuals(model: MarketModel, prefs: Preferences, solution: ContractS
     rhs_mc = (fTs / fT) * (fT * xi - float(np.sum(f_plain * cost) * dt))
     # delta integral on the solver grid, an independent quadrature route
     sg = solution.grid
-    cg = np.asarray([float(model.cost(float(t), float(a)))
-                     for t, a in zip(sg, solution.effort_values)])
+    cg = pointwise(model.cost, sg, solution.effort_values)
     delta = cg * (np.asarray(f.value_extended(sg - s)) - (fTs / fT) * np.asarray(f.value(sg)))
     rhs = rhs_mc - float(simpson(delta, sg))
     return lhs - rhs
@@ -279,20 +275,14 @@ def _spike_quadrature(model: MarketModel, prefs: Preferences, solution: Contract
     fTt = float(f.value(T - t))
     n_nodes = 257
     rs = np.linspace(t, t + ell, n_nodes)
-    alt_fn = _effort_fn(alt)
-    vals = np.empty(n_nodes)
-    for i, r in enumerate(rs):
-        r = float(r)
-        a_eq = float(solution.effort(r))
-        a_dev = float(alt_fn(r))
-        sig = float(model.sigma_at(r))
-        if a_dev == a_eq:
-            vals[i] = 0.0
-            continue
-        drift_diff = sig * (model.drift(r, a_dev) - model.drift(r, a_eq))
-        cost_diff = model.cost(r, a_dev) - model.cost(r, a_eq)
-        load = float(solution.loading(r))
-        vals[i] = fTt * load * drift_diff - float(f.value_extended(r - t)) * cost_diff
+    a_eq = solution.effort(rs)
+    a_dev = pointwise(_effort_fn(alt), rs)
+    drift_diff = model.sigma_at(rs) * (pointwise(model.drift, rs, a_dev)
+                                       - pointwise(model.drift, rs, a_eq))
+    cost_diff = pointwise(model.cost, rs, a_dev) - pointwise(model.cost, rs, a_eq)
+    vals = fTt * solution.loading(rs) * drift_diff \
+        - np.asarray(f.value_extended(rs - t)) * cost_diff
+    vals[a_dev == a_eq] = 0.0
     gain = float(simpson(vals, rs))
     if np.all(vals == 0.0):
         gain = 0.0
@@ -310,28 +300,22 @@ def _spike_nested_mc(model: MarketModel, prefs: Preferences, solution: ContractS
     rs = np.linspace(t, T, m + 1)
     r_left = rs[:-1]
     dt = (T - t) / m
-    sig = np.asarray([float(model.sigma_at(float(r))) for r in r_left])
+    sig = model.sigma_at(r_left)
     load = solution.loading(r_left)
 
-    a_eq = np.asarray([float(solution.effort(float(r))) for r in r_left])
-    a_dev = np.asarray([float(alt_fn(float(r))) if r < t + ell else a_eq[i]
-                        for i, r in enumerate(r_left)])
-    drift_eq = np.asarray([sig[i] * float(model.drift(float(r), a_eq[i]))
-                           for i, r in enumerate(r_left)])
-    drift_dev = np.asarray([sig[i] * float(model.drift(float(r), a_dev[i]))
-                            for i, r in enumerate(r_left)])
-    cost_eq = np.asarray([float(model.cost(float(r), a_eq[i])) for i, r in enumerate(r_left)])
-    cost_dev = np.asarray([float(model.cost(float(r), a_dev[i])) for i, r in enumerate(r_left)])
+    a_eq = solution.effort(r_left)
+    a_dev = np.where(r_left < t + ell, pointwise(alt_fn, r_left), a_eq)
+    drift_eq = sig * pointwise(model.drift, r_left, a_eq)
+    drift_dev = sig * pointwise(model.drift, r_left, a_dev)
+    cost_eq = pointwise(model.cost, r_left, a_eq)
+    cost_dev = pointwise(model.cost, r_left, a_dev)
 
     # realized contract part on [0, t], taken along the mean path
     sg = solution.grid
     head = sg[sg <= t]
     if head.size >= 3:
-        lam_head = np.empty(head.size)
-        for i, u in enumerate(head):
-            a_u = float(solution.effort(float(u)))
-            lam_head[i] = float(model.sigma_at(float(u)) * model.drift(float(u), a_u)) \
-                * float(solution.loading(float(u)))
+        lam_head = model.sigma_at(head) * pointwise(model.drift, head, solution.effort(head)) \
+            * solution.loading(head)
         w_t = solution.constant_term + float(simpson(lam_head, head))
     else:
         w_t = solution.constant_term
@@ -378,12 +362,9 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
     """
     if t + ell > model.horizon + 1e-12:
         raise ValueError("spike window [t, t+ell) must fit inside [0, T]")
-    alt_fn = _effort_fn(alt_effort)
-    probe = np.linspace(t, min(t + ell, model.horizon), 7)
-    for r in probe:
-        a = float(alt_fn(float(r)))
-        if a < model.action_lo - 1e-12 or a > model.action_hi + 1e-12:
-            raise ValueError("alt_effort leaves the action interval")
+    probe = pointwise(_effort_fn(alt_effort), np.linspace(t, min(t + ell, model.horizon), 7))
+    if np.any(probe < model.action_lo - 1e-12) or np.any(probe > model.action_hi + 1e-12):
+        raise ValueError("alt_effort leaves the action interval")
     if prefs.spec_tag in ("separable_rn", "first_best_separable"):
         return _spike_quadrature(model, prefs, solution, t, ell, alt_effort)
     return _spike_nested_mc(model, prefs, solution, t, ell, alt_effort,

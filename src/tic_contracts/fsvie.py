@@ -27,7 +27,7 @@ import numpy as np
 from .closed_form import simpson
 from .dynamics import PathEnsemble
 from .hamiltonian import stars_at, stars_on_grid
-from .model import MarketModel, Preferences
+from .model import MarketModel, Preferences, pointwise
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 60
@@ -67,36 +67,6 @@ class VolterraField:
                         fh.write(f"{p},{s},{float(self.t_grid[j])!r},{float(row[j])!r}\n")
 
 
-# what a scalar-only family raises on arrays: float() of an array or a
-# math function (TypeError), or an ambiguous truth value (ValueError)
-_SCALAR_ONLY = (TypeError, ValueError)
-
-
-def _family_matrix(fn, s_grid, t_grid):
-    smat, tmat = np.meshgrid(s_grid, t_grid, indexing="ij")
-    try:
-        out = np.asarray(fn(smat, tmat), dtype=float)
-        if out.shape == smat.shape:
-            return out
-    except _SCALAR_ONLY:
-        pass
-    out = np.empty_like(smat)
-    for i, s in enumerate(s_grid):
-        for j, t in enumerate(t_grid):
-            out[i, j] = fn(float(s), float(t))
-    return out
-
-
-def _y0_vector(y0_family, s_grid):
-    try:
-        out = np.asarray(y0_family(s_grid), dtype=float)
-        if out.shape == s_grid.shape:
-            return out
-    except _SCALAR_ONLY:
-        pass
-    return np.asarray([float(y0_family(float(s))) for s in s_grid])
-
-
 def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
                  ensemble: PathEnsemble, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER, init: str = "flat"):
@@ -124,8 +94,8 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
     ga = prefs.gamma_a
     f = prefs.discount
 
-    zmat = _family_matrix(z_family, grid, grid)
-    y0 = _y0_vector(y0_family, grid)
+    zmat = pointwise(z_family, grid[:, None], grid[None, :])
+    y0 = pointwise(y0_family, grid)
     z_left = zmat[:, :-1]
     z_diag_left = np.diagonal(zmat)[:-1].copy()
 
@@ -254,8 +224,7 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
     T = model.horizon
     fT = float(f.value(T))
     sg = solution.grid
-    cost_eq = np.asarray([float(model.cost(float(t), float(a)))
-                          for t, a in zip(sg, solution.effort_values)])
+    cost_eq = pointwise(model.cost, sg, solution.effort_values)
     f_sg = np.asarray(f.value(sg), dtype=float)
 
     def y0_family(s_values):

@@ -1,10 +1,11 @@
 """Pointwise maximization of the agent's effort trade-off.
 
 For a volatility exposure z at time t the agent picks the action maximizing
-sigma(t) * b(t, a) * z - cost(t, a) over the compact action interval.  For
-the builtin drift/cost families the stationary point is explicit and only
-needs clamping; anything custom goes through a coarse scan plus
-golden-section refinement with a parabolic polish.
+sigma(t) * b(t, a) * z - cost(t, a) over the compact action interval.
+:func:`stars_on_grid` is the one best response: the builtin drift/cost
+families have an explicit stationary point that only needs clamping
+(``MarketModel.closed_response``); anything custom goes through a coarse
+scan plus golden-section refinement with a parabolic polish, per point.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarketModel
+from .model import MarketModel, pointwise
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 ACTION_TOL = 1e-10
+_COARSE = 64
 
 
 @dataclass(frozen=True)
@@ -28,29 +30,29 @@ class HamiltonianResult:
     at_boundary: bool
 
 
-def search_max(fn, lo, hi, tol=ACTION_TOL, coarse=64):
+def search_max(fn, lo, hi):
     """Maximize fn on [lo, hi]; ties resolve to the smaller argument.
 
-    Coarse scan locates the best cell, golden-section shrinks it to tol,
-    then two centered parabolic steps polish the point below the flat-top
-    noise floor of the direct comparisons.
+    Coarse scan locates the best cell, golden-section shrinks it to
+    ACTION_TOL, then two centered parabolic steps polish the point below
+    the flat-top noise floor of the direct comparisons.
     """
     lo = float(lo)
     hi = float(hi)
     if hi <= lo:
         return lo, float(fn(lo))
     # plain floats: custom callables run much slower on numpy scalars
-    xs = np.linspace(lo, hi, coarse).tolist()
+    xs = np.linspace(lo, hi, _COARSE).tolist()
     vals = np.asarray([float(fn(x)) for x in xs])
     best = int(np.argmax(vals))
     a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, coarse - 1)]
+    b = xs[min(best + 1, _COARSE - 1)]
 
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = float(fn(c))
     fd = float(fn(d))
-    while b - a > tol:
+    while b - a > ACTION_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -84,34 +86,35 @@ def search_max(fn, lo, hi, tol=ACTION_TOL, coarse=64):
     return x_best, f_best
 
 
-def _linear_drift_coeff(model: MarketModel, t: float):
-    """Slope m with sigma(t) b(t, a) = m a, if the drift family is builtin."""
-    if model.drift_family == "hm_linear":
-        return 1.0
-    if model.drift_family in ("quadratic", "power"):
-        return model.sigma_at(t)
-    return None
+def stars_on_grid(model: MarketModel, t, z_values):
+    """Best response (lam, cost, argmax) at every exposure in z_values.
+
+    t is one time for every exposure, or an array of times broadcast
+    against z_values (a column of one time per row pairs each time with
+    its own row).  Returns arrays of the broadcast shape: lam = sigma(t)
+    b(t, argmax) and cost = cost(t, argmax).  Builtin families use their
+    closed form; custom callables get search_max at each point.
+    """
+    times, z_values = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                          np.asarray(z_values, dtype=float))
+    if model.families is not None:
+        return model.closed_response(z_values)
+    sig = model.sigma_at(times)
+    arg = np.empty(z_values.shape)
+    for i, (s, u, z) in enumerate(zip(sig.ravel().tolist(), times.ravel().tolist(),
+                                      z_values.ravel().tolist())):
+        arg.flat[i] = search_max(lambda a: s * model.drift(u, a) * z - model.cost(u, a),
+                                 model.action_lo, model.action_hi)[0]
+    return sig * pointwise(model.drift, times, arg), pointwise(model.cost, times, arg), arg
 
 
-def _closed_argmax(model: MarketModel, t: float, z: float):
-    m = _linear_drift_coeff(model, t)
-    if m is None or model.cost_family is None:
-        return None
-    s = m * z
-    if model.cost_family == "hm_linear":
-        a = s / model.cost_params["k"]
-    elif model.cost_family == "quadratic":
-        a = s
-    elif model.cost_family == "power":
-        p = model.cost_params["p"]
-        a = math.copysign(abs(s) ** (1.0 / (p - 1.0)), s) if s != 0.0 else 0.0
-    else:
-        return None
-    return min(max(a, model.action_lo), model.action_hi)
+def stars_at(model: MarketModel, t: float, z: float):
+    """(lam, cost, argmax) at one time and exposure: the one-point stars_on_grid."""
+    return tuple(float(v) for v in stars_on_grid(model, t, z))
 
 
-def maximize(model: MarketModel, t: float, z: float, spec_tag: str = "separable_rn",
-             prefs=None) -> HamiltonianResult:
+def maximize(model: MarketModel, t: float, z: float,
+             spec_tag: str = "separable_rn") -> HamiltonianResult:
     """Best effort response and its value at exposure z.
 
     The trade-off has the same shape for every second-best regime (the
@@ -122,76 +125,7 @@ def maximize(model: MarketModel, t: float, z: float, spec_tag: str = "separable_
         raise ValueError(f"{spec_tag} has no agent-side maximization")
     if not np.isfinite(z):
         raise ValueError("exposure z must be finite")
-    t = float(t)
-    z = float(z)
-    sig = model.sigma_at(t)
-
-    def objective(a):
-        return sig * model.drift(t, a) * z - model.cost(t, a)
-
-    a_closed = _closed_argmax(model, t, z)
-    if a_closed is not None:
-        a_star = a_closed
-        value = objective(a_star)
-    else:
-        a_star, value = search_max(objective, model.action_lo, model.action_hi)
+    lam, cost, a_star = stars_at(model, t, z)
     edge = max(1e-9, 1e-12 * (model.action_hi - model.action_lo))
     at_boundary = (a_star - model.action_lo) < edge or (model.action_hi - a_star) < edge
-    return HamiltonianResult(value=float(value), argmax=float(a_star), at_boundary=at_boundary)
-
-
-def lambda_star(model: MarketModel, t: float, z: float, spec_tag: str = "separable_rn") -> float:
-    """Drift sigma * b at the maximizing action."""
-    res = maximize(model, t, z, spec_tag)
-    return float(model.sigma_at(t) * model.drift(t, res.argmax))
-
-
-def cost_star(model: MarketModel, t: float, z: float, spec_tag: str = "separable_rn") -> float:
-    """Effort cost at the maximizing action."""
-    res = maximize(model, t, z, spec_tag)
-    return float(model.cost(t, res.argmax))
-
-
-def stars_at(model: MarketModel, t: float, z: float):
-    """(lambda_star, cost_star, argmax) in one maximization."""
-    res = maximize(model, t, z)
-    lam = float(model.sigma_at(t) * model.drift(t, res.argmax))
-    return lam, float(model.cost(t, res.argmax)), res.argmax
-
-
-def stars_on_grid(model: MarketModel, t, z_values):
-    """Vectorized stars_at over an array of exposures, closed forms only.
-
-    t is one time for every exposure, or an array of times broadcast
-    against z_values (a column of one time per row pairs each time with
-    its own row).  Returns (lam, cost, argmax) arrays of the broadcast
-    shape.  Falls back to a scalar loop when the model carries custom
-    callables.
-    """
-    z_values = np.asarray(z_values, dtype=float)
-    m = _linear_drift_coeff(model, t)
-    if m is not None and model.cost_family in ("hm_linear", "quadratic", "power"):
-        s = m * z_values
-        if model.cost_family == "hm_linear":
-            k = model.cost_params["k"]
-            a = s / k
-        elif model.cost_family == "quadratic":
-            k = 1.0
-            a = s
-        else:
-            p = model.cost_params["p"]
-            a = np.sign(s) * np.abs(s) ** (1.0 / (p - 1.0))
-        a = np.clip(a, model.action_lo, model.action_hi)
-        lam = m * a
-        if model.cost_family == "power":
-            cost = np.abs(a) ** model.cost_params["p"] / model.cost_params["p"]
-        else:
-            cost = 0.5 * k * a * a
-        return lam, cost, a
-    times, z_values = np.broadcast_arrays(np.asarray(t, dtype=float), z_values)
-    lam = np.empty(z_values.shape)
-    cost = np.empty(z_values.shape)
-    arg = np.empty(z_values.shape)
-    for i, (u, z) in enumerate(zip(times.ravel(), z_values.ravel())):
-        lam.flat[i], cost.flat[i], arg.flat[i] = stars_at(model, float(u), float(z))
-    return lam, cost, arg
+    return HamiltonianResult(value=lam * float(z) - cost, argmax=a_star, at_boundary=at_boundary)

@@ -7,15 +7,16 @@ utilities, the reservation level, a discount curve, and the contracting
 regime tag that tells the solvers which closed form applies.
 
 The builtin drift/cost families are the ones the solvers know closed-form
-maximizers for; custom callables are accepted everywhere but force the
-search-based code paths and cannot be serialized.
+maximizers for.  Custom callables are accepted everywhere: they may take
+numpy arrays, and scalar-only ones are evaluated point by point.  They
+force the search-based best response and cannot be serialized.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,28 +47,65 @@ class UnboundedLoadingError(RuntimeError):
     """Raised when the optimal volatility loading runs away past the cap."""
 
 
+# what a scalar-only callable raises on arrays: float() of an array or a
+# math function (TypeError), or an ambiguous truth value (ValueError)
+_SCALAR_ONLY = (TypeError, ValueError)
+
+
+def pointwise(fn, *arrays):
+    """fn evaluated at every point of the broadcast arrays, as a float array.
+
+    One call on the broadcast arrays when fn accepts them and returns their
+    shape; otherwise (fn raises TypeError or ValueError on arrays, or
+    returns another shape) one call per point with plain floats.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+    shape = arrays[0].shape
+    try:
+        out = np.asarray(fn(*arrays), dtype=float)
+        if out.shape == shape:
+            return out
+    except _SCALAR_ONLY:
+        pass
+    out = np.empty(shape)
+    for i, point in enumerate(zip(*(a.ravel().tolist() for a in arrays))):
+        out.flat[i] = fn(*point)
+    return out
+
+
+@dataclass(frozen=True)
+class Families:
+    """The builtin families a model was built from, in their JSON form.
+
+    sigma is the constant volatility; drift and cost are
+    {"family": name, "params": {...}} entries.
+    """
+
+    sigma: float
+    drift: dict
+    cost: dict
+
+
 @dataclass
 class MarketModel:
     """Controlled state dynamics dX = sigma(t) b(t, a) dt + sigma(t) dW.
 
-    sigma may be a positive constant or a callable of time.  drift and cost
-    are callables (t, a) -> float; when built through one of the family
-    constructors the family name and parameters are retained so that
-    closed-form maximizers and JSON serialization stay available.
+    sigma(t), drift(t, a) and cost(t, a) are callables; they may take
+    numpy arrays (evaluated elementwise), and scalar-only ones are evaluated
+    point by point (see :func:`pointwise`).  Models built by the family
+    constructors carry their ``families`` descriptor, which gives JSON
+    serialization and the closed-form best response; it is None for
+    custom callables.
     """
 
     x0: float
     horizon: float
-    sigma: Callable[[float], float]
-    drift: Callable[[float, float], float]
-    cost: Callable[[float, float], float]
+    sigma: Callable
+    drift: Callable
+    cost: Callable
     action_lo: float
     action_hi: float
-    drift_family: Optional[str] = None
-    cost_family: Optional[str] = None
-    drift_params: dict = field(default_factory=dict)
-    cost_params: dict = field(default_factory=dict)
-    sigma_const: Optional[float] = None
+    families: Optional[Families] = None
 
     @classmethod
     def from_families(
@@ -87,23 +125,17 @@ class MarketModel:
         sigma = float(sigma)
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
-        drift_name, drift_params = drift
-        cost_name, cost_params = cost
-        drift_fn = _make_drift(drift_name, drift_params, sigma)
-        cost_fn = _make_cost(cost_name, cost_params)
+        drift = {"family": drift[0], "params": dict(drift[1])}
+        cost = {"family": cost[0], "params": dict(cost[1])}
         return cls(
             x0=float(x0),
             horizon=float(horizon),
-            sigma=lambda t, s=sigma: s,
-            drift=drift_fn,
-            cost=cost_fn,
+            sigma=lambda t, s=sigma: np.full(np.shape(t), s),
+            drift=_make_drift(drift["family"], sigma),
+            cost=_make_cost(cost["family"], cost["params"]),
             action_lo=float(action[0]),
             action_hi=float(action[1]),
-            drift_family=drift_name,
-            cost_family=cost_name,
-            drift_params=dict(drift_params),
-            cost_params=dict(cost_params),
-            sigma_const=sigma,
+            families=Families(sigma, drift, cost),
         )
 
     @classmethod
@@ -138,24 +170,44 @@ class MarketModel:
             action,
         )
 
-    def sigma_at(self, t) -> float:
-        if self.sigma_const is not None:
-            if np.ndim(t):
-                return np.full(np.shape(t), self.sigma_const)
-            return self.sigma_const
-        if np.ndim(t):
-            return np.asarray([self.sigma(float(u)) for u in np.asarray(t).ravel()]).reshape(np.shape(t))
-        return float(self.sigma(t))
+    def sigma_at(self, t) -> np.ndarray:
+        """sigma at the times t, as an array of their shape."""
+        return pointwise(self.sigma, t)
+
+    def closed_response(self, z):
+        """(lam, cost, argmax) arrays of the builtin families at exposures z.
+
+        Every builtin drift makes sigma b(a) = m a with a constant slope m,
+        so the agent maximizes m a z - c(a): the stationary point of the
+        cost family, clamped to the action interval.  Builtin families do
+        not depend on time.
+        """
+        fam = self.families
+        m = 1.0 if fam.drift["family"] == "hm_linear" else fam.sigma
+        s = m * np.asarray(z, dtype=float)
+        name, params = fam.cost["family"], fam.cost["params"]
+        if name == "hm_linear":
+            a = s / float(params["k"])
+        elif name == "quadratic":
+            a = s
+        else:
+            # with p near 1 the power overflows to infinity for large |s|;
+            # the clamp below turns that into the action bound
+            with np.errstate(over="ignore"):
+                a = np.sign(s) * np.abs(s) ** (1.0 / (float(params["p"]) - 1.0))
+        a = np.clip(a, self.action_lo, self.action_hi)
+        return m * a, self.cost(0.0, a), a
 
     def to_json(self) -> dict:
-        if self.drift_family is None or self.cost_family is None or self.sigma_const is None:
+        if self.families is None:
             raise ValueError("only builtin-family models serialize to JSON")
+        fam = self.families
         return {
             "x0": self.x0,
             "T": self.horizon,
-            "sigma": self.sigma_const,
-            "drift": {"family": self.drift_family, "params": dict(self.drift_params)},
-            "cost": {"family": self.cost_family, "params": dict(self.cost_params)},
+            "sigma": fam.sigma,
+            "drift": {"family": fam.drift["family"], "params": dict(fam.drift["params"])},
+            "cost": {"family": fam.cost["family"], "params": dict(fam.cost["params"])},
             "action": [self.action_lo, self.action_hi],
         }
 
@@ -169,17 +221,20 @@ class MarketModel:
             raise ValueError(f"unknown drift family {drift['family']!r}")
         if cost["family"] not in COST_FAMILIES:
             raise ValueError(f"unknown cost family {cost['family']!r}")
+        action = tuple(obj["action"])
+        if len(action) != 2:
+            raise ValueError("action must be a [lo, hi] pair")
         return cls.from_families(
             obj["x0"],
             obj["T"],
             obj["sigma"],
             (drift["family"], drift.get("params", {})),
             (cost["family"], cost.get("params", {})),
-            tuple(obj["action"]),
+            action,
         )
 
 
-def _make_drift(name, params, sigma):
+def _make_drift(name, sigma):
     if name == "hm_linear":
         return lambda t, a: a / sigma
     if name == "quadratic":
@@ -318,11 +373,14 @@ def validate(model: MarketModel, prefs: Preferences) -> list:
     if horizon_ok:
         ts = np.linspace(0.0, model.horizon, 33)
         try:
-            sig = np.asarray([model.sigma_at(float(t)) for t in ts], dtype=float)
+            sig = model.sigma_at(ts)
             if np.any(sig <= 0.0) or not np.all(np.isfinite(sig)):
                 problems.append("sigma must be positive and finite on [0, T]")
         except Exception as exc:
             problems.append(f"sigma evaluation failed: {exc}")
+        # every regime divides by the terminal discount factor
+        if not prefs.discount.value(model.horizon) > 0.0:
+            problems.append("discount factor f(T) underflows to zero at the horizon")
 
     pair = (prefs.agent_utility, prefs.principal_utility)
     if pair not in _ALLOWED_UTILITIES[prefs.spec_tag]:
@@ -337,11 +395,10 @@ def validate(model: MarketModel, prefs: Preferences) -> list:
     if prefs.spec_tag in ("first_best_nonseparable", "first_best_separable"):
         if model.action_lo < model.action_hi and horizon_ok:
             grid = np.linspace(model.action_lo, model.action_hi, 65)
-            for t in (0.0, 0.5 * model.horizon, model.horizon):
-                c = np.asarray([model.cost(t, float(a)) for a in grid])
-                d2 = np.diff(c, 2)
-                if np.any(d2 < -1e-9 * max(1.0, np.abs(c).max())):
-                    problems.append("cost not convex on A, first-best solver unsupported")
-                    break
+            ts = np.array([[0.0], [0.5 * model.horizon], [model.horizon]])
+            c = pointwise(model.cost, ts, grid)
+            scale = np.maximum(1.0, np.abs(c).max(axis=1, keepdims=True))
+            if np.any(np.diff(c, 2, axis=1) < -1e-9 * scale):
+                problems.append("cost not convex on A, first-best solver unsupported")
 
     return problems

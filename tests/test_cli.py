@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -417,3 +418,91 @@ class TestNegativeShiftDomain:
         capsys.readouterr()
         assert main(["check-constraint", "--config", cfg, "--steps", "100"]) == 2
         assert "hyperbolic discount undefined" in _error_of(capsys)
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("command,extra,key", [
+        ("verify", {"seed": "abc"}, "seed"),
+        ("check-constraint", {"seed": [7]}, "seed"),
+        ("check-constraint", {"threshold": "x"}, "threshold"),
+        ("check-constraint", {"picard_tol": None}, "picard_tol"),
+        ("verify", {"perturb_constant_term": "up"}, "perturb_constant_term"),
+        ("verify", {"antithetic": "false"}, "antithetic"),
+    ])
+    def test_unreadable_run_option_exits_1(self, tmp_path, capsys, command, extra, key):
+        cfg = write_config(tmp_path, dict(SEPARABLE_CONFIG, **extra))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--paths", "10",
+                     "--steps", "10"]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra,key", [
+        ("figures", {"horizon": "abc"}, "horizon"),
+        ("figures", {"gamma": None}, "gamma"),
+        ("figures", {"beta": "x"}, "beta"),
+        ("figures", {"lambda": [1]}, "lambda"),
+        ("figures", {"alphas": 5}, "alphas"),
+        ("figures", {"betas": "abc"}, "betas"),
+        ("figures", {"lambdas": [0.1, None]}, "lambdas"),
+        ("discount", {"horizon": None}, "horizon"),
+        ("discount", {"discounts": 5}, "discounts"),
+        ("discount", {"discounts": ["exponential"]}, "discounts"),
+    ])
+    def test_unreadable_table_option_exits_1(self, tmp_path, capsys, command, extra, key):
+        cfg = write_config(tmp_path, extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--steps", "11"]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SEPARABLE_CONFIG).replace('"T": 2.0', '"T": 1' + "0" * 400))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config.model.T must be finite" in _error_of(capsys)
+
+    def test_action_must_be_a_pair(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(SEPARABLE_CONFIG))
+        bad["model"]["action"] = [0.0]
+        cfg = write_config(tmp_path, bad)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "action must be a [lo, hi] pair" in capsys.readouterr().err
+
+    def test_vanishing_terminal_discount_exits_2(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(SEPARABLE_CONFIG))
+        bad["model"]["T"] = 1e300
+        bad["preferences"]["spec"] = "first_best_separable"
+        cfg = write_config(tmp_path, bad)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "f(T) underflows to zero" in _error_of(capsys)
+
+
+class TestCostExponentNearOne:
+    # p = 1.0001 at sigma = 3: the closed-form action |sigma z|^(1/(p-1))
+    # overflows before the clamp to the action interval
+    @pytest.mark.parametrize("spec,utility,r0", [
+        ("first_best_nonseparable", "exponential", -0.8),
+        ("first_best_separable", "risk_neutral", 0.05),
+        ("separable_rn", "risk_neutral", 0.05),
+    ])
+    def test_solve_is_clean(self, tmp_path, capsys, spec, utility, r0):
+        cfg = json.loads(json.dumps(SEPARABLE_CONFIG))
+        power = {"family": "power", "params": {"p": 1.0001}}
+        cfg["model"].update(sigma=3.0, drift=power, cost=power)
+        gamma = 1.0 if utility == "exponential" else 0.0
+        cfg["preferences"].update(agent=utility, principal=utility, gamma_a=gamma,
+                                  gamma_p=0.5 * gamma, r0=r0, spec=spec)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                       "--steps", "51"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+        def reject(constant):
+            raise ValueError(constant)
+
+        solution = json.loads((out / "solution.json").read_text(), parse_constant=reject)
+        assert max(solution["effort"]["values"]) == 10.0

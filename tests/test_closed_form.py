@@ -115,7 +115,8 @@ def test_time_varying_sigma_against_pointwise_brent():
 @given(
     k=st.floats(0.25, 4.0),
     ga=st.floats(0.1, 3.0),
-    gp=st.floats(0.0, 3.0),
+    # a subnormal gp makes the principal's value -exp(...)/gp overflow
+    gp=st.floats(0.0, 3.0, allow_subnormal=False),
 )
 def test_hm_exposure_formula(k, ga, gp):
     principal = "risk_neutral" if gp == 0.0 else "exponential"

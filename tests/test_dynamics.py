@@ -7,6 +7,7 @@ stream keys depend only on (seed, global path index), so chunking and
 thread counts must not change a single bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ from tic_contracts import (
     spike_deviation_check,
     verify_contract,
 )
+from tic_contracts.dynamics import _cost_at_equilibrium
+from tic_contracts.hamiltonian import stars_on_grid
 
 
 def _cara(ga, gp, r0, disc, tag):
@@ -298,3 +301,25 @@ def test_verify_contract_flags_a_shifted_constant(separable):
     # same paths, so the agent mean moves by exactly f(T) times the shift
     shift = bad["participation"]["mean"] - ok["participation"]["mean"]
     assert shift == pytest.approx(f_T, abs=1e-12)
+
+
+@pytest.mark.parametrize("builtin", [
+    MarketModel.quadratic(0.1, 2.0, 0.7),
+    MarketModel.hm_linear(0.1, 2.0, 0.7, 1.5),
+    MarketModel.power(0.1, 2.0, 0.7, 3.0),
+], ids=["quadratic", "hm_linear", "power"])
+def test_custom_copy_of_a_builtin_family_matches_it(builtin):
+    # the same lambdas without the family descriptor: evaluated on arrays,
+    # best responses by search instead of the closed form
+    custom = dataclasses.replace(builtin, families=None)
+    sol = solve(builtin, _rn(0.05, HYP, "separable_rn"), default_grid(2.0, 41))
+    want = simulate(builtin, sol.effort, 4, 50, seed=3)
+    got = simulate(custom, sol.effort, 4, 50, seed=3)
+    np.testing.assert_array_equal(got.increments, want.increments)
+    t_left = want.grid[:-1]
+    np.testing.assert_array_equal(_cost_at_equilibrium(custom, sol, t_left),
+                                  _cost_at_equilibrium(builtin, sol, t_left))
+    ts = np.array([[0.0], [0.7], [2.0]])
+    zs = np.array([-0.5, 0.0, 0.3, 0.9, 4.0, 25.0])
+    for got_part, want_part in zip(stars_on_grid(custom, ts, zs), stars_on_grid(builtin, ts, zs)):
+        np.testing.assert_allclose(got_part, want_part, rtol=0.0, atol=1e-9)

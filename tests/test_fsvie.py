@@ -7,6 +7,7 @@ The diagonal recursion check uses families whose rows are proportional,
 for which the reconstruction is exact up to rounding.
 """
 
+import math
 import os
 
 import numpy as np
@@ -26,6 +27,7 @@ from tic_contracts import (
     solve,
     target_constraint_residual,
 )
+from tic_contracts.model import pointwise
 
 HYP = DiscountSpec.hyperbolic(1.0, 0.4)
 
@@ -158,7 +160,46 @@ def test_picard_validation_and_nonconvergence():
     assert len(info.value.diagnostics) == 2
 
 
-def test_scalar_only_families_fall_back_and_array_bugs_propagate():
+def _sin_of(s, t):
+    return math.sin(s) + 0.2 * t  # math.sin of an array raises TypeError
+
+
+def _bug_on_arrays(s, t):
+    raise RuntimeError("bug in the array path")
+
+
+# (fn, calls): one call on arrays, or the failed array call plus one per
+# point; None means the error must propagate
+POINTWISE_CASES = {
+    "array": (lambda s, t: 0.2 * t + 0.1 * s, 1),
+    "scalar_only": (_sin_of, 1 + 6),
+    "scalar_result": (lambda s, t: 0.5, 1 + 6),
+    "runtime_error": (_bug_on_arrays, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINTWISE_CASES))
+def test_scalar_only_families_fall_back_and_array_bugs_propagate(case):
+    fn, want_calls = POINTWISE_CASES[case]
+    calls = []
+
+    def counted(s, t):
+        calls.append(np.shape(s))
+        return fn(s, t)
+
+    s_col = np.array([[0.0], [0.5], [1.0]])
+    t_row = np.array([0.25, 2.0])
+    if want_calls is None:
+        with pytest.raises(RuntimeError, match="array path"):
+            pointwise(counted, s_col, t_row)
+        assert len(calls) == 1
+    else:
+        got = pointwise(counted, s_col, t_row)
+        assert len(calls) == want_calls
+        assert all(shape == () for shape in calls[1:])
+        want = [[fn(float(s), float(t)) for t in t_row] for s in s_col[:, 0]]
+        np.testing.assert_array_equal(got, want)
+
     m = MarketModel.quadratic(0.1, 2.0, 1.0)
     p = _rn(0.05, HYP, "separable_rn")
     ens = simulate(m, 0.6, 2, 40, seed=4)
