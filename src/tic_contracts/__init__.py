@@ -23,6 +23,7 @@ from .fsvie import (
     ConvergenceError,
     VolterraField,
     diagonal_bsde_check,
+    march,
     picard_solve,
     s_constant_family,
     separable_optimal_family,
@@ -59,6 +60,7 @@ __all__ = [
     "diagonal_bsde_check",
     "effort_curve",
     "idr_curve",
+    "march",
     "maximize",
     "picard_solve",
     "principal_value_mc",

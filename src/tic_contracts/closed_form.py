@@ -85,14 +85,17 @@ def simpson(y, x, axis=-1):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != n:
         raise ValueError("x must be 1-D with one point per sample of y along axis")
-    x = x.reshape([n if k == axis else 1 for k in range(nd)])
+    # the weights multiply two spacings, which overflow past about 1e154;
+    # scaling x by a power of two is exact, and the result is scaled back
+    _, scale = np.frexp(np.max(np.abs(x)))
+    x = np.ldexp(x, -scale).reshape([n if k == axis else 1 for k in range(nd)])
     h = np.diff(x, axis=axis)
 
     def at(index):
         return (slice(None),) * axis + (index,)
 
     if n == 2:
-        return 0.5 * h[at(0)] * (y[at(1)] + y[at(0)])
+        return np.ldexp(0.5 * h[at(0)] * (y[at(1)] + y[at(0)]), scale)
 
     def pairs(stop):
         # Simpson over the interval pairs that start at 0, 2, ..., stop - 1
@@ -107,7 +110,7 @@ def simpson(y, x, axis=-1):
         return np.sum(tmp, axis=axis)
 
     if n % 2:
-        return pairs(n - 2)
+        return np.ldexp(pairs(n - 2), scale)
     result = pairs(n - 3)
     h0 = np.squeeze(h[at(slice(-2, -1))], axis=axis)
     h1 = np.squeeze(h[at(slice(-1, None))], axis=axis)
@@ -115,7 +118,7 @@ def simpson(y, x, axis=-1):
     beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
     eta = h1 ** 3 / (6 * h0 * (h0 + h1))
     result += alpha * y[at(-1)] + beta * y[at(-2)] - eta * y[at(-3)]
-    return result
+    return np.ldexp(result, scale)
 
 
 def _solution_grid(model: MarketModel, grid) -> np.ndarray:

@@ -122,7 +122,8 @@ class DiscountSpec:
         """f(t) for possibly negative t, used by Volterra generators.
 
         The exponential and quasi-hyperbolic forms extend to all reals; the
-        hyperbolic form requires 1 + alpha * t > 0 and raises otherwise.
+        hyperbolic form requires 1 + alpha * t > 0 and raises otherwise, as
+        every form does where its value passes the float range.
         """
         t = np.asarray(t, dtype=float)
         if self.variant == "hyperbolic" and self.alpha > 0.0:
@@ -132,20 +133,25 @@ class DiscountSpec:
                     "shrink the horizon or alpha"
                 )
         out = self._value_raw(t)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("discount overflows at negative times; shrink the horizon or rates")
         return float(out) if out.ndim == 0 else out
 
     def _value_raw(self, t):
         t = np.asarray(t, dtype=float)
         g = self.gamma
-        if self.variant == "exponential":
-            return np.exp(-g * t)
-        if self.variant == "hyperbolic":
-            a = self.alpha
-            if a == 0.0:
+        # a rate times a huge |t| overflows: for t >= 0 exp then gives the
+        # curve's limit 0; value_extended rejects what is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.variant == "exponential":
                 return np.exp(-g * t)
-            return np.exp((-g / a) * np.log1p(a * t))
-        b, lam = self.beta, self.lam
-        return (1.0 - b) * np.exp(-t * (lam + g)) + b * np.exp(-g * t)
+            if self.variant == "hyperbolic":
+                a = self.alpha
+                if a == 0.0:
+                    return np.exp(-g * t)
+                return np.exp((-g / a) * np.log1p(a * t))
+            b, lam = self.beta, self.lam
+            return (1.0 - b) * np.exp(-t * (lam + g)) + b * np.exp(-g * t)
 
     # -- serialization ---------------------------------------------------
 

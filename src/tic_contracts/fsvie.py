@@ -3,14 +3,15 @@
 A restricted contract is carried by a family of processes Y^s indexed by
 the evaluation time s, coupled through the diagonal (s = t): the action
 entering every row's generator is the one optimal for the diagonal
-exposure.  On a square (s, t) grid and per simulated path, the field is
-computed by explicit Picard iteration,
+exposure.  With left-endpoint time stepping on a square (s, t) grid,
 
-    Y^{s,n+1}_t = y0(s) - sum_{r<t} h(s, r, Y^n) dt + sum_{r<t} Z^s_r dX_r,
+    Y^s_{t_{j+1}} = Y^s_{t_j} - h(s, t_j, Y^s_{t_j}, Y^{t_j}_{t_j}) dt + Z^s_{t_j} dX_j,
 
-with left-endpoint time stepping and the path's own increments for the
-stochastic integral, so Volterra checks and Monte Carlo checks share
-noise.
+every row's step reads only values at t_j, so :func:`march` solves it
+in one forward pass over t.  The stochastic integral uses each path's own
+increments, so Volterra and Monte Carlo checks share noise.
+:func:`picard_solve` iterates the same scheme to its fixed point: the
+contraction diagnostic, and the reference the march is tested against.
 
 The admissibility (stochastic target) test decodes every row's terminal
 value through the s-dependent utility inverse and measures the spread: an
@@ -26,11 +27,8 @@ import numpy as np
 
 from .closed_form import simpson
 from .dynamics import PathEnsemble
-from .hamiltonian import stars_at, stars_on_grid
-from .model import MarketModel, Preferences, pointwise
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 60
+from .hamiltonian import stars_on_grid
+from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
 
 
 class ConvergenceError(RuntimeError):
@@ -43,133 +41,132 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class VolterraField:
-    """Solved field per path: values[p, i, j] = Y^{s_i}_{t_j}."""
+    """Solved field per path: terminal[p, i] = Y^{s_i}_T,
+    diagonal[p, j] = Y^{t_j}_{t_j} and z_diag[j] = Z^{t_j}_{t_j}."""
 
-    s_grid: np.ndarray
-    t_grid: np.ndarray
-    values: np.ndarray
+    grid: np.ndarray
+    terminal: np.ndarray
     diagonal: np.ndarray
     z_diag: np.ndarray
-    z_family: object
-    z_label: str
     spec_tag: str
 
-    def export_csv(self, path: str):
-        """Write the field as long-form rows (path, s, t, Y)."""
-        n_paths, ns, nt = self.values.shape
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("path,s,t,Y\n")
-            for p in range(n_paths):
-                for i in range(ns):
-                    s = repr(float(self.s_grid[i]))
-                    row = self.values[p, i]
-                    for j in range(nt):
-                        fh.write(f"{p},{s},{float(self.t_grid[j])!r},{float(row[j])!r}\n")
+
+def _initial_rows(prefs: Preferences, y0_family, ensemble: PathEnsemble):
+    """(grid, dt, y0 on the grid) after checking the regime has a generator."""
+    if prefs.spec_tag not in SECOND_BEST_TAGS:
+        raise ValueError(f"no Volterra generator for spec {prefs.spec_tag!r}")
+    grid = ensemble.grid
+    return grid, float(grid[1] - grid[0]), pointwise(y0_family, grid)
+
+
+def _generator(model: MarketModel, prefs: Preferences, t, s, z, y, z_diag, diag):
+    """Drift h of the rows (times s, a column; exposures z; values y) at t.
+
+    t and the diagonal exposure and value, which fix the agent's action
+    for every row, vary along the last axis.  A discounted cost is weighed
+    by f(t - s), on the curve's analytic extension where t < s.
+    """
+    tag = prefs.spec_tag
+    if tag == "separable_rn":
+        lam, cost, _ = stars_on_grid(model, t, z_diag)
+        return lam * z - prefs.discount.value_extended(t - s) * cost
+    if np.any(diag >= 0.0):
+        raise ValueError("diagonal left the exponential utility's range (Y >= 0)")
+    ga = prefs.gamma_a
+    lam, cost, _ = stars_on_grid(model, t, -z_diag / (ga * diag))
+    if tag == "discounted_utility":
+        return lam * z + ga * cost * y
+    return lam * z + ga * prefs.discount.value_extended(t - s) * cost * y
+
+
+def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
+          ensemble: PathEnsemble) -> VolterraField:
+    """Solve the field for every path in the ensemble, marching t forward.
+
+    y0_family maps s to the initial row value; z_family maps (s, t) to the
+    row's exposure (vectorized over arrays when possible).  Both are
+    evaluated one time at a time, so no (s, t) array is formed.
+    """
+    grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
+    s = grid[:, None]
+    dx = ensemble.increments
+    z_diag = pointwise(z_family, grid, grid)
+    diagonal = np.empty((ensemble.n_paths, grid.size))
+    # summing the increments apart from y0, as the Picard sweep does, gives
+    # its field bit for bit when the generator does not read Y (separable_rn)
+    acc = np.zeros((grid.size, ensemble.n_paths))
+    y = y0[:, None] + acc
+    for j, t in enumerate(grid[:-1]):
+        diagonal[:, j] = y[j]
+        z = pointwise(z_family, grid, t)[:, None]
+        drift = _generator(model, prefs, t, s, z, y, z_diag[j], y[j])
+        acc += z * dx[:, j] - drift * dt
+        np.add(y0[:, None], acc, out=y)
+    diagonal[:, -1] = y[-1]
+    return VolterraField(grid=grid.copy(), terminal=y.T.copy(), diagonal=diagonal,
+                         z_diag=z_diag, spec_tag=prefs.spec_tag)
 
 
 def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
-                 ensemble: PathEnsemble, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER, init: str = "flat"):
-    """Solve the field for every path in the ensemble.
+                 ensemble: PathEnsemble, tol: float = 1e-10, max_iter: int = 60):
+    """Solve the field for every path by Picard iteration from Y^{s,0} = y0(s),
 
-    y0_family maps s to the initial row value; z_family maps (s, t) to the
-    row's exposure (vectorized over meshgrids when possible).  init picks
-    the Picard starting point: "flat" starts every row at y0(s), "zero"
-    at zero (the two must meet at the same fixed point).
+        Y^{s,n+1}_t = y0(s) - sum_{r<t} h(s, r, Y^n) dt + sum_{r<t} Z^s_r dX_r,
+
+    one path's (s, t) iterate at a time.  The fixed point is the field
+    :func:`march` computes; the families are as there.
 
     Returns (VolterraField, diagnostics) where diagnostics is a list, per
     path, of successive sup-norm differences.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if init not in ("flat", "zero"):
-        raise ValueError("init must be 'flat' or 'zero'")
-    tag = prefs.spec_tag
-    if tag not in ("separable_rn", "discounted_utility", "discounted_income"):
-        raise ValueError(f"no Volterra generator for spec {tag!r}")
-    grid = ensemble.grid
-    n_nodes = grid.size
-    t_left = grid[:-1]
-    dt = float(grid[1] - grid[0])
-    ga = prefs.gamma_a
-    f = prefs.discount
-
-    zmat = pointwise(z_family, grid[:, None], grid[None, :])
-    y0 = pointwise(y0_family, grid)
+    grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
+    s = grid[:, None]
+    zmat = pointwise(z_family, s, grid[None, :])
     z_left = zmat[:, :-1]
-    z_diag_left = np.diagonal(zmat)[:-1].copy()
+    z_diag = np.diagonal(zmat).copy()
 
-    shift = None
-    if tag in ("separable_rn", "discounted_income"):
-        # f(r - s) on the (s, r) rectangle; negative arguments use the
-        # curve's analytic extension
-        shift = np.asarray(
-            f.value_extended(t_left[None, :] - grid[:, None]), dtype=float)
-
-    fields = np.empty((ensemble.n_paths, n_nodes, n_nodes), dtype=np.float64)
-    all_diffs = []
+    terminal, diagonal, all_diffs = [], [], []
     for p in range(ensemble.n_paths):
-        dx = ensemble.increments[p]
-        mart = z_left * dx[None, :]
-        y = np.tile(y0[:, None], (1, n_nodes)) if init == "flat" \
-            else np.zeros((n_nodes, n_nodes))
+        mart = z_left * ensemble.increments[p][None, :]
+        y = np.tile(y0[:, None], (1, grid.size))
         diffs = []
-        converged = False
         for _ in range(max_iter):
-            d = np.diagonal(y)[:-1]
-            if tag == "separable_rn":
-                lam, cost, _ = stars_on_grid(model, t_left, z_diag_left)
-                drift = lam * z_left - shift * cost
-            else:
-                if np.any(d >= 0.0):
-                    raise ValueError(
-                        "diagonal left the exponential utility's range (Y >= 0)")
-                z_eff = -z_diag_left / (ga * d)
-                lam, cost, _ = stars_on_grid(model, t_left, z_eff)
-                if tag == "discounted_utility":
-                    drift = lam * z_left + ga * cost * y[:, :-1]
-                else:
-                    drift = lam * z_left + ga * shift * cost * y[:, :-1]
-            incr = mart - drift * dt
+            drift = _generator(model, prefs, grid[:-1], s, z_left, y[:, :-1],
+                               z_diag[:-1], np.diagonal(y)[:-1])
             y_new = np.empty_like(y)
             y_new[:, 0] = y0
-            np.cumsum(incr, axis=1, out=y_new[:, 1:])
+            np.cumsum(mart - drift * dt, axis=1, out=y_new[:, 1:])
             y_new[:, 1:] += y0[:, None]
-            diff = float(np.max(np.abs(y_new - y)))
-            diffs.append(diff)
+            diffs.append(float(np.max(np.abs(y_new - y))))
             y = y_new
-            if diff < tol:
-                converged = True
+            if diffs[-1] < tol:
                 break
-        if not converged:
+        else:
             raise ConvergenceError(
                 f"Picard iteration did not reach tol={tol:g} in {max_iter} sweeps "
                 f"(last diff {diffs[-1]:.3e})", diffs)
-        fields[p] = y
+        terminal.append(y[:, -1].copy())
+        diagonal.append(np.diagonal(y).copy())
         all_diffs.append(diffs)
 
-    diag = np.asarray([np.diagonal(fields[p]).copy() for p in range(ensemble.n_paths)])
-    field = VolterraField(
-        s_grid=grid.copy(), t_grid=grid.copy(), values=fields, diagonal=diag,
-        z_diag=np.diagonal(zmat).copy(), z_family=z_family,
-        z_label=getattr(z_family, "__name__", "z_family"), spec_tag=tag,
-    )
+    field = VolterraField(grid=grid.copy(), terminal=np.array(terminal),
+                          diagonal=np.array(diagonal), z_diag=z_diag, spec_tag=prefs.spec_tag)
     return field, all_diffs
 
 
 def target_constraint_residual(field: VolterraField, prefs: Preferences) -> np.ndarray:
     """Per-path spread of the decoded terminal payment across s rows."""
-    T = float(field.t_grid[-1])
-    f = prefs.discount
-    fTs = np.asarray(f.value(T - field.s_grid), dtype=float)
-    term = field.values[:, :, -1]
+    T = float(field.grid[-1])
+    fTs = np.asarray(prefs.discount.value(T - field.grid), dtype=float)
     tag = field.spec_tag
     if tag == "separable_rn":
-        decoded = term / fTs[None, :]
+        decoded = field.terminal / fTs[None, :]
     elif tag == "discounted_utility":
-        decoded = prefs.agent_u_inv(term / fTs[None, :])
+        decoded = prefs.agent_u_inv(field.terminal / fTs[None, :])
     elif tag == "discounted_income":
-        decoded = prefs.agent_u_inv(term) / fTs[None, :]
+        decoded = prefs.agent_u_inv(field.terminal) / fTs[None, :]
     else:
         raise ValueError(f"no terminal decoding for spec {tag!r}")
     return np.max(decoded, axis=1) - np.min(decoded, axis=1)
@@ -184,33 +181,29 @@ def diagonal_bsde_check(field: VolterraField, model: MarketModel, prefs: Prefere
     scalar equation whose drift is the effort trade-off plus a discounting
     tilt (f'(T-t)/f(T-t)) Y.  The tilt is removed exactly with the
     integrating factor f(T-t), so the reported residual is purely the
-    discretization error of the trade-off term.
+    discretization error of the trade-off term.  The recursion runs on all
+    paths at once.
     """
     if prefs.spec_tag != "discounted_utility" or field.spec_tag != "discounted_utility":
         raise ValueError("the diagonal recursion check covers the discounted-utility spec")
-    grid = field.t_grid
+    grid = field.grid
     T = float(grid[-1])
     dt = float(grid[1] - grid[0])
     ga = prefs.gamma_a
-    f = prefs.discount
-    fTt = np.asarray(f.value(T - grid), dtype=float)
-    out = np.empty(field.values.shape[0])
-    for p in range(field.values.shape[0]):
-        d = field.diagonal[p]
-        dx = ensemble.increments[p]
-        w = np.empty_like(d)
-        w[0] = d[0] / fTt[0]
-        for j in range(grid.size - 1):
-            y_here = w[j] * fTt[j]
-            z_here = float(field.z_diag[j])
-            if y_here >= 0.0:
-                raise ValueError("diagonal left the exponential utility's range")
-            z_eff = -z_here / (ga * y_here)
-            lam, cost, _ = stars_at(model, float(grid[j]), z_eff)
-            big_h = lam * z_here + ga * cost * y_here
-            w[j + 1] = w[j] + (-big_h * dt + z_here * dx[j]) / fTt[j]
-        out[p] = float(np.max(np.abs(w * fTt - d)))
-    return out
+    fTt = np.asarray(prefs.discount.value(T - grid), dtype=float)
+    d = field.diagonal
+    dx = ensemble.increments
+    w = np.empty_like(d)
+    w[:, 0] = d[:, 0] / fTt[0]
+    for j in range(grid.size - 1):
+        y_here = w[:, j] * fTt[j]
+        z_here = float(field.z_diag[j])
+        if np.any(y_here >= 0.0):
+            raise ValueError("diagonal left the exponential utility's range")
+        lam, cost, _ = stars_on_grid(model, grid[j], -z_here / (ga * y_here))
+        big_h = lam * z_here + ga * cost * y_here
+        w[:, j + 1] = w[:, j] + (-big_h * dt + z_here * dx[:, j]) / fTt[j]
+    return np.max(np.abs(w * fTt - d), axis=1)
 
 
 def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):

@@ -303,7 +303,9 @@ class Preferences:
         y = np.asarray(y, dtype=float)
         if np.any(y >= 0.0):
             raise ValueError("exponential agent utility takes values below zero")
-        out = -np.log(-g * y) / g
+        # a tiny gamma_a overflows to inf, and the solvers reject what follows
+        with np.errstate(over="ignore"):
+            out = -np.log(-g * y) / g
         return float(out) if out.ndim == 0 else out
 
     def principal_u(self, x):

@@ -189,8 +189,8 @@ def test_criterion_08_target_constraint_residual_and_contraction():
     residuals = {}
     for n_steps in (2000, 4000):
         ensemble = dynamics.simulate(SEPARABLE_MODEL, sol.effort, 2, n_steps, seed=13)
-        field, _ = fsvie.picard_solve(SEPARABLE_MODEL, SEPARABLE_PREFS,
-                                      y0_family, z_family, ensemble)
+        field = fsvie.march(SEPARABLE_MODEL, SEPARABLE_PREFS,
+                            y0_family, z_family, ensemble)
         residuals[n_steps] = fsvie.target_constraint_residual(field, SEPARABLE_PREFS)
         del field, ensemble
     assert np.max(residuals[2000]) < 0.01
@@ -199,8 +199,8 @@ def test_criterion_08_target_constraint_residual_and_contraction():
     ensemble = dynamics.simulate(SEPARABLE_MODEL, sol.effort, 2, 2000, seed=13)
     frozen_y0, frozen_z = fsvie.s_constant_family(
         SEPARABLE_MODEL, SEPARABLE_PREFS, sol)
-    field, _ = fsvie.picard_solve(SEPARABLE_MODEL, SEPARABLE_PREFS,
-                                  frozen_y0, frozen_z, ensemble)
+    field = fsvie.march(SEPARABLE_MODEL, SEPARABLE_PREFS,
+                        frozen_y0, frozen_z, ensemble)
     frozen = fsvie.target_constraint_residual(field, SEPARABLE_PREFS)
     assert np.min(frozen) > 10.0 * np.max(residuals[2000])
     del field, ensemble

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import tic_contracts
 from tic_contracts import cli
 from tic_contracts.cli import main
 from tic_contracts.discounting import DiscountSpec
@@ -287,6 +291,29 @@ class TestCheckConstraint:
         assert rc == 1
         assert "separable" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads ru_maxrss in kilobytes, as Linux reports it")
+    def test_default_run_stays_below_150_mb(self, tmp_path):
+        # 3 paths x 2000 steps; holding an (s, t) field per path took 464 MB
+        cfg = write_config(tmp_path, SEPARABLE_CONFIG)
+        src = os.path.dirname(os.path.dirname(tic_contracts.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        # a child started from this test process counts the test process's
+        # own peak in its ru_maxrss, so a small interpreter starts the command
+        # and reports the command's peak
+        reaper = ("import os, subprocess, sys; "
+                  "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+                  "_, status, usage = os.wait4(p.pid, 0); "
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        run = subprocess.run(
+            [sys.executable, "-c", reaper, sys.executable, "-m", "tic_contracts.cli",
+             "check-constraint", "--config", cfg, "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True)
+        code, max_rss_kb = (int(v) for v in run.stdout.split())
+        assert code == 0, run.stderr
+        assert max_rss_kb < 150 * 1024
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
@@ -425,7 +452,7 @@ class TestParseErrors:
         ("verify", {"seed": "abc"}, "seed"),
         ("check-constraint", {"seed": [7]}, "seed"),
         ("check-constraint", {"threshold": "x"}, "threshold"),
-        ("check-constraint", {"picard_tol": None}, "picard_tol"),
+        ("check-constraint", {"grid_points": "many"}, "grid_points"),
         ("verify", {"perturb_constant_term": "up"}, "perturb_constant_term"),
         ("verify", {"antithetic": "false"}, "antithetic"),
     ])

@@ -1,9 +1,11 @@
-"""Property test of the command line on hostile `solve` configs.
+"""Property tests of the command line on hostile `solve` and
+`check-constraint` configs.
 
 Whatever the config holds (non-finite or huge numbers, extreme horizons and
 curve parameters, cost exponents near 1 with large volatility, inverted or
-huge action bounds, values of the wrong type), `solve` returns one of the
-documented exit codes, raises nothing, and writes only strict JSON.
+huge action bounds, values of the wrong type, unknown contract families,
+hostile pass thresholds), each command returns one of the documented exit
+codes, raises nothing, emits no RuntimeWarning, and writes only strict JSON.
 """
 
 import contextlib
@@ -13,10 +15,14 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tic_contracts.cli import main
+
+# an overflow or invalid operation must be handled where it happens
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SPECS = {
     "discounted_utility": [("exponential", "exponential"), ("exponential", "risk_neutral")],
@@ -62,9 +68,10 @@ def families(draw):
 
 
 @st.composite
-def configs(draw):
-    """A well-formed config at extreme values, with up to two hostile leaves."""
-    spec = draw(st.sampled_from(sorted(SPECS)))
+def configs(draw, specs=tuple(sorted(SPECS))):
+    """A well-formed config of one of specs at extreme values, with up to
+    two hostile leaves."""
+    spec = draw(st.sampled_from(specs))
     agent, principal = draw(st.sampled_from(SPECS[spec]))
     fam = draw(families())
     lo, hi = sorted(draw(st.lists(st.one_of(extreme(-1e300, 1e300), extreme(-10.0, 10.0)),
@@ -156,6 +163,37 @@ def test_solve_survives_hostile_configs(cfg):
         assert code in (0, 1, 2, 3)
         written = os.path.join(out, "solution.json")
         if code == 0:
+            assert os.path.exists(written)
+        if os.path.exists(written):
+            with open(written, encoding="utf-8") as fh:
+                _strict(fh.read())
+
+
+@st.composite
+def constraint_configs(draw):
+    """A separable config as above plus check-constraint's run options."""
+    cfg = draw(configs(specs=("separable_rn",)))
+    cfg.update(family=draw(st.sampled_from(["optimal", "s_constant", "junk"])),
+               threshold=draw(st.one_of(HOSTILE, extreme(1e-12, 1e3))),
+               n_steps=draw(st.integers(1, 60)), n_paths=draw(st.integers(1, 2)))
+    return cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=constraint_configs())
+def test_check_constraint_survives_hostile_configs(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check-constraint", "--config", path, "--out", out])
+        assert code in (0, 1, 2, 3)
+        written = os.path.join(out, "constraint.json")
+        if code in (0, 3):
             assert os.path.exists(written)
         if os.path.exists(written):
             with open(written, encoding="utf-8") as fh:

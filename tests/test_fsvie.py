@@ -8,7 +8,6 @@ for which the reconstruction is exact up to rounding.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from tic_contracts import (
     Preferences,
     default_grid,
     diagonal_bsde_check,
+    march,
     picard_solve,
     s_constant_family,
     separable_optimal_family,
@@ -80,7 +80,7 @@ def test_separable_generator_converges_in_one_extra_sweep(separable_setup):
         assert len(per_path) == 2
         # the drift never reads Y, so sweep two reproduces sweep one
         assert per_path[1] < 1e-14
-    assert field.values.shape == (2, 301, 301)
+    assert field.terminal.shape == field.diagonal.shape == (2, 301)
 
 
 def test_zero_exposure_zero_generator_keeps_the_field_flat():
@@ -89,9 +89,9 @@ def test_zero_exposure_zero_generator_keeps_the_field_flat():
     ens = simulate(m, 0.6, 2, 120, seed=4)
     field, diffs = picard_solve(m, p, lambda s: 0.3 + 0.1 * np.asarray(s),
                                 _zeros, ens)
-    expected_rows = np.broadcast_to((0.3 + 0.1 * field.s_grid)[None, :, None],
-                                    field.values.shape)
-    np.testing.assert_allclose(field.values, expected_rows, atol=0.0)
+    expected_rows = np.broadcast_to((0.3 + 0.1 * field.grid)[None, :], (2, 121))
+    np.testing.assert_allclose(field.terminal, expected_rows, atol=0.0)
+    np.testing.assert_allclose(field.diagonal, expected_rows, atol=0.0)
     assert all(len(d) == 1 for d in diffs)
 
 
@@ -100,11 +100,9 @@ def test_initial_column_and_diagonal_invariants(separable_setup):
     ens = simulate(m, sol.effort, 3, 100, seed=11)
     y0f, zf = separable_optimal_family(m, p, sol)
     field, _ = picard_solve(m, p, y0f, zf, ens)
-    first_col = np.broadcast_to(np.asarray(y0f(field.s_grid))[None, :],
-                                field.values[:, :, 0].shape)
-    np.testing.assert_allclose(field.values[:, :, 0], first_col, atol=1e-14)
-    idx = np.arange(field.s_grid.size)
-    np.testing.assert_array_equal(field.diagonal, field.values[:, idx, idx])
+    # Y^0_0 = y0(0) and Y^T_T is both the last diagonal and the last terminal value
+    np.testing.assert_allclose(field.diagonal[:, 0], y0f(field.grid)[0], atol=1e-14)
+    np.testing.assert_array_equal(field.diagonal[:, -1], field.terminal[:, -1])
 
 
 def test_exponential_utility_generators_contract_geometrically():
@@ -123,24 +121,19 @@ def test_exponential_utility_generators_contract_geometrically():
                     assert per_path[j + 1] <= 0.75 * per_path[j], tag
 
 
-def test_two_starting_points_reach_the_same_field(separable_setup):
-    m, p, sol = separable_setup
-    ens = simulate(m, sol.effort, 2, 150, seed=11)
-    y0f, zf = separable_optimal_family(m, p, sol)
-    flat, _ = picard_solve(m, p, y0f, zf, ens, init="flat")
-    zero, _ = picard_solve(m, p, y0f, zf, ens, init="zero")
-    assert float(np.max(np.abs(flat.values - zero.values))) < 1e-10
-
-
 def test_zero_start_is_outside_the_exponential_domain():
-    # the hatted generator divides by gamma_a * Y, so a zero start is not
-    # an admissible initializer for the exponential-utility regimes
+    # the hatted generator divides by gamma_a * Y, so rows starting at or
+    # above zero are outside the exponential-utility regimes
     m = MarketModel.quadratic(0.1, 2.0, 1.0)
     p = _cara(1.0, 0.5, -0.8, HYP, "discounted_utility")
     ens = simulate(m, 0.6, 2, 60, seed=4)
-    y0f, zf = _proportional_family(HYP, 2.0, 0.05, -0.5)
-    with pytest.raises(ValueError, match="range"):
-        picard_solve(m, p, y0f, zf, ens, init="zero")
+    _, zf = _proportional_family(HYP, 2.0, 0.05, -0.5)
+    for level in (0.0, 0.5):
+        y0f, _ = _proportional_family(HYP, 2.0, 0.05, level)
+        with pytest.raises(ValueError, match="range"):
+            march(m, p, y0f, zf, ens)
+        with pytest.raises(ValueError, match="range"):
+            picard_solve(m, p, y0f, zf, ens)
 
 
 def test_picard_validation_and_nonconvergence():
@@ -150,11 +143,10 @@ def test_picard_validation_and_nonconvergence():
     y0f, zf = _proportional_family(HYP, 2.0, 0.05, -0.5)
     with pytest.raises(ValueError, match="tol"):
         picard_solve(m, p, y0f, zf, ens, tol=0.0)
-    with pytest.raises(ValueError, match="init"):
-        picard_solve(m, p, y0f, zf, ens, init="warm")
-    with pytest.raises(ValueError, match="no Volterra generator"):
-        picard_solve(m, _rn(0.05, HYP, "first_best_separable"),
-                     lambda s: 0.0 * np.asarray(s), _zeros, ens)
+    for solver in (march, picard_solve):
+        with pytest.raises(ValueError, match="no Volterra generator"):
+            solver(m, _rn(0.05, HYP, "first_best_separable"),
+                   lambda s: 0.0 * np.asarray(s), _zeros, ens)
     with pytest.raises(ConvergenceError, match="Picard") as info:
         picard_solve(m, p, y0f, zf, ens, tol=1e-30, max_iter=2)
     assert len(info.value.diagnostics) == 2
@@ -226,13 +218,41 @@ def test_scalar_only_families_fall_back_and_array_bugs_propagate(case):
             raise RuntimeError("bug in the array path")
         return y0_vec(s)
 
-    want, _ = picard_solve(m, p, y0_vec, z_vec, ens)
-    got, _ = picard_solve(m, p, y0_scalar, z_scalar, ens)
-    np.testing.assert_array_equal(got.values, want.values)
-    with pytest.raises(RuntimeError, match="array path"):
-        picard_solve(m, p, y0_vec, z_array_bug, ens)
-    with pytest.raises(RuntimeError, match="array path"):
-        picard_solve(m, p, y0_array_bug, z_vec, ens)
+    for solver in (march, lambda *args: picard_solve(*args)[0]):
+        want = solver(m, p, y0_vec, z_vec, ens)
+        got = solver(m, p, y0_scalar, z_scalar, ens)
+        np.testing.assert_array_equal(got.terminal, want.terminal)
+        np.testing.assert_array_equal(got.diagonal, want.diagonal)
+        with pytest.raises(RuntimeError, match="array path"):
+            solver(m, p, y0_vec, z_array_bug, ens)
+        with pytest.raises(RuntimeError, match="array path"):
+            solver(m, p, y0_array_bug, z_vec, ens)
+
+
+def test_march_reproduces_the_picard_fixed_point(separable_setup):
+    m, p, sol = separable_setup
+    ens = simulate(m, sol.effort, 2, 300, seed=11)
+    cases = [
+        (p, separable_optimal_family(m, p, sol)),
+        (p, s_constant_family(m, p, sol)),
+        (_cara(1.0, 0.5, -0.8, HYP, "discounted_utility"),
+         _proportional_family(HYP, 2.0, 0.05, -0.5)),
+        (_cara(0.5, 0.5, -0.8, HYP, "discounted_income"),
+         _proportional_family(HYP, 2.0, 0.05, -0.5)),
+    ]
+    for prefs, (y0f, zf) in cases:
+        marched = march(m, prefs, y0f, zf, ens)
+        swept, _ = picard_solve(m, prefs, y0f, zf, ens)
+        assert marched.spec_tag == prefs.spec_tag
+        np.testing.assert_array_equal(marched.grid, swept.grid)
+        np.testing.assert_array_equal(marched.z_diag, swept.z_diag)
+        if prefs.spec_tag == "separable_rn":
+            # the drift does not read Y: the march sums the sweep's
+            # increments in the sweep's order
+            np.testing.assert_array_equal(marched.terminal, swept.terminal)
+            np.testing.assert_array_equal(marched.diagonal, swept.diagonal)
+        np.testing.assert_allclose(marched.terminal, swept.terminal, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(marched.diagonal, swept.diagonal, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +352,7 @@ def test_diagonal_check_zero_exposure_ode():
     field, _ = picard_solve(m, p, y0f, _zeros, ens)
     # with no exposure and zero-cost optimum the diagonal must follow the
     # solved ODE y(t) = c * f(T - t)
-    ref = -0.5 * np.asarray(HYP.value(2.0 - field.t_grid))
+    ref = -0.5 * np.asarray(HYP.value(2.0 - field.grid))
     assert float(np.max(np.abs(field.diagonal - ref[None, :]))) < 1e-8
     res = np.asarray(diagonal_bsde_check(field, m, p, ens))
     assert np.all(res < 1e-8)
@@ -345,21 +365,3 @@ def test_diagonal_check_rejects_other_specs(separable_setup):
     field, _ = picard_solve(m, p, y0f, zf, ens)
     with pytest.raises(ValueError, match="discounted-utility"):
         diagonal_bsde_check(field, m, p, ens)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_field_export_csv(tmp_path, separable_setup):
-    m, p, sol = separable_setup
-    ens = simulate(m, sol.effort, 2, 5, seed=11)
-    y0f, zf = separable_optimal_family(m, p, sol)
-    field, _ = picard_solve(m, p, y0f, zf, ens)
-    out = tmp_path / "field.csv"
-    field.export_csv(os.fspath(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "path,s,t,Y"
-    assert len(lines) - 1 == 2 * 6 * 6
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[1]) == 0.0

@@ -35,6 +35,27 @@ def test_exact_for_quadratics_on_nonuniform_grids_and_even_counts(n):
         assert simpson(y, x) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 500, 501])
+@pytest.mark.parametrize("span", [1e200, 1e300, 1.7e308])
+def test_huge_spans_do_not_overflow(n, span):
+    # the weights multiply two spacings, which overflow past about 1e154
+    x = np.linspace(0.0, span, n)
+    u = x / span
+    assert simpson(np.ones(n), x) / span == pytest.approx(1.0, rel=1e-12)
+    assert simpson(u, x) / span == pytest.approx(0.5, rel=1e-12)
+    if n > 2:
+        assert simpson(u ** 2, x) / span == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 151, 2000, 2001])
+def test_scaling_the_points_by_a_power_of_two_scales_the_result_exactly(n):
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=n)
+    for x in (np.linspace(0.0, 2.0, n), _nonuniform(n, seed=n)):
+        for k in (-60, 60):
+            assert simpson(y, np.ldexp(x, k)) == np.ldexp(simpson(y, x), k)
+
+
 def test_two_points_give_the_trapezoid():
     assert simpson(np.array([1.0, 3.0]), np.array([0.5, 2.5])) == 4.0
 
