@@ -6,7 +6,7 @@ contracts, and forward Volterra machinery for the admissibility
 constraint that ties the time-indexed value processes together.
 """
 
-from .closed_form import ContractSolution, CurveTable, default_grid, effort_curve, idr_curve, solve
+from .closed_form import ContractSolution, default_grid, solve
 from .discounting import DiscountSpec
 from .dynamics import (
     McEstimate,
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ContractSolution",
     "ConvergenceError",
-    "CurveTable",
     "DiscountSpec",
     "HamiltonianResult",
     "InfeasibleError",
@@ -58,8 +57,6 @@ __all__ = [
     "default_grid",
     "delta_correction_check",
     "diagonal_bsde_check",
-    "effort_curve",
-    "idr_curve",
     "march",
     "maximize",
     "picard_solve",

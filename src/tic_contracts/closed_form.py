@@ -8,7 +8,8 @@ operations over the grid (:func:`z_argmax_grid`).  Per point, a bracket
 doubles outward from [-1, 1] until the maximum is interior, with a hard
 cap that flags runaway models instead of silently clamping; a geometric
 ladder of candidates near zero resolves maxima narrower than the scan's
-cells; golden-section refinement and a parabolic polish finish the point.
+cells; hamiltonian.search_max, the golden-section search with a parabolic
+polish that also finds the agent's action, finishes the point.
 
 Values are integrated with composite Simpson on the solution grid; the
 default grid has 2001 points.
@@ -16,14 +17,12 @@ default grid has 2001 points.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discounting import DiscountSpec
-from .hamiltonian import stars_on_grid
+from .hamiltonian import search_max, stars_on_grid
 from .model import MarketModel, Preferences, UnboundedLoadingError, InfeasibleError, validate
 
 DEFAULT_GRID_POINTS = 2001
@@ -31,33 +30,7 @@ Z_CAP = 1e3
 
 _SCAN = 64
 _REFINE_SCAN = 8
-_Z_TOL = 1e-10
 _LADDER = np.concatenate([-np.logspace(0.0, -9.0, 10), [0.0], np.logspace(-9.0, 0.0, 10)])
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class CurveTable:
-    """A sampled curve with linear interpolation between nodes."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be 1-D arrays of equal length")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, t):
-        return np.interp(t, self.grid, self.values)
 
 
 def default_grid(horizon: float, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -155,8 +128,10 @@ def z_argmax_grid(objective, n: int, radius: float = 1.0):
       ties the interior is a plateau (clamped action), not growth, and
       growth past |z| <= Z_CAP raises UnboundedLoadingError;
     * a zoom scan of the two cells around the best sample;
-    * golden-section search to 1e-10, then two centered parabolic steps that
-      polish the point below the flat-top noise floor of the comparisons.
+    * hamiltonian.search_max on the zoom's best cell pair: an 8-point scan,
+      golden-section search to 1e-10, then two centered parabolic steps
+      that polish the point below the flat-top noise floor of the
+      comparisons.
 
     Narrow maxima, such as the bump of width f(T)/f(t) that long horizons
     put next to the plateau of clamped actions, fall between the linear
@@ -220,64 +195,7 @@ def z_argmax_grid(objective, n: int, radius: float = 1.0):
     best = np.argmax(scan(xs, every), axis=1)
     a = xs[every, np.maximum(best - 1, 0)]
     b = xs[every, np.minimum(best + 1, _SCAN - 1)]
-    return _refine(evaluate, a, b)
-
-
-def _refine(evaluate, lo, hi):
-    """Row-wise golden-section search on [lo, hi] with a parabolic polish.
-
-    The batched form of hamiltonian.search_max: an 8-point scan picks the
-    best cell pair, golden section shrinks it to 1e-10 (rows drop out as they
-    converge) and two centered parabolic steps polish the point.
-    """
-    every = np.arange(lo.size)
-    xs = np.linspace(lo, hi, _REFINE_SCAN, axis=1)
-    best = np.argmax(evaluate(xs, every), axis=1)
-    a = xs[every, np.maximum(best - 1, 0)]
-    b = xs[every, np.minimum(best + 1, _REFINE_SCAN - 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = evaluate(np.stack([c, d], axis=1), every).T
-    active = np.flatnonzero(b - a > _Z_TOL)
-    while active.size:
-        left = fc[active] >= fd[active]
-        a_i = np.where(left, a[active], c[active])
-        b_i = np.where(left, d[active], b[active])
-        x = np.where(left, b_i - _INVPHI * (b_i - a_i), a_i + _INVPHI * (b_i - a_i))
-        fx = evaluate(x[:, None], active)[:, 0]
-        c_i = np.where(left, x, d[active])
-        d_i = np.where(left, c[active], x)
-        fc_i = np.where(left, fx, fd[active])
-        fd_i = np.where(left, fc[active], fx)
-        a[active], b[active], c[active], d[active] = a_i, b_i, c_i, d_i
-        fc[active], fd[active] = fc_i, fd_i
-        active = active[b_i - a_i > _Z_TOL]
-    x_best = np.where(fc >= fd, c, d)
-    f_best = np.where(fc >= fd, fc, fd)
-
-    span = np.maximum(hi - lo, 1.0)
-    for scale in (1e-5, 1e-6):
-        h = scale * span
-        xm, xp = x_best - h, x_best + h
-        rows = np.flatnonzero((xm >= lo) & (xp <= hi))
-        if rows.size == 0:
-            continue
-        vm, v0, vp = evaluate(np.stack([xm[rows], x_best[rows], xp[rows]], axis=1), rows).T
-        denom = vm - 2.0 * v0 + vp
-        # require curvature clearly above the rounding noise of the sum
-        curved = denom < -1e-12 * (np.abs(vm) + 2.0 * np.abs(v0) + np.abs(vp))
-        rows, vm, vp, denom = rows[curved], vm[curved], vp[curved], denom[curved]
-        if rows.size == 0:
-            continue
-        step = 0.5 * h[rows] * (vm - vp) / denom
-        cand = np.minimum(np.maximum(x_best[rows] + step, xm[rows]), xp[rows])
-        fcand = evaluate(cand[:, None], rows)[:, 0]
-        # near the flat top the improvement is below rounding; the vertex of
-        # a concave fit is still the better point, so accept any value tie
-        take = fcand >= f_best[rows] - 1e-12 * (1.0 + np.abs(f_best[rows]))
-        x_best[rows[take]] = cand[take]
-        f_best[rows[take]] = fcand[take]
-    return x_best, f_best
+    return search_max(evaluate, a, b, _REFINE_SCAN)
 
 
 def z_argmax(objective, radius: float = 1.0):
@@ -639,16 +557,3 @@ def solve(model: MarketModel, prefs: Preferences, grid=None) -> ContractSolution
     """Dispatch to the solver matching prefs.spec_tag."""
     return _SOLVERS[prefs.spec_tag](model, prefs, grid)
 
-
-def effort_curve(solution: ContractSolution, grid=None) -> CurveTable:
-    if grid is None:
-        grid = solution.grid
-    grid = np.asarray(grid, dtype=float)
-    return CurveTable(grid, np.interp(grid, solution.grid, solution.effort_values),
-                      label=f"effort:{solution.spec_tag}")
-
-
-def idr_curve(spec: DiscountSpec, grid) -> CurveTable:
-    grid = np.asarray(grid, dtype=float)
-    return CurveTable(grid, np.asarray(spec.idr(grid), dtype=float),
-                      label=f"idr:{spec.variant}")

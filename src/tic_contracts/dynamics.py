@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,9 +43,8 @@ class McEstimate:
 class PathEnsemble:
     """Simulated output increments on a uniform grid.
 
-    increments[p][i] covers [grid[i], grid[i+1]).  The cumulative paths
-    (including x0 at the first node) are materialized lazily since the
-    verification estimators only ever need increments and X_T.
+    increments[p][i] covers [grid[i], grid[i+1]); the verification
+    estimators only ever need the increments and X_T.
     """
 
     n_paths: int
@@ -55,18 +54,6 @@ class PathEnsemble:
     effort_label: str
     x0: float
     antithetic: bool = False
-    _paths: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def paths(self) -> np.ndarray:
-        if self._paths is None:
-            n, m = self.increments.shape
-            out = np.empty((n, m + 1), dtype=np.float64)
-            out[:, 0] = self.x0
-            np.cumsum(self.increments, axis=1, out=out[:, 1:])
-            out[:, 1:] += self.x0
-            self._paths = out
-        return self._paths
 
     @property
     def terminal(self) -> np.ndarray:
@@ -74,15 +61,17 @@ class PathEnsemble:
 
 
 def _thread_count(threads: Optional[int]) -> int:
+    """Worker threads for the RNG fill: the flag, else the environment,
+    else one; never more than the machine's CPUs."""
+    count = 1
     if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("TIC_CONTRACTS_THREADS")
-    if env:
+        count = int(threads)
+    else:
         try:
-            return max(1, int(env))
+            count = int(os.environ.get("TIC_CONTRACTS_THREADS") or 1)
         except ValueError:
             pass
-    return 1
+    return max(1, min(count, os.cpu_count() or 1))
 
 
 def _effort_fn(effort) -> Callable[[float], float]:

@@ -4,8 +4,10 @@ For a volatility exposure z at time t the agent picks the action maximizing
 sigma(t) * b(t, a) * z - cost(t, a) over the compact action interval.
 :func:`stars_on_grid` is the one best response: the builtin drift/cost
 families have an explicit stationary point that only needs clamping
-(``MarketModel.closed_response``); anything custom goes through a coarse
-scan plus golden-section refinement with a parabolic polish, per point.
+(``MarketModel.closed_response``); anything custom goes through
+:func:`search_max`, one batched bounded search over every point at once.
+The principal's exposure search in :mod:`tic_contracts.closed_form`
+finishes with the same :func:`search_max`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .model import MarketModel, pointwise
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-ACTION_TOL = 1e-10
-_COARSE = 64
+SEARCH_TOL = 1e-10
+_ACTION_SCAN = 64
 
 
 @dataclass(frozen=True)
@@ -30,59 +32,66 @@ class HamiltonianResult:
     at_boundary: bool
 
 
-def search_max(fn, lo, hi):
-    """Maximize fn on [lo, hi]; ties resolve to the smaller argument.
+def search_max(evaluate, lo, hi, points):
+    """Row-wise maximum on [lo, hi]; ties resolve to the smaller argument.
 
-    Coarse scan locates the best cell, golden-section shrinks it to
-    ACTION_TOL, then two centered parabolic steps polish the point below
-    the flat-top noise floor of the direct comparisons.
+    evaluate(xs, rows) receives an (m, k) array of candidates for the rows
+    ``rows`` (an integer index array of length m) and returns their values
+    as an (m, k) array; lo and hi are float arrays with one bound per row.
+    A ``points``-point scan picks the best cell pair, golden section
+    shrinks it to SEARCH_TOL (rows drop out as they converge) and two
+    centered parabolic steps polish the point below the flat-top noise
+    floor of the direct comparisons.
+
+    Returns (argmax, value) arrays with one entry per row.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if hi <= lo:
-        return lo, float(fn(lo))
-    # plain floats: custom callables run much slower on numpy scalars
-    xs = np.linspace(lo, hi, _COARSE).tolist()
-    vals = np.asarray([float(fn(x)) for x in xs])
-    best = int(np.argmax(vals))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, _COARSE - 1)]
-
+    every = np.arange(lo.size)
+    xs = np.linspace(lo, hi, points, axis=1)
+    best = np.argmax(evaluate(xs, every), axis=1)
+    a = xs[every, np.maximum(best - 1, 0)]
+    b = xs[every, np.minimum(best + 1, points - 1)]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = float(fn(c))
-    fd = float(fn(d))
-    while b - a > ACTION_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = float(fn(d))
-    if fc >= fd:
-        x_best, f_best = c, fc
-    else:
-        x_best, f_best = d, fd
+    fc, fd = evaluate(np.stack([c, d], axis=1), every).T
+    active = np.flatnonzero(b - a > SEARCH_TOL)
+    while active.size:
+        left = fc[active] >= fd[active]
+        a_i = np.where(left, a[active], c[active])
+        b_i = np.where(left, d[active], b[active])
+        x = np.where(left, b_i - _INVPHI * (b_i - a_i), a_i + _INVPHI * (b_i - a_i))
+        fx = evaluate(x[:, None], active)[:, 0]
+        c_i = np.where(left, x, d[active])
+        d_i = np.where(left, c[active], x)
+        fc_i = np.where(left, fx, fd[active])
+        fd_i = np.where(left, fc[active], fx)
+        a[active], b[active], c[active], d[active] = a_i, b_i, c_i, d_i
+        fc[active], fd[active] = fc_i, fd_i
+        active = active[b_i - a_i > SEARCH_TOL]
+    x_best = np.where(fc >= fd, c, d)
+    f_best = np.where(fc >= fd, fc, fd)
 
-    span = hi - lo
-    for h in (1e-5 * max(span, 1.0), 1e-6 * max(span, 1.0)):
+    span = np.maximum(hi - lo, 1.0)
+    for scale in (1e-5, 1e-6):
+        h = scale * span
         xm, xp = x_best - h, x_best + h
-        if xm < lo or xp > hi:
+        rows = np.flatnonzero((xm >= lo) & (xp <= hi))
+        if rows.size == 0:
             continue
-        vm, v0, vp = float(fn(xm)), float(fn(x_best)), float(fn(xp))
+        vm, v0, vp = evaluate(np.stack([xm[rows], x_best[rows], xp[rows]], axis=1), rows).T
         denom = vm - 2.0 * v0 + vp
         # require curvature clearly above the rounding noise of the sum
-        if not denom < -1e-12 * (abs(vm) + 2.0 * abs(v0) + abs(vp)):
+        curved = denom < -1e-12 * (np.abs(vm) + 2.0 * np.abs(v0) + np.abs(vp))
+        rows, vm, vp, denom = rows[curved], vm[curved], vp[curved], denom[curved]
+        if rows.size == 0:
             continue
-        step = 0.5 * h * (vm - vp) / denom
-        cand = min(max(x_best + step, xm), xp)
-        fcand = float(fn(cand))
+        step = 0.5 * h[rows] * (vm - vp) / denom
+        cand = np.minimum(np.maximum(x_best[rows] + step, xm[rows]), xp[rows])
+        fcand = evaluate(cand[:, None], rows)[:, 0]
         # near the flat top the improvement is below rounding; the vertex of
         # a concave fit is still the better point, so accept any value tie
-        if fcand >= f_best - 1e-12 * (1.0 + abs(f_best)):
-            x_best, f_best = cand, fcand
+        take = fcand >= f_best[rows] - 1e-12 * (1.0 + np.abs(f_best[rows]))
+        x_best[rows[take]] = cand[take]
+        f_best[rows[take]] = fcand[take]
     return x_best, f_best
 
 
@@ -93,18 +102,27 @@ def stars_on_grid(model: MarketModel, t, z_values):
     against z_values (a column of one time per row pairs each time with
     its own row).  Returns arrays of the broadcast shape: lam = sigma(t)
     b(t, argmax) and cost = cost(t, argmax).  Builtin families use their
-    closed form; custom callables get search_max at each point.
+    closed form; custom callables get one search_max over all points.
     """
     times, z_values = np.broadcast_arrays(np.asarray(t, dtype=float),
                                           np.asarray(z_values, dtype=float))
     if model.families is not None:
         return model.closed_response(z_values)
     sig = model.sigma_at(times)
-    arg = np.empty(z_values.shape)
-    for i, (s, u, z) in enumerate(zip(sig.ravel().tolist(), times.ravel().tolist(),
-                                      z_values.ravel().tolist())):
-        arg.flat[i] = search_max(lambda a: s * model.drift(u, a) * z - model.cost(u, a),
-                                 model.action_lo, model.action_hi)[0]
+    s, u, z = (v.ravel().tolist() for v in (sig, times, z_values))
+    drift, cost = model.drift, model.cost
+
+    def evaluate(xs, rows):
+        # plain floats, one call per point: custom callables run much
+        # slower on numpy scalars
+        pts = zip(np.repeat(rows, xs.shape[1]).tolist(), xs.ravel().tolist())
+        vals = np.fromiter((s[r] * drift(u[r], a) * z[r] - cost(u[r], a) for r, a in pts),
+                           dtype=float, count=xs.size)
+        return vals.reshape(xs.shape)
+
+    n = len(z)
+    arg = search_max(evaluate, np.full(n, model.action_lo), np.full(n, model.action_hi),
+                     _ACTION_SCAN)[0].reshape(z_values.shape)
     return sig * pointwise(model.drift, times, arg), pointwise(model.cost, times, arg), arg
 
 

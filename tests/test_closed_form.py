@@ -16,15 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from tic_contracts import (
     ContractSolution,
-    CurveTable,
     DiscountSpec,
     InfeasibleError,
     MarketModel,
     Preferences,
     UnboundedLoadingError,
     default_grid,
-    effort_curve,
-    idr_curve,
     solve,
 )
 from tic_contracts.closed_form import (
@@ -377,31 +374,6 @@ def test_default_grid_shape():
     assert g.size == DEFAULT_GRID_POINTS
     assert g[0] == 0.0 and g[-1] == 2.0
     assert default_grid(1.0, 11).size == 11
-
-
-def test_curve_table_validation_and_interp():
-    with pytest.raises(ValueError, match="equal length"):
-        CurveTable(np.array([0.0, 1.0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        CurveTable(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match="finite"):
-        CurveTable(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
-    tab = CurveTable(np.array([0.0, 1.0]), np.array([2.0, 4.0]))
-    assert tab(0.5) == pytest.approx(3.0)
-
-
-def test_effort_and_idr_curves():
-    m = MarketModel.quadratic(0.1, 2.0, 1.0)
-    disc = DiscountSpec.hyperbolic(1.0, 0.4)
-    sol = solve(m, _rn(0.05, disc, "separable_rn"), default_grid(2.0, 51))
-    eff = effort_curve(sol)
-    assert eff.label == "effort:separable_rn"
-    np.testing.assert_allclose(eff.values, sol.effort_values)
-    resampled = effort_curve(sol, np.linspace(0.0, 2.0, 7))
-    assert resampled.grid.size == 7
-    idr = idr_curve(disc, np.linspace(0.0, 2.0, 7))
-    assert idr.label == "idr:hyperbolic"
-    np.testing.assert_allclose(idr.values, 1.0 / (1.0 + 0.4 * idr.grid))
 
 
 def test_solution_shift_and_json_round_trip():

@@ -9,6 +9,8 @@ thread counts must not change a single bit.
 
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from tic_contracts import (
     spike_deviation_check,
     verify_contract,
 )
-from tic_contracts.dynamics import _cost_at_equilibrium
+from tic_contracts.dynamics import _cost_at_equilibrium, _thread_count
 from tic_contracts.hamiltonian import stars_on_grid
 
 
@@ -106,8 +108,20 @@ def test_simulate_validates_inputs():
         simulate(m, 11.0, 4, 8, seed=1)
     ens = simulate(m, 0.5, 4, 8, seed=1)
     assert ens.effort_label == "constant:0.5"
-    np.testing.assert_allclose(ens.paths[:, 0], 0.0)
-    np.testing.assert_allclose(ens.paths[:, -1], ens.terminal, atol=1e-12)
+    np.testing.assert_array_equal(ens.terminal, ens.x0 + ens.increments.sum(axis=1))
+
+
+def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
+    # only the count is computed; no worker is started
+    cpus = os.cpu_count() or 1
+    before = threading.active_count()
+    assert _thread_count(10**9) == cpus
+    assert _thread_count(0) == 1
+    monkeypatch.setenv("TIC_CONTRACTS_THREADS", str(10**9))
+    assert _thread_count(None) == cpus
+    monkeypatch.setenv("TIC_CONTRACTS_THREADS", "not a number")
+    assert _thread_count(None) == 1
+    assert threading.active_count() == before
 
 
 def test_terminal_moments_match_the_gaussian_law():

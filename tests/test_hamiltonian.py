@@ -11,29 +11,56 @@ from tic_contracts import MarketModel, maximize, search_max
 from tic_contracts.hamiltonian import stars_at, stars_on_grid
 
 
-def test_search_max_quadratic_oracle():
-    # 0.8 a - a^2; oracle argmax 0.4, value 0.16
-    x, v = search_max(lambda a: 0.8 * a - a * a, 0.0, 10.0)
-    assert abs(x - 0.4) < 1e-9
-    assert abs(v - 0.16) < 1e-12
+# one batched call: each row has its own function and interval, and the
+# rows converge at different golden-section iterations
+_ROWS = [
+    (lambda a: 0.8 * a - a * a, 0.0, 10.0),         # argmax 0.4, value 0.16
+    (lambda a: 2.0 * math.sin(a) - a, 0.0, 3.0),    # argmax arccos(1/2)
+    (lambda a: a, 0.0, 3.0),                        # maximum on the boundary
+    (lambda a: 1.0, 0.0, 3.0),                      # plateau
+    (lambda a: a * a, 2.0, 2.0),                    # degenerate interval
+]
 
 
-def test_search_max_trig_oracle():
-    # 2 sin(a) - a on [0, 3]; argmax arccos(1/2)
-    x, v = search_max(lambda a: 2.0 * math.sin(a) - a, 0.0, 3.0)
-    assert abs(x - 1.0471975511965976) < 1e-8
-    assert abs(v - 0.6848532563722796) < 1e-12
+def _search(rows):
+    def evaluate(xs, idx):
+        return np.array([[float(rows[r][0](a)) for a in line]
+                         for r, line in zip(idx.tolist(), xs.tolist())])
+
+    lo = np.array([row[1] for row in rows])
+    hi = np.array([row[2] for row in rows])
+    return search_max(evaluate, lo, hi, 64)
 
 
-def test_search_max_boundary_and_plateau():
-    x, _ = search_max(lambda a: a, 0.0, 3.0)
-    assert abs(x - 3.0) < 1e-9
+@pytest.fixture(scope="module")
+def batched():
+    return _search(_ROWS)
+
+
+def test_search_max_quadratic_oracle(batched):
+    x, v = batched
+    assert abs(x[0] - 0.4) < 1e-9
+    assert abs(v[0] - 0.16) < 1e-12
+
+
+def test_search_max_trig_oracle(batched):
+    x, v = batched
+    assert abs(x[1] - 1.0471975511965976) < 1e-8
+    assert abs(v[1] - 0.6848532563722796) < 1e-12
+
+
+def test_search_max_boundary_and_plateau(batched):
+    x, v = batched
+    assert abs(x[2] - 3.0) < 1e-9
     # constant function: ties collapse to the small end, within tol
-    x, v = search_max(lambda a: 1.0, 0.0, 3.0)
-    assert abs(x) < 1e-9 and v == 1.0
-    # degenerate interval
-    x, v = search_max(lambda a: a * a, 2.0, 2.0)
-    assert x == 2.0 and v == 4.0
+    assert abs(x[3]) < 1e-9 and v[3] == 1.0
+    assert x[4] == 2.0 and v[4] == 4.0
+
+
+def test_search_max_rows_do_not_interact(batched):
+    for i, row in enumerate(_ROWS):
+        x, v = _search([row])
+        assert x[0] == batched[0][i] and v[0] == batched[1][i]
 
 
 def test_maximize_hm_linear_matches_oracle():
@@ -102,7 +129,7 @@ def test_stars_on_grid_pairs_each_time_with_its_row():
         for i, t in enumerate(ts):
             for j, z in enumerate(zs[i]):
                 got = (lam[i, j], cost[i, j], arg[i, j])
-                assert got == pytest.approx(stars_at(m, float(t), float(z)), abs=1e-9)
+                assert got == stars_at(m, float(t), float(z))
 
 
 @settings(max_examples=40, deadline=None)

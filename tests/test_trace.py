@@ -1,0 +1,21 @@
+"""The per-layer tracer binds the package's layer functions by name."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_trace_hooks_see_the_solve_layers(tmp_path):
+    trace = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace.py"), str(trace), "solve",
+         "--config", str(ROOT / "perfbench" / "configs" / "separable_hyp04.json"),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    timers = json.loads(trace.read_text())["timers"]
+    for name in ("closed_form.solve", "hamiltonian.stars_on_grid", "hamiltonian.search_max"):
+        assert timers[name]["calls"] > 0, name
