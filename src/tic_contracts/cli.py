@@ -189,6 +189,14 @@ def _positive_int(cfg, args, flag_name, cfg_key, default):
     return value
 
 
+def _seed(cfg, args):
+    """The stream seed, from the flag or the config: a signed 64-bit integer."""
+    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", 7, int)
+    if not -2**63 <= seed < 2**63:
+        _fail_usage("seed must be a signed 64-bit integer")
+    return seed
+
+
 def cmd_discount(args) -> int:
     cfg = _load_config(args.config)
     horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, float)
@@ -246,7 +254,7 @@ def cmd_verify(args) -> int:
     n_grid = _positive_int(cfg, args, None, "grid_points", closed_form.DEFAULT_GRID_POINTS)
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 100_000)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
-    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", 7, int)
+    seed = _seed(cfg, args)
     perturb = _config_value(cfg, "perturb_constant_term", 0.0, float)
     antithetic = _config_value(cfg, "antithetic", False, _flag)
     sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon, n_grid))
@@ -336,7 +344,7 @@ def cmd_check_constraint(args) -> int:
     n_grid = _positive_int(cfg, args, None, "grid_points", closed_form.DEFAULT_GRID_POINTS)
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 3)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
-    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", 7, int)
+    seed = _seed(cfg, args)
     threshold = args.tol if args.tol is not None else _config_value(cfg, "threshold", 0.01, float)
     if not 0.0 < threshold < math.inf:
         _fail_usage("threshold must be positive and finite")

@@ -6,9 +6,15 @@ with the drift implied by the equilibrium effort policy,
     X_{i+1} = X_i + sigma(t_i) b(t_i, a(t_i)) dt + sigma(t_i) sqrt(dt) N(0,1).
 
 Randomness comes from counter-based Philox streams keyed by (seed, path),
-so any chunking or thread schedule reproduces the same ensemble bit for
-bit.  Estimator reductions go through numpy's pairwise summation, which is
+so any blocking or thread schedule reproduces the same ensemble bit for
+bit; the seed is a signed 64-bit integer.  The payoff's matrix-vector
+product runs over fixed groups of paths and the estimator reductions go
+through numpy's pairwise summation over per-path vectors, so they are
 likewise schedule-independent.
+
+verify_contract streams: it keeps two numbers per path (the payment and
+X_T) and drops each block of paths, so its memory is O(block x steps +
+paths), not O(paths x steps).
 
 The checkers cover: participation (agent Monte Carlo value vs the
 reservation level), the principal's value, the s-shift correction identity
@@ -28,7 +34,11 @@ import numpy as np
 from .closed_form import ContractSolution, simpson
 from .model import MarketModel, Preferences, pointwise
 
-CHUNK_PATHS = 16384
+# paths per simulated block in verify_contract (rounded up to whole payoff
+# groups); 256 x 2000 steps is a 4 MB block
+BLOCK_PATHS = 256
+# rows per matrix-vector product in contract_payoff
+PAYOFF_ROWS = 8
 INNER_SPIKE_PATHS = 10_000
 
 
@@ -82,13 +92,27 @@ def _effort_fn(effort) -> Callable[[float], float]:
 
 
 def _normal_rows(out: np.ndarray, seed: int, first_key: int, threads: int):
-    """Fill each row p of out from the Philox stream keyed (seed, first_key+p)."""
+    """Fill each row p of out from the Philox stream keyed (seed, first_key+p).
+
+    Philox is counter-based (Salmon et al., SC'11): a stream is its key and
+    a counter.  Each worker builds one generator and re-keys it for every
+    row (key (seed, first_key + p), counter 0, empty buffer), which draws
+    the same numbers as a new Generator(Philox(key=[seed, first_key + p]))
+    without building one per row.  The seed keys as Philox's constructor
+    reads it: modulo 2**64, so -1 keys as 2**64 - 1.
+    """
+    seed_word = int(seed) % 2**64
 
     def fill(lo, hi):
-        m = out.shape[1]
+        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        gen = np.random.Generator(bits)
+        state = bits.state  # counter 0, empty buffer, no spare 32-bit word
+        key = state["state"]["key"]
+        key[0] = seed_word
         for p in range(lo, hi):
-            gen = np.random.Generator(np.random.Philox(key=[seed, first_key + p]))
-            out[p] = gen.standard_normal(m)
+            key[1] = first_key + p
+            bits.state = state
+            gen.standard_normal(out=out[p])
 
     n = out.shape[0]
     if threads <= 1 or n < 2 * threads:
@@ -112,6 +136,8 @@ def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
+    if not -2**63 <= seed < 2**63:
+        raise ValueError("seed must be a signed 64-bit integer")
     if antithetic and (n_paths % 2 or path_offset % 2):
         raise ValueError("antithetic sampling needs even n_paths and even path_offset")
     eff = _effort_fn(effort)
@@ -160,9 +186,19 @@ def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:
 
 
 def contract_payoff(solution: ContractSolution, ensemble: PathEnsemble) -> np.ndarray:
-    """Per-path terminal payment: constant term plus the loading integral."""
+    """Per-path terminal payment: constant term plus the loading integral.
+
+    The matrix-vector product runs over fixed groups of PAYOFF_ROWS paths.
+    A BLAS kernel's summation order for one row depends on the rows around
+    it (their count and the thread split), so fixed groups make a path's
+    payment independent of how the ensemble was blocked.
+    """
     load = solution.loading(ensemble.grid[:-1])
-    return solution.constant_term + ensemble.increments @ load
+    inc = ensemble.increments
+    out = np.empty(inc.shape[0])
+    for lo in range(0, inc.shape[0], PAYOFF_ROWS):
+        np.matmul(inc[lo:lo + PAYOFF_ROWS], load, out=out[lo:lo + PAYOFF_ROWS])
+    return solution.constant_term + out
 
 
 def _cost_at_equilibrium(model: MarketModel, solution: ContractSolution, t_left):
@@ -170,10 +206,10 @@ def _cost_at_equilibrium(model: MarketModel, solution: ContractSolution, t_left)
 
 
 def _agent_values(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                  ensemble: PathEnsemble) -> np.ndarray:
-    t_left = ensemble.grid[:-1]
-    dt = float(ensemble.grid[1] - ensemble.grid[0])
-    xi = contract_payoff(solution, ensemble)
+                  xi: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The agent's realized reward per path, from the payments xi."""
+    t_left = grid[:-1]
+    dt = float(grid[1] - grid[0])
     cost = _cost_at_equilibrium(model, solution, t_left)
     f = prefs.discount
     T = model.horizon
@@ -199,13 +235,13 @@ def agent_value_mc(model: MarketModel, prefs: Preferences, solution: ContractSol
     """Monte Carlo estimate of the agent's time-0 value under the contract."""
     if prefs.spec_tag != solution.spec_tag:
         raise ValueError("preferences and solution disagree on the spec tag")
-    return _estimate(_agent_values(model, prefs, solution, ensemble), ensemble.antithetic)
-
-
-def _principal_values(prefs: Preferences, solution: ContractSolution,
-                      ensemble: PathEnsemble) -> np.ndarray:
     xi = contract_payoff(solution, ensemble)
-    return prefs.principal_u(ensemble.terminal - xi)
+    return _estimate(_agent_values(model, prefs, solution, xi, ensemble.grid),
+                     ensemble.antithetic)
+
+
+def _principal_values(prefs: Preferences, xi: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+    return prefs.principal_u(terminal - xi)
 
 
 def principal_value_mc(model: MarketModel, prefs: Preferences, solution: ContractSolution,
@@ -213,18 +249,18 @@ def principal_value_mc(model: MarketModel, prefs: Preferences, solution: Contrac
     """Monte Carlo estimate of the principal's value under the contract."""
     if prefs.spec_tag != solution.spec_tag:
         raise ValueError("preferences and solution disagree on the spec tag")
-    return _estimate(_principal_values(prefs, solution, ensemble), ensemble.antithetic)
+    xi = contract_payoff(solution, ensemble)
+    return _estimate(_principal_values(prefs, xi, ensemble.terminal), ensemble.antithetic)
 
 
 def _delta_residuals(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                     ensemble: PathEnsemble, s: float) -> np.ndarray:
+                     xi: np.ndarray, grid: np.ndarray, s: float) -> np.ndarray:
     f = prefs.discount
     T = model.horizon
     fT = float(f.value(T))
     fTs = float(f.value(T - s))
-    t_left = ensemble.grid[:-1]
-    dt = float(ensemble.grid[1] - ensemble.grid[0])
-    xi = contract_payoff(solution, ensemble)
+    t_left = grid[:-1]
+    dt = float(grid[1] - grid[0])
     cost = _cost_at_equilibrium(model, solution, t_left)
     f_shift = np.asarray(f.value_extended(t_left - s))
     f_plain = np.asarray(f.value(t_left))
@@ -253,7 +289,8 @@ def delta_correction_check(model: MarketModel, prefs: Preferences,
         raise ValueError("the correction identity check covers the separable regime")
     if not 0.0 <= s <= model.horizon:
         raise ValueError("s must lie in [0, T]")
-    return _estimate(_delta_residuals(model, prefs, solution, ensemble, s),
+    xi = contract_payoff(solution, ensemble)
+    return _estimate(_delta_residuals(model, prefs, solution, xi, ensemble.grid, s),
                      ensemble.antithetic)
 
 
@@ -366,14 +403,19 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
                     s_values=None, spike_tests=None) -> dict:
     """Run the full Monte Carlo verification suite and return a report.
 
-    Paths are simulated in chunks (stream keys depend only on the global
-    path index, so chunking never changes the numbers).  Checks pass at 3
-    standard errors; the correction-identity check adds an explicit O(dt)
-    discretization allowance on top.
+    Paths are simulated in blocks of BLOCK_PATHS, rounded up to whole
+    groups of PAYOFF_ROWS.  Each block is reduced to its payments and
+    terminal outputs, then dropped, so memory stays O(block x steps +
+    paths).  Stream keys depend only on the global path index and the
+    payoff groups line up with the blocks, so blocking and threads never
+    change the numbers: the estimates equal agent_value_mc and
+    principal_value_mc on one simulate of all paths, bit for bit.  An
+    antithetic run with odd n_paths simulates one more path.  Checks pass
+    at 3 standard errors; the correction-identity check adds an explicit
+    O(dt) discretization allowance on top.
     """
-    agent_vals = []
-    principal_vals = []
-    delta_vals = {}
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError("need n_steps >= 1 and n_paths >= 1")
     if s_values is None:
         s_values = (0.25 * model.horizon, 0.5 * model.horizon) \
             if prefs.spec_tag == "separable_rn" else ()
@@ -381,24 +423,21 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
         # the identity evaluates f(t - s) down to t - s = -s; a curve
         # undefined there raises ValueError before any path is simulated
         prefs.discount.value_extended(-s)
-        delta_vals[s] = []
 
-    done = 0
-    while done < n_paths:
-        count = min(CHUNK_PATHS, n_paths - done)
-        if antithetic and count % 2:
-            count += 1
-        chunk = simulate(model, solution.effort, count, n_steps, seed,
-                         antithetic=antithetic, threads=threads, path_offset=done)
-        agent_vals.append(_agent_values(model, prefs, solution, chunk))
-        principal_vals.append(_principal_values(prefs, solution, chunk))
-        for s in s_values:
-            delta_vals[s].append(_delta_residuals(model, prefs, solution, chunk, s))
-        done += count
+    block_paths = -(-BLOCK_PATHS // PAYOFF_ROWS) * PAYOFF_ROWS
+    total = n_paths + n_paths % 2 if antithetic else n_paths
+    xi = np.empty(total)
+    terminal = np.empty(total)
+    for done in range(0, total, block_paths):
+        block = simulate(model, solution.effort, min(block_paths, total - done), n_steps,
+                         seed, antithetic=antithetic, threads=threads, path_offset=done)
+        xi[done:done + block.n_paths] = contract_payoff(solution, block)
+        terminal[done:done + block.n_paths] = block.terminal
+    grid = block.grid
 
     anti = antithetic
-    agent = _estimate(np.concatenate(agent_vals), anti)
-    principal = _estimate(np.concatenate(principal_vals), anti)
+    agent = _estimate(_agent_values(model, prefs, solution, xi, grid), anti)
+    principal = _estimate(_principal_values(prefs, xi, terminal), anti)
 
     report = {
         "participation": {
@@ -416,9 +455,9 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     }
 
     dt = model.horizon / n_steps
+    t_left = grid[:-1]
     for s in s_values:
-        est = _estimate(np.concatenate(delta_vals[s]), anti)
-        t_left = np.linspace(0.0, model.horizon, n_steps + 1)[:-1]
+        est = _estimate(_delta_residuals(model, prefs, solution, xi, grid, s), anti)
         cmax = float(np.max(np.abs(_cost_at_equilibrium(model, solution, t_left))))
         fmax = float(np.max(np.abs(prefs.discount.value_extended(t_left - s))))
         allowance = 2.0 * dt * cmax * (fmax + 1.0)

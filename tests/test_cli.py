@@ -15,6 +15,8 @@ from tic_contracts import cli
 from tic_contracts.cli import main
 from tic_contracts.discounting import DiscountSpec
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -159,6 +161,25 @@ class TestSolve:
         assert "reservation utility must be negative" in err["error"]
 
 
+def peak_rss_kb(cli_args):
+    """Run the CLI in a fresh interpreter: (exit code, peak RSS in kB, stderr)."""
+    src = os.path.dirname(os.path.dirname(tic_contracts.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # a child started from this test process counts the test process's
+    # own peak in its ru_maxrss, so a small interpreter starts the command
+    # and reports the command's peak
+    reaper = ("import os, subprocess, sys; "
+              "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+              "_, status, usage = os.wait4(p.pid, 0); "
+              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    run = subprocess.run(
+        [sys.executable, "-c", reaper, sys.executable, "-m", "tic_contracts.cli", *cli_args],
+        env=env, capture_output=True, text=True, check=True)
+    code, max_rss_kb = (int(v) for v in run.stdout.split())
+    return code, max_rss_kb, run.stderr
+
+
 @pytest.fixture(scope="module")
 def clean_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("verify")
@@ -224,6 +245,18 @@ class TestVerify:
         f_t = float(DiscountSpec.hyperbolic(1.0, 0.4).value(2.0))
         shift = report["participation"]["mean"] - clean_report["participation"]["mean"]
         assert shift == pytest.approx(f_t, abs=1e-12)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads ru_maxrss in kilobytes, as Linux reports it")
+    def test_streaming_run_stays_below_150_mb(self, tmp_path):
+        # 20000 paths x 2000 steps on the benchmark's separable config; one
+        # 16384-path chunk of increments alone took 262 MB
+        cfg = os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")
+        code, max_rss_kb, stderr = peak_rss_kb(
+            ["verify", "--config", cfg, "--out", str(tmp_path), "--paths", "20000",
+             "--steps", "2000"])
+        assert code == 0, stderr
+        assert max_rss_kb < 150 * 1024
 
 
 class TestFigures:
@@ -296,22 +329,9 @@ class TestCheckConstraint:
     def test_default_run_stays_below_150_mb(self, tmp_path):
         # 3 paths x 2000 steps; holding an (s, t) field per path took 464 MB
         cfg = write_config(tmp_path, SEPARABLE_CONFIG)
-        src = os.path.dirname(os.path.dirname(tic_contracts.__file__))
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        # a child started from this test process counts the test process's
-        # own peak in its ru_maxrss, so a small interpreter starts the command
-        # and reports the command's peak
-        reaper = ("import os, subprocess, sys; "
-                  "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
-                  "_, status, usage = os.wait4(p.pid, 0); "
-                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-        run = subprocess.run(
-            [sys.executable, "-c", reaper, sys.executable, "-m", "tic_contracts.cli",
-             "check-constraint", "--config", cfg, "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, check=True)
-        code, max_rss_kb = (int(v) for v in run.stdout.split())
-        assert code == 0, run.stderr
+        code, max_rss_kb, stderr = peak_rss_kb(
+            ["check-constraint", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0, stderr
         assert max_rss_kb < 150 * 1024
 
 
@@ -463,6 +483,34 @@ class TestParseErrors:
                      "--steps", "10"]) == 1
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "check-constraint"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 2**64 - 1, 2**64])
+    def test_seed_outside_64_bits_exits_1(self, tmp_path, capsys, command, source, seed):
+        config = dict(SEPARABLE_CONFIG, seed=seed) if source == "config" else SEPARABLE_CONFIG
+        flag = ["--seed", str(seed)] if source == "flag" else []
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", write_config(tmp_path, config), "--out", str(out),
+                       "--paths", "10", "--steps", "10", *flag])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be a signed 64-bit integer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "check-constraint"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("seed", [2**63 - 1, -2**63, -1])
+    def test_seed_at_the_64_bit_bounds_runs(self, tmp_path, capsys, command, source, seed):
+        config = dict(SEPARABLE_CONFIG, seed=seed) if source == "config" else SEPARABLE_CONFIG
+        flag = ["--seed", str(seed)] if source == "flag" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", write_config(tmp_path, config), "--out",
+                       str(tmp_path / "out"), "--paths", "10", "--steps", "10", *flag])
+        assert rc in (0, 3)
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command,extra,key", [
         ("figures", {"horizon": "abc"}, "horizon"),

@@ -29,7 +29,8 @@ from tic_contracts import (
     spike_deviation_check,
     verify_contract,
 )
-from tic_contracts.dynamics import _cost_at_equilibrium, _thread_count
+from tic_contracts import dynamics
+from tic_contracts.dynamics import _cost_at_equilibrium, _normal_rows, _thread_count
 from tic_contracts.hamiltonian import stars_on_grid
 
 
@@ -87,6 +88,19 @@ def test_simulate_deterministic_chunkable_and_thread_invariant():
     assert not np.array_equal(full.increments, other_seed.increments)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("first_key", [0, 5, 2**40])
+@pytest.mark.parametrize("seed", [0, 7, -1, -2**63, 2**63 - 1])
+def test_normal_rows_are_the_per_path_philox_streams(seed, first_key, threads):
+    # the definition: row p is a new generator keyed (seed, first_key + p)
+    out = np.empty((5, 33))
+    _normal_rows(out, seed, first_key, threads)
+    for p in range(5):
+        want = np.random.Generator(
+            np.random.Philox(key=[seed, first_key + p])).standard_normal(33)
+        np.testing.assert_array_equal(out[p], want)
+
+
 def test_simulate_antithetic_pairs_mirror_the_noise():
     m = MarketModel.quadratic(0.0, 2.0, 1.0)
     ens = simulate(m, 0.7, 8, 16, seed=3, antithetic=True)
@@ -106,6 +120,9 @@ def test_simulate_validates_inputs():
         simulate(m, 0.5, 4, 0, seed=1)
     with pytest.raises(ValueError, match="action interval"):
         simulate(m, 11.0, 4, 8, seed=1)
+    for seed in (2**63, -2**63 - 1):
+        with pytest.raises(ValueError, match="signed 64-bit"):
+            simulate(m, 0.5, 4, 8, seed=seed)
     ens = simulate(m, 0.5, 4, 8, seed=1)
     assert ens.effort_label == "constant:0.5"
     np.testing.assert_array_equal(ens.terminal, ens.x0 + ens.increments.sum(axis=1))
@@ -145,6 +162,21 @@ def test_contract_payoff_is_the_loading_integral(separable):
     pay = contract_payoff(sol, ens)
     ref = sol.constant_term + (ens.terminal - 0.1)
     np.testing.assert_allclose(pay, ref, atol=1e-8)
+
+
+def test_contract_payoff_does_not_depend_on_the_blocking(separable):
+    # a BLAS matrix-vector product sums a row in an order that depends on
+    # the rows around it; fixed groups of rows make each payment a function
+    # of its path alone
+    m, _, sol = separable
+    n_paths, n_steps = 901, 1000
+    want = contract_payoff(sol, simulate(m, sol.effort, n_paths, n_steps, seed=4))
+    for block in (dynamics.PAYOFF_ROWS, 64, 256):
+        got = np.concatenate([
+            contract_payoff(sol, simulate(m, sol.effort, min(block, n_paths - lo), n_steps,
+                                          seed=4, path_offset=lo))
+            for lo in range(0, n_paths, block)])
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +326,31 @@ def test_verify_contract_report(separable):
     assert rep == again
 
 
-def test_verify_contract_chunking_is_invisible(separable):
+def test_verify_contract_chunking_is_invisible(separable, monkeypatch):
     m, p, sol = separable
-    small = verify_contract(m, p, sol, n_paths=900, n_steps=120, seed=5)
-    # 900 paths fit in one chunk; force several chunks by monkeypatching
-    # would touch internals, so instead check the one-chunk report is a
-    # pure function of (inputs, seed)
-    repeat = verify_contract(m, p, sol, n_paths=900, n_steps=120, seed=5)
-    assert small == repeat
+    n_paths, n_steps, seed = 901, 1000, 5
+    for antithetic in (False, True):
+        reports = []
+        for block in (3, 64, dynamics.BLOCK_PATHS):
+            monkeypatch.setattr(dynamics, "BLOCK_PATHS", block)
+            reports.append(verify_contract(m, p, sol, n_paths=n_paths, n_steps=n_steps,
+                                           seed=seed, antithetic=antithetic))
+        monkeypatch.undo()
+        assert reports[0] == reports[1] == reports[2]
+        # the same estimates from one ensemble of all paths (an antithetic
+        # run rounds an odd path count up to the next pair)
+        total = n_paths + 1 if antithetic else n_paths
+        ens = simulate(m, sol.effort, total, n_steps, seed=seed, antithetic=antithetic)
+        agent = agent_value_mc(m, p, sol, ens)
+        principal = principal_value_mc(m, p, sol, ens)
+        rep = reports[0]
+        assert (rep["participation"]["mean"], rep["participation"]["se"]) == \
+            (agent.mean, agent.std_error)
+        assert (rep["principal_value"]["mean"], rep["principal_value"]["se"]) == \
+            (principal.mean, principal.std_error)
+        for row in rep["delta_residuals"]:
+            est = delta_correction_check(m, p, sol, ens, row["s"])
+            assert (row["mean"], row["se"]) == (est.mean, est.std_error)
 
 
 def test_verify_contract_flags_a_shifted_constant(separable):
