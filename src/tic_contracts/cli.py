@@ -377,29 +377,36 @@ def cmd_check_constraint(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+# every flag, in the order usage lines list them: (type, help)
+_FLAGS = {
+    "config": (str, "JSON config file"),
+    "out": (str, "output directory (default: current)"),
+    "seed": (int, "stream seed"),
+    "paths": (int, "Monte Carlo paths"),
+    "steps": (int, "time steps / table points"),
+    "threads": (int, "worker threads for the path fill (default 1)"),
+    "tol": (float, "pass threshold"),
+}
+_TABLE_FLAGS = ("config", "out", "steps")
+_MC_FLAGS = _TABLE_FLAGS + ("seed", "paths", "threads")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tic-contracts",
                      description="Optimal contracts under non-exponential discounting")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, help="stream seed")
-        p.add_argument("--paths", type=int, dest="paths", help="Monte Carlo paths")
-        p.add_argument("--steps", type=int, dest="steps", help="time steps / table points")
-        p.add_argument("--threads", type=int, help="worker cap (default: env or 1)")
-        p.add_argument("--tol", type=float, help="pass threshold where applicable")
-
-    for name, fn, blurb in (
-            ("discount", cmd_discount, "tabulate discount curves and their rates"),
-            ("solve", cmd_solve, "solve a contracting problem in closed form"),
-            ("verify", cmd_verify, "Monte Carlo verification of a solved contract"),
-            ("figures", cmd_figures, "effort/discount tables behind the headline figures"),
-            ("check-constraint", cmd_check_constraint,
+    for name, fn, flags, blurb in (
+            ("discount", cmd_discount, _TABLE_FLAGS, "tabulate discount curves and their rates"),
+            ("solve", cmd_solve, _TABLE_FLAGS, "solve a contracting problem in closed form"),
+            ("verify", cmd_verify, _MC_FLAGS, "Monte Carlo verification of a solved contract"),
+            ("figures", cmd_figures, _TABLE_FLAGS,
+             "effort/discount tables behind the headline figures"),
+            ("check-constraint", cmd_check_constraint, _MC_FLAGS + ("tol",),
              "Volterra target-constraint residual of a contract family")):
         p = sub.add_parser(name, help=blurb)
-        common(p)
+        for flag, (kind, text) in _FLAGS.items():
+            if flag in flags:
+                p.add_argument(f"--{flag}", type=kind, help=text)
         p.set_defaults(func=fn)
     return parser
 

@@ -107,14 +107,6 @@ def _solution_grid(model: MarketModel, grid) -> np.ndarray:
     return grid
 
 
-def _require(model: MarketModel, prefs: Preferences, tag: str):
-    if prefs.spec_tag != tag:
-        raise ValueError(f"solver expects spec {tag!r}, got {prefs.spec_tag!r}")
-    problems = validate(model, prefs)
-    if problems:
-        raise ValueError("; ".join(problems))
-
-
 def z_argmax_grid(objective, n: int, radius: float = 1.0):
     """Maximize n scalar objectives over all reals at once, one per grid row.
 
@@ -278,16 +270,13 @@ def _exponential_value(gp: float, wealth: float, integral: float) -> float:
     return value
 
 
-def solve_second_best_discounted_utility(model: MarketModel, prefs: Preferences,
-                                         grid=None) -> ContractSolution:
+def _discounted_utility(model: MarketModel, prefs: Preferences, grid):
     """Exponential-utility agent with discounted terminal utility.
 
     The exposure trade-off does not involve the discount curve, which is
     why the principal's value factorizes into an f(T) power times an
     f-independent exponential of the integrated trade-off.
     """
-    _require(model, prefs, "discounted_utility")
-    grid = _solution_grid(model, grid)
     ga, gp = prefs.gamma_a, prefs.gamma_p
     f = prefs.discount
     T = model.horizon
@@ -321,27 +310,11 @@ def solve_second_best_discounted_utility(model: MarketModel, prefs: Preferences,
         value_p = _exponential_value(gp, model.x0 - y0_hat, integral)
     else:
         value_p = model.x0 - y0_hat + integral
-
-    return ContractSolution(
-        spec_tag=prefs.spec_tag,
-        y0=prefs.r0,
-        constant_term=y0_hat + const_adj,
-        constant_reservation=y0_hat,
-        constant_adjustment=const_adj,
-        value_principal=value_p,
-        value_agent=prefs.r0,
-        grid=grid,
-        z_star=z_star,
-        loading_values=z_star.copy(),
-        effort_values=eff,
-    )
+    return y0_hat, const_adj, value_p, z_star, z_star.copy(), eff
 
 
-def solve_second_best_separable_rn(model: MarketModel, prefs: Preferences,
-                                   grid=None) -> ContractSolution:
+def _separable_rn(model: MarketModel, prefs: Preferences, grid):
     """Risk-neutral agent and principal with discounted separable cost."""
-    _require(model, prefs, "separable_rn")
-    grid = _solution_grid(model, grid)
     f = prefs.discount
     T = model.horizon
     fT = float(f.value(T))
@@ -365,32 +338,16 @@ def solve_second_best_separable_rn(model: MarketModel, prefs: Preferences,
     gain = lam - (f_t / fT) * cost
     value_p = model.x0 - prefs.r0 / fT + float(simpson(gain, grid))
     const_adj = -float(simpson(loading * lam - f_t * cost / fT, grid))
-
-    return ContractSolution(
-        spec_tag=prefs.spec_tag,
-        y0=prefs.r0,
-        constant_term=prefs.r0 / fT + const_adj,
-        constant_reservation=prefs.r0 / fT,
-        constant_adjustment=const_adj,
-        value_principal=value_p,
-        value_agent=prefs.r0,
-        grid=grid,
-        z_star=z_star,
-        loading_values=loading,
-        effort_values=eff,
-    )
+    return prefs.r0 / fT, const_adj, value_p, z_star, loading, eff
 
 
-def solve_second_best_discounted_income(model: MarketModel, prefs: Preferences,
-                                        grid=None) -> ContractSolution:
+def _discounted_income(model: MarketModel, prefs: Preferences, grid):
     """Exponential-utility agent with the cost discounted inside the utility.
 
     Risk-neutral entries are the vanishing-risk-aversion limits; at
     gamma_a = gamma_p = 0 the output agrees with the separable solver with
     the same curve.
     """
-    _require(model, prefs, "discounted_income")
-    grid = _solution_grid(model, grid)
     g = prefs.discount
     ga, gp = prefs.gamma_a, prefs.gamma_p
     T = model.horizon
@@ -418,31 +375,17 @@ def solve_second_best_discounted_income(model: MarketModel, prefs: Preferences,
              - 0.5 * ga * gT * sig ** 2 * z_star ** 2 / g_Tt ** 2
              - 0.5 * gp * sig ** 2 * (1.0 - z_star / g_Tt) ** 2)
 
-    r0_hat = prefs.agent_u_inv(prefs.r0) if prefs.agent_utility == "exponential" else prefs.r0
+    r0_hat = prefs.agent_u_inv(prefs.r0)
     const_adj = -float(simpson(lam * z0 - g_t * cost - 0.5 * ga * sig ** 2 * z0 ** 2, grid)) / gT
     integral = float(simpson(big_g, grid))
     if gp > 0.0:
         value_p = _exponential_value(gp, model.x0 - r0_hat / gT, integral)
     else:
         value_p = model.x0 - r0_hat / gT + integral
-
-    return ContractSolution(
-        spec_tag=prefs.spec_tag,
-        y0=prefs.r0,
-        constant_term=r0_hat / gT + const_adj,
-        constant_reservation=r0_hat / gT,
-        constant_adjustment=const_adj,
-        value_principal=value_p,
-        value_agent=prefs.r0,
-        grid=grid,
-        z_star=z_star,
-        loading_values=loading,
-        effort_values=eff,
-    )
+    return r0_hat / gT, const_adj, value_p, z_star, loading, eff
 
 
-def solve_first_best_separable_rn(model: MarketModel, prefs: Preferences,
-                                  grid=None) -> ContractSolution:
+def _first_best_separable(model: MarketModel, prefs: Preferences, grid):
     """Risk-sharing benchmark for the separable risk-neutral regime.
 
     The principal dictates effort and pays a deterministic amount, so the
@@ -451,8 +394,6 @@ def solve_first_best_separable_rn(model: MarketModel, prefs: Preferences,
     induces, which is what makes this value coincide with the second-best
     one.
     """
-    _require(model, prefs, "first_best_separable")
-    grid = _solution_grid(model, grid)
     f = prefs.discount
     T = model.horizon
     fT = float(f.value(T))
@@ -463,32 +404,16 @@ def solve_first_best_separable_rn(model: MarketModel, prefs: Preferences,
 
     value_p = model.x0 - prefs.r0 / fT + float(simpson(lam - f_t * cost / fT, grid))
     const_adj = float(simpson(f_t * cost, grid)) / fT
-
-    return ContractSolution(
-        spec_tag=prefs.spec_tag,
-        y0=prefs.r0,
-        constant_term=prefs.r0 / fT + const_adj,
-        constant_reservation=prefs.r0 / fT,
-        constant_adjustment=const_adj,
-        value_principal=value_p,
-        value_agent=prefs.r0,
-        grid=grid,
-        z_star=np.zeros_like(grid),
-        loading_values=np.zeros_like(grid),
-        effort_values=eff,
-    )
+    return prefs.r0 / fT, const_adj, value_p, np.zeros_like(grid), np.zeros_like(grid), eff
 
 
-def solve_first_best_nonseparable(model: MarketModel, prefs: Preferences,
-                                  grid=None) -> ContractSolution:
+def _first_best_nonseparable(model: MarketModel, prefs: Preferences, grid):
     """Risk-sharing benchmark for two exponential utilities.
 
     The single discount curve plays both of its roles here: terminal
     factor at the horizon and running weight on the effort cost.  The
     contract is linear in terminal output with a constant loading.
     """
-    _require(model, prefs, "first_best_nonseparable")
-    grid = _solution_grid(model, grid)
     ga, gp = prefs.gamma_a, prefs.gamma_p
     curve = prefs.discount
     T = model.horizon
@@ -500,8 +425,6 @@ def solve_first_best_nonseparable(model: MarketModel, prefs: Preferences,
 
     phi = lam - (g_t / gT) * cost - 0.5 * gbar * sig ** 2
     big_phi = model.x0 + float(simpson(phi, grid))
-    if prefs.r0 >= 0.0:
-        raise InfeasibleError("infeasible: reservation utility must be negative")
     try:
         e_star = math.exp(-gbar * big_phi)
         base = gT * e_star / (-ga * prefs.r0)
@@ -528,32 +451,46 @@ def solve_first_best_nonseparable(model: MarketModel, prefs: Preferences,
     const_res = (c0 + math.log(gT) / ga) / gT
     const_adj = (-loading_const * big_lam + k0 / gT
                  + 0.5 * ga * gT * loading_const ** 2 * big_sig)
-
-    return ContractSolution(
-        spec_tag=prefs.spec_tag,
-        y0=prefs.r0,
-        constant_term=const_res + const_adj,
-        constant_reservation=const_res,
-        constant_adjustment=const_adj,
-        value_principal=value_p,
-        value_agent=prefs.r0,
-        grid=grid,
-        z_star=np.full_like(grid, loading_const),
-        loading_values=np.full_like(grid, loading_const),
-        effort_values=eff,
-    )
+    return (const_res, const_adj, value_p, np.full_like(grid, loading_const),
+            np.full_like(grid, loading_const), eff)
 
 
+# each regime maps (model, prefs, checked grid) to its constant's reservation
+# and adjustment parts, the principal's value, z*, the loading and the effort
 _SOLVERS = {
-    "discounted_utility": solve_second_best_discounted_utility,
-    "separable_rn": solve_second_best_separable_rn,
-    "discounted_income": solve_second_best_discounted_income,
-    "first_best_separable": solve_first_best_separable_rn,
-    "first_best_nonseparable": solve_first_best_nonseparable,
+    "discounted_utility": _discounted_utility,
+    "separable_rn": _separable_rn,
+    "discounted_income": _discounted_income,
+    "first_best_separable": _first_best_separable,
+    "first_best_nonseparable": _first_best_nonseparable,
 }
 
 
 def solve(model: MarketModel, prefs: Preferences, grid=None) -> ContractSolution:
-    """Dispatch to the solver matching prefs.spec_tag."""
-    return _SOLVERS[prefs.spec_tag](model, prefs, grid)
+    """Solve the contract of the regime prefs.spec_tag on grid (default:
+    DEFAULT_GRID_POINTS points on [0, T]).
 
+    Raises ValueError when validate() finds a problem or the grid is not
+    an increasing cover of [0, T], InfeasibleError when no admissible
+    contract attains the reservation level, and UnboundedLoadingError when
+    the exposure search runs away.
+    """
+    problems = validate(model, prefs)
+    if problems:
+        raise ValueError("; ".join(problems))
+    grid = _solution_grid(model, grid)
+    reservation, adjustment, value_p, z_star, loading, effort = \
+        _SOLVERS[prefs.spec_tag](model, prefs, grid)
+    return ContractSolution(
+        spec_tag=prefs.spec_tag,
+        y0=prefs.r0,
+        constant_term=reservation + adjustment,
+        constant_reservation=reservation,
+        constant_adjustment=adjustment,
+        value_principal=value_p,
+        value_agent=prefs.r0,
+        grid=grid,
+        z_star=z_star,
+        loading_values=loading,
+        effort_values=effort,
+    )

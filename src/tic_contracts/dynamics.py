@@ -60,8 +60,6 @@ class PathEnsemble:
     n_paths: int
     grid: np.ndarray
     increments: np.ndarray
-    seed: int
-    effort_label: str
     x0: float
     antithetic: bool = False
 
@@ -71,16 +69,9 @@ class PathEnsemble:
 
 
 def _thread_count(threads: Optional[int]) -> int:
-    """Worker threads for the RNG fill: the flag, else the environment,
-    else one; never more than the machine's CPUs."""
-    count = 1
-    if threads is not None:
-        count = int(threads)
-    else:
-        try:
-            count = int(os.environ.get("TIC_CONTRACTS_THREADS") or 1)
-        except ValueError:
-            pass
+    """Worker threads for the RNG fill: the flag, else one; never more
+    than the machine's CPUs."""
+    count = 1 if threads is None else int(threads)
     return max(1, min(count, os.cpu_count() or 1))
 
 
@@ -166,12 +157,8 @@ def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
 
     z *= sig * math.sqrt(dt)
     z += drift * dt
-    label = getattr(effort, "__name__", None) or (
-        f"constant:{float(effort):g}" if not callable(effort) else "callable")
-    return PathEnsemble(
-        n_paths=n_paths, grid=grid, increments=z, seed=seed,
-        effort_label=label, x0=model.x0, antithetic=antithetic,
-    )
+    return PathEnsemble(n_paths=n_paths, grid=grid, increments=z, x0=model.x0,
+                        antithetic=antithetic)
 
 
 def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:
@@ -211,23 +198,8 @@ def _agent_values(model: MarketModel, prefs: Preferences, solution: ContractSolu
     t_left = grid[:-1]
     dt = float(grid[1] - grid[0])
     cost = _cost_at_equilibrium(model, solution, t_left)
-    f = prefs.discount
-    T = model.horizon
-    fT = float(f.value(T))
-    tag = prefs.spec_tag
-    if tag in ("separable_rn", "first_best_separable"):
-        running = float(np.sum(np.asarray(f.value(t_left)) * cost) * dt)
-        return fT * xi - running
-    if tag == "discounted_utility":
-        running = float(np.sum(cost) * dt)
-        return fT * prefs.agent_u(xi - running)
-    if tag == "discounted_income":
-        running = float(np.sum(np.asarray(f.value(t_left)) * cost) * dt)
-        return prefs.agent_u(fT * xi - running)
-    if tag == "first_best_nonseparable":
-        running = float(np.sum(np.asarray(f.value(t_left)) * cost) * dt)
-        return fT * prefs.agent_u(fT * xi - running)
-    raise ValueError(f"no agent reward defined for spec {tag!r}")
+    fT = float(prefs.discount.value(model.horizon))
+    return prefs.reward(fT, xi, prefs.running_cost(t_left, cost, dt))
 
 
 def agent_value_mc(model: MarketModel, prefs: Preferences, solution: ContractSolution,
@@ -262,11 +234,9 @@ def _delta_residuals(model: MarketModel, prefs: Preferences, solution: ContractS
     t_left = grid[:-1]
     dt = float(grid[1] - grid[0])
     cost = _cost_at_equilibrium(model, solution, t_left)
-    f_shift = np.asarray(f.value_extended(t_left - s))
-    f_plain = np.asarray(f.value(t_left))
 
-    lhs = fTs * xi - float(np.sum(f_shift * cost) * dt)
-    rhs_mc = (fTs / fT) * (fT * xi - float(np.sum(f_plain * cost) * dt))
+    lhs = prefs.reward(fTs, xi, prefs.running_cost(t_left - s, cost, dt))
+    rhs_mc = (fTs / fT) * prefs.reward(fT, xi, prefs.running_cost(t_left, cost, dt))
     # delta integral on the solver grid, an independent quadrature route
     sg = solution.grid
     cg = pointwise(model.cost, sg, solution.effort_values)
@@ -318,9 +288,9 @@ def _spike_quadrature(model: MarketModel, prefs: Preferences, solution: Contract
 def _spike_nested_mc(model: MarketModel, prefs: Preferences, solution: ContractSolution,
                      t: float, ell: float, alt, n_inner: int, n_steps: int,
                      seed: int) -> McEstimate:
-    f = prefs.discount
+    if prefs.spec_tag not in ("discounted_utility", "discounted_income"):
+        raise ValueError(f"no nested Monte Carlo spike check for spec {prefs.spec_tag!r}")
     T = model.horizon
-    tag = prefs.spec_tag
     alt_fn = _effort_fn(alt)
     m = max(2, int(round((T - t) / T * n_steps)))
     rs = np.linspace(t, T, m + 1)
@@ -349,26 +319,17 @@ def _spike_nested_mc(model: MarketModel, prefs: Preferences, solution: ContractS
     gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
     gains = np.empty(n_inner)
     block = 2000
-    k_tail_dev = float(np.sum((np.asarray(f.value(r_left - t)) if tag == "discounted_income"
-                               else 1.0) * cost_dev) * dt)
-    k_tail_eq = float(np.sum((np.asarray(f.value(r_left - t)) if tag == "discounted_income"
-                              else 1.0) * cost_eq) * dt)
-    fTt = float(f.value(T - t))
+    k_tail_dev = prefs.running_cost(r_left - t, cost_dev, dt)
+    k_tail_eq = prefs.running_cost(r_left - t, cost_eq, dt)
+    fTt = float(prefs.discount.value(T - t))
     for lo in range(0, n_inner, block):
         hi = min(lo + block, n_inner)
         z = gen.standard_normal((hi - lo, m))
         noise = (z * (sig * math.sqrt(dt))) @ load
         tail_dev = noise + float(np.sum(load * drift_dev) * dt)
         tail_eq = noise + float(np.sum(load * drift_eq) * dt)
-        if tag == "discounted_utility":
-            v_dev = fTt * prefs.agent_u(w_t + tail_dev - k_tail_dev)
-            v_eq = fTt * prefs.agent_u(w_t + tail_eq - k_tail_eq)
-        elif tag == "discounted_income":
-            v_dev = prefs.agent_u(fTt * (w_t + tail_dev) - k_tail_dev)
-            v_eq = prefs.agent_u(fTt * (w_t + tail_eq) - k_tail_eq)
-        else:
-            raise ValueError(f"no nested Monte Carlo spike check for spec {tag!r}")
-        gains[lo:hi] = v_dev - v_eq
+        gains[lo:hi] = (prefs.reward(fTt, w_t + tail_dev, k_tail_dev)
+                        - prefs.reward(fTt, w_t + tail_eq, k_tail_eq))
     return _estimate(gains, antithetic=False)
 
 
@@ -416,9 +377,17 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
+    if antithetic and "risk_neutral" in (prefs.agent_utility, prefs.principal_utility):
+        # a risk-neutral reward is linear in the paths, so every antithetic
+        # pair averages to the same number: the standard error is rounding
+        # and cannot cover the O(dt) discretization gap of the mean
+        raise ValueError("antithetic sampling needs exponential utilities for both "
+                         "parties: a risk-neutral reward has no noise left to estimate")
     if s_values is None:
         s_values = (0.25 * model.horizon, 0.5 * model.horizon) \
             if prefs.spec_tag == "separable_rn" else ()
+    if len(s_values) and prefs.spec_tag != "separable_rn":
+        raise ValueError("the correction identity check covers the separable regime")
     for s in s_values:
         # the identity evaluates f(t - s) down to t - s = -s; a curve
         # undefined there raises ValueError before any path is simulated

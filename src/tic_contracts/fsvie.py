@@ -160,15 +160,7 @@ def target_constraint_residual(field: VolterraField, prefs: Preferences) -> np.n
     """Per-path spread of the decoded terminal payment across s rows."""
     T = float(field.grid[-1])
     fTs = np.asarray(prefs.discount.value(T - field.grid), dtype=float)
-    tag = field.spec_tag
-    if tag == "separable_rn":
-        decoded = field.terminal / fTs[None, :]
-    elif tag == "discounted_utility":
-        decoded = prefs.agent_u_inv(field.terminal / fTs[None, :])
-    elif tag == "discounted_income":
-        decoded = prefs.agent_u_inv(field.terminal) / fTs[None, :]
-    else:
-        raise ValueError(f"no terminal decoding for spec {tag!r}")
+    decoded = prefs.decode(fTs[None, :], field.terminal)
     return np.max(decoded, axis=1) - np.min(decoded, axis=1)
 
 

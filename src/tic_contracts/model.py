@@ -308,6 +308,39 @@ class Preferences:
             out = -np.log(-g * y) / g
         return float(out) if out.ndim == 0 else out
 
+    def running_cost(self, lags, cost, dt):
+        """Left-point sum of the cost rate over steps dt, each weighed by
+        f(lag) unless the discount sits outside the utility
+        (discounted_utility); lags may be negative, on the curve's
+        extension."""
+        if self.spec_tag == "discounted_utility":
+            return float(np.sum(cost) * dt)
+        return float(np.sum(self.discount.value_extended(lags) * cost) * dt)
+
+    def reward(self, weight, pay, running):
+        """The agent's reward from the payment pay, net of the running
+        cost, with the terminal discount weight f(T - s) seen from time s."""
+        tag = self.spec_tag
+        if tag in ("separable_rn", "first_best_separable"):
+            return weight * pay - running
+        if tag == "discounted_utility":
+            return weight * self.agent_u(pay - running)
+        if tag == "discounted_income":
+            return self.agent_u(weight * pay - running)
+        return weight * self.agent_u(weight * pay - running)
+
+    def decode(self, weight, value):
+        """The payment whose reward with no running cost is value: the
+        inverse of reward(weight, ., 0) for the second-best regimes."""
+        tag = self.spec_tag
+        if tag == "separable_rn":
+            return value / weight
+        if tag == "discounted_utility":
+            return self.agent_u_inv(value / weight)
+        if tag == "discounted_income":
+            return self.agent_u_inv(value) / weight
+        raise ValueError(f"no terminal decoding for spec {tag!r}")
+
     def principal_u(self, x):
         if self.principal_utility == "risk_neutral":
             return x

@@ -246,6 +246,26 @@ class TestVerify:
         shift = report["participation"]["mean"] - clean_report["participation"]["mean"]
         assert shift == pytest.approx(f_t, abs=1e-12)
 
+    def test_antithetic_run_with_a_risk_neutral_party_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SEPARABLE_CONFIG, antithetic=True))
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", cfg, "--out", str(out),
+                   "--paths", "4000", "--steps", "200", "--seed", "7"])
+        assert rc == 2
+        assert "antithetic sampling needs exponential utilities" in _error_of(capsys)
+        assert not out.exists()
+
+    def test_antithetic_run_with_two_exponential_utilities_passes(self, tmp_path, capsys):
+        with open(os.path.join(ROOT, "perfbench", "configs", "discounted_income.json")) as fh:
+            config = dict(json.load(fh), antithetic=True)
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", write_config(tmp_path, config), "--out", str(out),
+                   "--paths", "4000", "--steps", "200", "--seed", "7"])
+        assert capsys.readouterr().err == ""
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["participation"]["se"] > 0.0 and report["pass"] is True
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads ru_maxrss in kilobytes, as Linux reports it")
     def test_streaming_run_stays_below_150_mb(self, tmp_path):
@@ -369,6 +389,27 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, bumped)
         assert main(["check-constraint", "--config", cfg]) == 1
         assert "unknown family" in capsys.readouterr().err
+
+
+# a value for each flag that only some subcommands read
+_RUN_FLAGS = {"--seed": "3", "--paths": "9", "--threads": "1", "--tol": "0.5"}
+_UNREAD_FLAGS = [(command, flag) for command, read in (
+    ("discount", ()), ("solve", ()), ("figures", ()),
+    ("verify", ("--seed", "--paths", "--threads")),
+    ("check-constraint", tuple(_RUN_FLAGS))) for flag in _RUN_FLAGS if flag not in read]
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("command,flag", _UNREAD_FLAGS)
+    def test_flag_the_subcommand_does_not_read_exits_1(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path, SEPARABLE_CONFIG)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--steps", "11",
+                     flag, _RUN_FLAGS[flag]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tic-contracts ")
+        assert err.endswith(f"error: unrecognized arguments: {flag} {_RUN_FLAGS[flag]}\n")
+        assert not out.exists()
 
 
 def _error_of(capsys):

@@ -26,7 +26,6 @@ from tic_contracts import (
 )
 from tic_contracts.closed_form import (
     DEFAULT_GRID_POINTS,
-    solve_second_best_separable_rn,
     z_argmax,
     z_argmax_grid,
 )
@@ -348,14 +347,6 @@ def test_infeasible_when_risk_sharing_diverges():
               "first_best_nonseparable")
     with pytest.raises(InfeasibleError, match="diverged"):
         solve(m, p, default_grid(1.0, 11))
-
-
-def test_solver_rejects_wrong_tag():
-    m = MarketModel.quadratic(0.0, 1.0, 1.0)
-    p = _cara(1.0, 0.5, -0.5, DiscountSpec.exponential(0.0),
-              "discounted_utility")
-    with pytest.raises(ValueError, match="expects spec"):
-        solve_second_best_separable_rn(m, p)
 
 
 def test_solution_grid_validation():

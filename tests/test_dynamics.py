@@ -124,19 +124,15 @@ def test_simulate_validates_inputs():
         with pytest.raises(ValueError, match="signed 64-bit"):
             simulate(m, 0.5, 4, 8, seed=seed)
     ens = simulate(m, 0.5, 4, 8, seed=1)
-    assert ens.effort_label == "constant:0.5"
     np.testing.assert_array_equal(ens.terminal, ens.x0 + ens.increments.sum(axis=1))
 
 
-def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
+def test_thread_count_is_capped_at_the_cpu_count():
     # only the count is computed; no worker is started
     cpus = os.cpu_count() or 1
     before = threading.active_count()
     assert _thread_count(10**9) == cpus
     assert _thread_count(0) == 1
-    monkeypatch.setenv("TIC_CONTRACTS_THREADS", str(10**9))
-    assert _thread_count(None) == cpus
-    monkeypatch.setenv("TIC_CONTRACTS_THREADS", "not a number")
     assert _thread_count(None) == 1
     assert threading.active_count() == before
 
@@ -260,6 +256,8 @@ def test_delta_check_validation(separable, discounted_utility):
         delta_correction_check(mu, pu, solu, ens, 0.5)
     with pytest.raises(ValueError, match="s must lie"):
         delta_correction_check(m, p, sol, ens, 3.0)
+    with pytest.raises(ValueError, match="separable"):
+        verify_contract(mu, pu, solu, n_paths=10, n_steps=8, s_values=(0.5,))
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +324,11 @@ def test_verify_contract_report(separable):
     assert rep == again
 
 
-def test_verify_contract_chunking_is_invisible(separable, monkeypatch):
-    m, p, sol = separable
+def test_verify_contract_chunking_is_invisible(separable, discounted_income, monkeypatch):
     n_paths, n_steps, seed = 901, 1000, 5
-    for antithetic in (False, True):
+    # antithetic sampling needs exponential utilities on both sides, so
+    # that leg runs on the exp/exp discounted-income contract
+    for (m, p, sol), antithetic in ((separable, False), (discounted_income, True)):
         reports = []
         for block in (3, 64, dynamics.BLOCK_PATHS):
             monkeypatch.setattr(dynamics, "BLOCK_PATHS", block)
@@ -351,6 +350,22 @@ def test_verify_contract_chunking_is_invisible(separable, monkeypatch):
         for row in rep["delta_residuals"]:
             est = delta_correction_check(m, p, sol, ens, row["s"])
             assert (row["mean"], row["se"]) == (est.mean, est.std_error)
+
+
+def test_verify_contract_refuses_antithetic_sampling_of_a_linear_reward(separable,
+                                                                       monkeypatch):
+    m, p, sol = separable
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before refusing")
+
+    monkeypatch.setattr(dynamics, "simulate", no_simulation)
+    with pytest.raises(ValueError, match="antithetic sampling needs exponential utilities"):
+        verify_contract(m, p, sol, n_paths=900, n_steps=120, seed=5, antithetic=True)
+    du_prefs = dataclasses.replace(p, agent_utility="exponential", gamma_a=1.0, r0=-0.8,
+                                   spec_tag="discounted_utility")
+    with pytest.raises(ValueError, match="antithetic"):
+        verify_contract(m, du_prefs, sol, n_paths=900, n_steps=120, seed=5, antithetic=True)
 
 
 def test_verify_contract_flags_a_shifted_constant(separable):

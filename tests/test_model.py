@@ -153,3 +153,26 @@ def test_preferences_json_round_trip():
     p = exp_prefs()
     again = Preferences.from_json(p.to_json())
     assert again == p
+
+
+@pytest.mark.parametrize("tag", ["separable_rn", "discounted_utility", "discounted_income"])
+def test_decode_inverts_the_reward_without_running_cost(tag):
+    if tag == "separable_rn":
+        prefs = exp_prefs(agent_utility="risk_neutral", principal_utility="risk_neutral",
+                          gamma_a=0.0, gamma_p=0.0, r0=0.1, spec_tag=tag)
+    else:
+        prefs = exp_prefs(gamma_a=0.7, spec_tag=tag)
+    weights = np.array([1e-3, 0.05, 0.37, 0.8, 1.0])[:, None]
+    pays = np.array([-4.0, -0.6, 0.02, 0.9, 3.5])[None, :]
+    got = prefs.decode(weights, prefs.reward(weights, pays, 0.0))
+    np.testing.assert_allclose(got, np.broadcast_to(pays, got.shape), rtol=1e-12, atol=0.0)
+
+
+def test_first_best_rewards_have_no_decoding():
+    for tag, prefs in (
+            ("first_best_separable", exp_prefs(
+                agent_utility="risk_neutral", principal_utility="risk_neutral",
+                gamma_a=0.0, gamma_p=0.0, r0=0.1, spec_tag="first_best_separable")),
+            ("first_best_nonseparable", exp_prefs(spec_tag="first_best_nonseparable"))):
+        with pytest.raises(ValueError, match=f"no terminal decoding for spec '{tag}'"):
+            prefs.decode(0.5, prefs.reward(0.5, 1.0, 0.0))
