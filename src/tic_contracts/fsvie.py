@@ -8,8 +8,10 @@ exposure.  With left-endpoint time stepping on a square (s, t) grid,
     Y^s_{t_{j+1}} = Y^s_{t_j} - h(s, t_j, Y^s_{t_j}, Y^{t_j}_{t_j}) dt + Z^s_{t_j} dX_j,
 
 every row's step reads only values at t_j, so :func:`march` solves it
-in one forward pass over t.  The stochastic integral uses each path's own
-increments, so Volterra and Monte Carlo checks share noise.
+in one forward pass over t.  Its state holds every path's rows, paths
+along the first axis; the exposures Z^s_t and weights f(t - s) are
+evaluated for a tile of TILE times at once.  The stochastic integral uses
+each path's own increments, so Volterra and Monte Carlo checks share noise.
 :func:`picard_solve` iterates the same scheme to its fixed point: the
 contraction diagnostic, and the reference the march is tested against.
 
@@ -29,6 +31,10 @@ from .closed_form import simpson
 from .dynamics import PathEnsemble
 from .hamiltonian import stars_on_grid
 from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
+
+# times per tile of the march, and rows per block of the separable
+# family's initial profile; a tile at 20000 steps is a 5 MB block
+TILE = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -59,24 +65,31 @@ def _initial_rows(prefs: Preferences, y0_family, ensemble: PathEnsemble):
     return grid, float(grid[1] - grid[0]), pointwise(y0_family, grid)
 
 
-def _generator(model: MarketModel, prefs: Preferences, t, s, z, y, z_diag, diag):
-    """Drift h of the rows (times s, a column; exposures z; values y) at t.
+def _weights(prefs: Preferences, t, s):
+    """f(t - s), on the curve's analytic extension where t < s, for the
+    regimes whose cost the discount weighs; None for discounted_utility."""
+    if prefs.spec_tag == "discounted_utility":
+        return None
+    return prefs.discount.value_extended(t - s)
 
-    t and the diagonal exposure and value, which fix the agent's action
-    for every row, vary along the last axis.  A discounted cost is weighed
-    by f(t - s), on the curve's analytic extension where t < s.
+
+def _generator(model: MarketModel, prefs: Preferences, t, w, z, y, z_diag, diag):
+    """Drift h of the rows (weights w = f(t - s); exposures z; values y) at t.
+
+    The diagonal exposure and value fix the agent's action for every row;
+    they broadcast against t, and the row arrays against the action.
     """
     tag = prefs.spec_tag
     if tag == "separable_rn":
         lam, cost, _ = stars_on_grid(model, t, z_diag)
-        return lam * z - prefs.discount.value_extended(t - s) * cost
+        return lam * z - w * cost
     if np.any(diag >= 0.0):
         raise ValueError("diagonal left the exponential utility's range (Y >= 0)")
     ga = prefs.gamma_a
     lam, cost, _ = stars_on_grid(model, t, -z_diag / (ga * diag))
     if tag == "discounted_utility":
         return lam * z + ga * cost * y
-    return lam * z + ga * prefs.discount.value_extended(t - s) * cost * y
+    return lam * z + ga * w * cost * y
 
 
 def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
@@ -84,26 +97,34 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     """Solve the field for every path in the ensemble, marching t forward.
 
     y0_family maps s to the initial row value; z_family maps (s, t) to the
-    row's exposure (vectorized over arrays when possible).  Both are
-    evaluated one time at a time, so no (s, t) array is formed.
+    row's exposure (vectorized over arrays when possible).  The state holds
+    paths along the first axis and rows s along the second.  The exposures
+    and weights f(t - s) are evaluated for TILE times at once, a (TILE, s)
+    block, so no (s, t) array is formed; each step then does the same
+    arithmetic as one Picard sweep's column.
     """
     grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
-    s = grid[:, None]
     dx = ensemble.increments
     z_diag = pointwise(z_family, grid, grid)
     diagonal = np.empty((ensemble.n_paths, grid.size))
     # summing the increments apart from y0, as the Picard sweep does, gives
     # its field bit for bit when the generator does not read Y (separable_rn)
-    acc = np.zeros((grid.size, ensemble.n_paths))
-    y = y0[:, None] + acc
-    for j, t in enumerate(grid[:-1]):
-        diagonal[:, j] = y[j]
-        z = pointwise(z_family, grid, t)[:, None]
-        drift = _generator(model, prefs, t, s, z, y, z_diag[j], y[j])
-        acc += z * dx[:, j] - drift * dt
-        np.add(y0[:, None], acc, out=y)
-    diagonal[:, -1] = y[-1]
-    return VolterraField(grid=grid.copy(), terminal=y.T.copy(), diagonal=diagonal,
+    acc = np.zeros((ensemble.n_paths, grid.size))
+    y = y0 + acc
+    times = grid[:-1]
+    for start in range(0, times.size, TILE):
+        tb = times[start:start + TILE]
+        zt = pointwise(z_family, grid[None, :], tb[:, None])
+        wt = _weights(prefs, tb[:, None], grid)
+        for k, t in enumerate(tb):
+            j = start + k
+            diagonal[:, j] = y[:, j]
+            w = None if wt is None else wt[k]
+            drift = _generator(model, prefs, t, w, zt[k], y, z_diag[j], y[:, j:j + 1])
+            acc += zt[k] * dx[:, j:j + 1] - drift * dt
+            np.add(y0, acc, out=y)
+    diagonal[:, -1] = y[:, -1]
+    return VolterraField(grid=grid.copy(), terminal=y.copy(), diagonal=diagonal,
                          z_diag=z_diag, spec_tag=prefs.spec_tag)
 
 
@@ -126,6 +147,7 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
     zmat = pointwise(z_family, s, grid[None, :])
     z_left = zmat[:, :-1]
     z_diag = np.diagonal(zmat).copy()
+    w = _weights(prefs, grid[:-1], s)
 
     terminal, diagonal, all_diffs = [], [], []
     for p in range(ensemble.n_paths):
@@ -133,7 +155,7 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
         y = np.tile(y0[:, None], (1, grid.size))
         diffs = []
         for _ in range(max_iter):
-            drift = _generator(model, prefs, grid[:-1], s, z_left, y[:, :-1],
+            drift = _generator(model, prefs, grid[:-1], w, z_left, y[:, :-1],
                                z_diag[:-1], np.diagonal(y)[:-1])
             y_new = np.empty_like(y)
             y_new[:, 0] = y0
@@ -214,11 +236,16 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
 
     def y0_family(s_values):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
-        fTs = np.asarray(f.value(T - s), dtype=float)
-        shifted = np.asarray(f.value_extended(sg[None, :] - s[:, None]), dtype=float)
-        delta = cost_eq[None, :] * (shifted - (fTs / fT)[:, None] * f_sg[None, :])
-        integ = simpson(delta, sg, axis=1)
-        out = (fTs / fT) * prefs.r0 - integ
+        ratio = np.asarray(f.value(T - s), dtype=float) / fT
+        # simpson reduces each row on its own, so blocks of rows give the
+        # whole array's result without its (rows x grid) temporaries
+        integ = np.empty_like(s)
+        for lo in range(0, s.size, TILE):
+            rows = slice(lo, lo + TILE)
+            shifted = np.asarray(f.value_extended(sg[None, :] - s[rows, None]), dtype=float)
+            delta = cost_eq[None, :] * (shifted - ratio[rows, None] * f_sg[None, :])
+            integ[rows] = simpson(delta, sg, axis=1)
+        out = ratio * prefs.r0 - integ
         return float(out[0]) if np.isscalar(s_values) else out
 
     def z_family(s, t):

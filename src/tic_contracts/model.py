@@ -55,20 +55,25 @@ _SCALAR_ONLY = (TypeError, ValueError)
 def pointwise(fn, *arrays):
     """fn evaluated at every point of the broadcast arrays, as a float array.
 
-    One call on the broadcast arrays when fn accepts them and returns their
-    shape; otherwise (fn raises TypeError or ValueError on arrays, or
-    returns another shape) one call per point with plain floats.
+    One call on the arrays as given, which may differ in shape, when fn
+    accepts them and returns a result that broadcasts to their common
+    shape; otherwise (fn raises TypeError or ValueError on arrays, returns
+    one value for arrays, or returns a shape that does not broadcast) one
+    call per point with plain floats.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
-    shape = arrays[0].shape
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
     try:
         out = np.asarray(fn(*arrays), dtype=float)
         if out.shape == shape:
             return out
+        if out.ndim:
+            return np.broadcast_to(out, shape).copy()
     except _SCALAR_ONLY:
         pass
     out = np.empty(shape)
-    for i, point in enumerate(zip(*(a.ravel().tolist() for a in arrays))):
+    points = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*arrays)))
+    for i, point in enumerate(points):
         out.flat[i] = fn(*point)
     return out
 

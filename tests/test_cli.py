@@ -354,6 +354,19 @@ class TestCheckConstraint:
         assert code == 0, stderr
         assert max_rss_kb < 150 * 1024
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads ru_maxrss in kilobytes, as Linux reports it")
+    def test_long_march_stays_below_80_mb(self, tmp_path):
+        # 2 paths x 8000 steps on the benchmark's optimal family; the initial
+        # profile's (rows x grid) temporaries and a per-step (s, paths)
+        # state took 129 MB
+        cfg = os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")
+        code, max_rss_kb, stderr = peak_rss_kb(
+            ["check-constraint", "--config", cfg, "--out", str(tmp_path),
+             "--steps", "8000", "--paths", "2"])
+        assert code == 0, stderr
+        assert max_rss_kb < 80 * 1024
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):

@@ -27,6 +27,7 @@ from tic_contracts import (
     solve,
     target_constraint_residual,
 )
+from tic_contracts import fsvie
 from tic_contracts.model import pointwise
 
 HYP = DiscountSpec.hyperbolic(1.0, 0.4)
@@ -167,6 +168,7 @@ POINTWISE_CASES = {
     "scalar_only": (_sin_of, 1 + 6),
     "scalar_result": (lambda s, t: 0.5, 1 + 6),
     "runtime_error": (_bug_on_arrays, None),
+    "ignores_s": (lambda s, t: 0.2 * t, 1),
 }
 
 
@@ -227,6 +229,59 @@ def test_scalar_only_families_fall_back_and_array_bugs_propagate(case):
             solver(m, p, y0_vec, z_array_bug, ens)
         with pytest.raises(RuntimeError, match="array path"):
             solver(m, p, y0_array_bug, z_vec, ens)
+
+
+def test_pointwise_passes_the_arrays_unbroadcast():
+    s_col = np.array([[0.0], [0.5], [1.0]])
+    t_row = np.array([0.25, 2.0])
+    for case, want_calls in (("array", 1), ("ignores_s", 1), ("scalar_result", 1 + 6)):
+        fn = POINTWISE_CASES[case][0]
+        calls = []
+
+        def counted(s, t):
+            calls.append((np.shape(s), np.shape(t)))
+            return fn(s, t)
+
+        got = pointwise(counted, s_col, t_row)
+        assert got.shape == (3, 2), case
+        assert got.flags.writeable and got.flags.c_contiguous, case
+        assert calls[0] == ((3, 1), (2,)), case
+        assert calls[1:] == [((), ())] * (want_calls - 1), case
+        want = [[fn(float(s), float(t)) for t in t_row] for s in s_col[:, 0]]
+        np.testing.assert_array_equal(got, want)
+
+
+def test_march_does_not_depend_on_the_tiling(separable_setup, monkeypatch):
+    m, p, sol = separable_setup
+    # 300 steps: a multiple of neither 7 nor the default tile
+    assert 300 % 7 and 300 % fsvie.TILE
+    ens = simulate(m, sol.effort, 2, 300, seed=11)
+    cases = [
+        (p, separable_optimal_family(m, p, sol)),
+        (p, s_constant_family(m, p, sol)),
+        (_cara(1.0, 0.5, -0.8, HYP, "discounted_utility"),
+         _proportional_family(HYP, 2.0, 0.05, -0.5)),
+        (_cara(0.5, 0.5, -0.8, HYP, "discounted_income"),
+         _proportional_family(HYP, 2.0, 0.05, -0.5)),
+    ]
+    for prefs, (y0f, zf) in cases:
+        fields = []
+        for tile in (1, 7, fsvie.TILE):
+            with monkeypatch.context() as patch:
+                patch.setattr(fsvie, "TILE", tile)
+                fields.append(march(m, prefs, y0f, zf, ens))
+        for field in fields[1:]:
+            np.testing.assert_array_equal(field.terminal, fields[0].terminal)
+            np.testing.assert_array_equal(field.diagonal, fields[0].diagonal)
+            np.testing.assert_array_equal(field.z_diag, fields[0].z_diag)
+
+
+def test_initial_profile_blocks_match_single_rows(separable_setup):
+    m, p, sol = separable_setup
+    y0f, _ = separable_optimal_family(m, p, sol)
+    grid = default_grid(2.0, 3 * fsvie.TILE + 5)
+    want = np.array([y0f(float(s)) for s in grid])
+    np.testing.assert_array_equal(y0f(grid), want)
 
 
 def test_march_reproduces_the_picard_fixed_point(separable_setup):
