@@ -70,9 +70,9 @@ class PathEnsemble:
 
 def _thread_count(threads: Optional[int]) -> int:
     """Worker threads for the RNG fill: the flag, else one; never more
-    than the machine's CPUs."""
+    than the machine's CPUs (asked only for a count above one)."""
     count = 1 if threads is None else int(threads)
-    return max(1, min(count, os.cpu_count() or 1))
+    return 1 if count <= 1 else min(count, os.cpu_count() or 1)
 
 
 def _effort_fn(effort) -> Callable[[float], float]:
@@ -393,6 +393,7 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
         # undefined there raises ValueError before any path is simulated
         prefs.discount.value_extended(-s)
 
+    threads = _thread_count(threads)  # once per run, not once per block
     block_paths = -(-BLOCK_PATHS // PAYOFF_ROWS) * PAYOFF_ROWS
     total = n_paths + n_paths % 2 if antithetic else n_paths
     xi = np.empty(total)

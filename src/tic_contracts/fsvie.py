@@ -9,9 +9,14 @@ exposure.  With left-endpoint time stepping on a square (s, t) grid,
 
 every row's step reads only values at t_j, so :func:`march` solves it
 in one forward pass over t.  Its state holds every path's rows, paths
-along the first axis; the exposures Z^s_t and weights f(t - s) are
-evaluated for a tile of TILE times at once.  The stochastic integral uses
-each path's own increments, so Volterra and Monte Carlo checks share noise.
+along the first axis; the exposures Z^s_t are evaluated for a tile of
+TILE times at once.  On the uniform grid the weights f(t - s) depend only
+on the lag t - s, so both solvers read them from one table of 2N lags.
+The separable generator's action depends on the diagonal exposure alone,
+so one batched best response over the grid serves the whole solve; the
+exponential regimes' action reads each path's diagonal value and is
+solved per step.  The stochastic integral uses each path's own
+increments, so Volterra and Monte Carlo checks share noise.
 :func:`picard_solve` iterates the same scheme to its fixed point: the
 contraction diagnostic, and the reference the march is tested against.
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_form import simpson
 from .dynamics import PathEnsemble
@@ -65,29 +71,46 @@ def _initial_rows(prefs: Preferences, y0_family, ensemble: PathEnsemble):
     return grid, float(grid[1] - grid[0]), pointwise(y0_family, grid)
 
 
-def _weights(prefs: Preferences, t, s):
-    """f(t - s), on the curve's analytic extension where t < s, for the
-    regimes whose cost the discount weighs; None for discounted_utility."""
+def _lag_weights(prefs: Preferences, n: int, dt: float):
+    """(n, n+1) weights w[j, i] = f(t_j - s_i) for the n step times t_j and
+    the rows s_i; None for discounted_utility, whose cost the discount
+    does not weigh.
+
+    On the uniform grid f(t_j - s_i) depends only on the lag j - i, so the
+    curve is evaluated once, on the 2n lags m dt, m in [-n, n) (its
+    analytic extension where m < 0, domain checked once).  The table runs
+    from the largest lag down, so every row is a window of it read
+    forward: a view, no (n, n+1) array.
+    """
     if prefs.spec_tag == "discounted_utility":
         return None
-    return prefs.discount.value_extended(t - s)
+    table = prefs.discount.value_extended(np.arange(n - 1, -n - 1, -1) * dt)
+    return sliding_window_view(table, n + 1)[::-1]
+
+
+def _separable_drift(lam, cost, z, w, dt, out=None):
+    """The separable generator times the step, (lam z - w cost) dt, for
+    the rows' exposures z and weights w; lam and cost are the agent's
+    best response to the diagonal exposure, shared by every row."""
+    out = np.multiply(lam, z, out=out)
+    out -= w * cost
+    out *= dt
+    return out
 
 
 def _generator(model: MarketModel, prefs: Preferences, t, w, z, y, z_diag, diag):
-    """Drift h of the rows (weights w = f(t - s); exposures z; values y) at t.
+    """Drift h of the exponential regimes' rows (weights w = f(t - s);
+    exposures z; values y) at t.
 
-    The diagonal exposure and value fix the agent's action for every row;
-    they broadcast against t, and the row arrays against the action.
+    The action reads each path's diagonal value, so it is solved per step;
+    the diagonal exposure and value broadcast against t, and the row
+    arrays against the action.
     """
-    tag = prefs.spec_tag
-    if tag == "separable_rn":
-        lam, cost, _ = stars_on_grid(model, t, z_diag)
-        return lam * z - w * cost
     if np.any(diag >= 0.0):
         raise ValueError("diagonal left the exponential utility's range (Y >= 0)")
     ga = prefs.gamma_a
     lam, cost, _ = stars_on_grid(model, t, -z_diag / (ga * diag))
-    if tag == "discounted_utility":
+    if prefs.spec_tag == "discounted_utility":
         return lam * z + ga * cost * y
     return lam * z + ga * w * cost * y
 
@@ -99,32 +122,47 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     y0_family maps s to the initial row value; z_family maps (s, t) to the
     row's exposure (vectorized over arrays when possible).  The state holds
     paths along the first axis and rows s along the second.  The exposures
-    and weights f(t - s) are evaluated for TILE times at once, a (TILE, s)
-    block, so no (s, t) array is formed; each step then does the same
-    arithmetic as one Picard sweep's column.
+    are evaluated for TILE times at once, a (TILE, s) block, and the
+    weights f(t - s) are read from one table of lags, so no (s, t) array is
+    formed; each step then does the same arithmetic as one Picard sweep's
+    column.  The separable generator does not read Y: its action depends
+    on the diagonal exposures alone, so one batched best response serves
+    the whole march, and each tile's drift is formed before its steps.
     """
     grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
     dx = ensemble.increments
+    n = grid.size - 1
     z_diag = pointwise(z_family, grid, grid)
+    weights = _lag_weights(prefs, n, dt)
+    separable = prefs.spec_tag == "separable_rn"
+    if separable:
+        lam, cost, _ = stars_on_grid(model, grid[:-1], z_diag[:-1])
+        ddt = np.empty((min(TILE, n), grid.size))
     diagonal = np.empty((ensemble.n_paths, grid.size))
     # summing the increments apart from y0, as the Picard sweep does, gives
     # its field bit for bit when the generator does not read Y (separable_rn)
     acc = np.zeros((ensemble.n_paths, grid.size))
-    y = y0 + acc
-    times = grid[:-1]
-    for start in range(0, times.size, TILE):
-        tb = times[start:start + TILE]
-        zt = pointwise(z_family, grid[None, :], tb[:, None])
-        wt = _weights(prefs, tb[:, None], grid)
-        for k, t in enumerate(tb):
+    step = np.empty_like(acc)
+    for start in range(0, n, TILE):
+        stop = min(start + TILE, n)
+        zt = pointwise(z_family, grid[None, :], grid[start:stop, None])
+        wt = None if weights is None else weights[start:stop]
+        if separable:
+            tile = _separable_drift(lam[start:stop, None], cost[start:stop, None], zt, wt,
+                                    dt, out=ddt[:stop - start])
+        for k in range(stop - start):
             j = start + k
-            diagonal[:, j] = y[:, j]
-            w = None if wt is None else wt[k]
-            drift = _generator(model, prefs, t, w, zt[k], y, z_diag[j], y[:, j:j + 1])
-            acc += zt[k] * dx[:, j:j + 1] - drift * dt
-            np.add(y0, acc, out=y)
-    diagonal[:, -1] = y[:, -1]
-    return VolterraField(grid=grid.copy(), terminal=y.copy(), diagonal=diagonal,
+            diagonal[:, j] = y0[j] + acc[:, j]
+            np.multiply(zt[k], dx[:, j:j + 1], out=step)
+            if separable:
+                step -= tile[k]
+            else:
+                w = None if wt is None else wt[k]
+                step -= _generator(model, prefs, grid[j], w, zt[k], y0 + acc, z_diag[j],
+                                   diagonal[:, j:j + 1]) * dt
+            acc += step
+    diagonal[:, -1] = y0[-1] + acc[:, -1]
+    return VolterraField(grid=grid.copy(), terminal=y0 + acc, diagonal=diagonal,
                          z_diag=z_diag, spec_tag=prefs.spec_tag)
 
 
@@ -135,7 +173,8 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
         Y^{s,n+1}_t = y0(s) - sum_{r<t} h(s, r, Y^n) dt + sum_{r<t} Z^s_r dX_r,
 
     one path's (s, t) iterate at a time.  The fixed point is the field
-    :func:`march` computes; the families are as there.
+    :func:`march` computes; the families and the weights f(t - s) are as
+    there.
 
     Returns (VolterraField, diagnostics) where diagnostics is a list, per
     path, of successive sup-norm differences.
@@ -147,7 +186,12 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
     zmat = pointwise(z_family, s, grid[None, :])
     z_left = zmat[:, :-1]
     z_diag = np.diagonal(zmat).copy()
-    w = _weights(prefs, grid[:-1], s)
+    weights = _lag_weights(prefs, grid.size - 1, dt)
+    w = None if weights is None else weights.T
+    separable = prefs.spec_tag == "separable_rn"
+    if separable:
+        lam, cost, _ = stars_on_grid(model, grid[:-1], z_diag[:-1])
+        drift_dt = _separable_drift(lam, cost, z_left, w, dt)
 
     terminal, diagonal, all_diffs = [], [], []
     for p in range(ensemble.n_paths):
@@ -155,11 +199,12 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
         y = np.tile(y0[:, None], (1, grid.size))
         diffs = []
         for _ in range(max_iter):
-            drift = _generator(model, prefs, grid[:-1], w, z_left, y[:, :-1],
-                               z_diag[:-1], np.diagonal(y)[:-1])
+            if not separable:
+                drift_dt = _generator(model, prefs, grid[:-1], w, z_left, y[:, :-1],
+                                      z_diag[:-1], np.diagonal(y)[:-1]) * dt
             y_new = np.empty_like(y)
             y_new[:, 0] = y0
-            np.cumsum(mart - drift * dt, axis=1, out=y_new[:, 1:])
+            np.cumsum(mart - drift_dt, axis=1, out=y_new[:, 1:])
             y_new[:, 1:] += y0[:, None]
             diffs.append(float(np.max(np.abs(y_new - y))))
             y = y_new

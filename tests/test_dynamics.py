@@ -352,6 +352,22 @@ def test_verify_contract_chunking_is_invisible(separable, discounted_income, mon
             assert (row["mean"], row["se"]) == (est.mean, est.std_error)
 
 
+def test_one_thread_verify_never_asks_for_the_cpu_count(separable, monkeypatch):
+    m, p, sol = separable
+    asked = []
+
+    def cpu_count():
+        asked.append(1)
+        return 2
+
+    monkeypatch.setattr(dynamics.os, "cpu_count", cpu_count)
+    n_paths = 3 * dynamics.BLOCK_PATHS  # three blocks
+    one = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, seed=5)
+    assert asked == []
+    two = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, seed=5, threads=2)
+    assert asked and two == one
+
+
 def test_verify_contract_refuses_antithetic_sampling_of_a_linear_reward(separable,
                                                                        monkeypatch):
     m, p, sol = separable

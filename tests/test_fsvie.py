@@ -7,6 +7,7 @@ The diagonal recursion check uses families whose rows are proportional,
 for which the reconstruction is exact up to rounding.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from tic_contracts import (
     target_constraint_residual,
 )
 from tic_contracts import fsvie
+from tic_contracts.hamiltonian import stars_on_grid
 from tic_contracts.model import pointwise
 
 HYP = DiscountSpec.hyperbolic(1.0, 0.4)
@@ -308,6 +310,100 @@ def test_march_reproduces_the_picard_fixed_point(separable_setup):
             np.testing.assert_array_equal(marched.diagonal, swept.diagonal)
         np.testing.assert_allclose(marched.terminal, swept.terminal, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(marched.diagonal, swept.diagonal, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("disc", [
+    DiscountSpec.exponential(0.3),
+    HYP,
+    DiscountSpec.quasi_hyperbolic(0.5, 0.6, 2.0),
+], ids=["exponential", "hyperbolic", "quasi_hyperbolic"])
+def test_lag_table_rows_match_direct_weights(disc):
+    # the table holds f(m dt); a row evaluated directly holds f(t_j - s_i),
+    # whose lags differ from m dt by rounding (at most 8 ulp seen; 1e-14
+    # leaves a margin of about five)
+    steps = 300
+    grid = default_grid(2.0, steps + 1)
+    weights = fsvie._lag_weights(_rn(0.05, disc, "separable_rn"), steps,
+                                 float(grid[1] - grid[0]))
+    assert weights.shape == (steps, steps + 1)
+    for start in range(0, steps, fsvie.TILE):
+        for j in range(start, min(start + fsvie.TILE, steps)):
+            np.testing.assert_allclose(weights[j], disc.value_extended(grid[j] - grid),
+                                       rtol=1e-14, atol=0.0)
+    assert fsvie._lag_weights(_cara(1.0, 0.5, -0.8, disc, "discounted_utility"),
+                              steps, 0.1) is None
+
+
+def _separable_oracle(m, p, y0f, zf, ens):
+    """(terminal, diagonal) as y0 + cumsum over t of z dX - (lam z - f(t - s) cost) dt,
+    every weight evaluated directly."""
+    grid = ens.grid
+    dt = float(grid[1] - grid[0])
+    t = grid[:-1]
+    z = pointwise(zf, grid[:, None], t[None, :])
+    z_diag = pointwise(zf, grid, grid)
+    lam, cost, _ = stars_on_grid(m, t, z_diag[:-1])
+    w = p.discount.value_extended(t[None, :] - grid[:, None])
+    y0 = pointwise(y0f, grid)
+    terminal, diagonal = [], []
+    for dx in ens.increments:
+        field = np.zeros((grid.size, grid.size))
+        field[:, 1:] = np.cumsum(z * dx - (lam * z - w * cost) * dt, axis=1)
+        field += y0[:, None]
+        terminal.append(field[:, -1])
+        diagonal.append(np.diagonal(field))
+    return np.array(terminal), np.array(diagonal)
+
+
+def test_march_matches_a_directly_weighted_field(separable_setup):
+    m, p, sol = separable_setup
+    ens = simulate(m, sol.effort, 2, 300, seed=11)
+    for y0f, zf in (separable_optimal_family(m, p, sol), s_constant_family(m, p, sol)):
+        field = march(m, p, y0f, zf, ens)
+        terminal, diagonal = _separable_oracle(m, p, y0f, zf, ens)
+        np.testing.assert_allclose(field.terminal, terminal, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(field.diagonal, diagonal, rtol=0.0, atol=1e-12)
+
+
+def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
+    m, p, sol = separable_setup
+    ens = simulate(m, sol.effort, 2, 300, seed=11)
+    y0f, zf = separable_optimal_family(m, p, sol)
+    y0_values = y0f(ens.grid)  # the profile evaluates the curve in blocks of rows
+    calls = {"stars_on_grid": 0, "value_extended": 0}
+    stars, extended = fsvie.stars_on_grid, DiscountSpec.value_extended
+
+    def counted_stars(*args):
+        calls["stars_on_grid"] += 1
+        return stars(*args)
+
+    def counted_extended(self, t):
+        calls["value_extended"] += 1
+        return extended(self, t)
+
+    monkeypatch.setattr(fsvie, "stars_on_grid", counted_stars)
+    monkeypatch.setattr(DiscountSpec, "value_extended", counted_extended)
+    field = march(m, p, lambda s: y0_values, zf, ens)
+    assert calls == {"stars_on_grid": 1, "value_extended": 1}
+    monkeypatch.undo()
+    np.testing.assert_array_equal(field.terminal, march(m, p, y0f, zf, ens).terminal)
+
+
+def test_batched_best_response_on_custom_callables(separable_setup):
+    m, p, sol = separable_setup
+    custom = dataclasses.replace(m, families=None)
+    ens = simulate(m, sol.effort, 2, 300, seed=11)
+    y0f, zf = separable_optimal_family(m, p, sol)
+    grid = ens.grid
+    z_diag = pointwise(zf, grid, grid)
+    batched = stars_on_grid(custom, grid[:-1], z_diag[:-1])
+    for j in (0, 1, 150, 299):
+        for got, want in zip(batched, stars_on_grid(custom, grid[j], z_diag[j])):
+            np.testing.assert_array_equal(got[j], want)
+    marched = march(custom, p, y0f, zf, ens)
+    swept, _ = picard_solve(custom, p, y0f, zf, ens)
+    np.testing.assert_array_equal(marched.terminal, swept.terminal)
+    np.testing.assert_array_equal(marched.diagonal, swept.diagonal)
 
 
 # ---------------------------------------------------------------------------
