@@ -254,6 +254,8 @@ def cmd_verify(args) -> int:
     n_grid = _positive_int(cfg, args, None, "grid_points", closed_form.DEFAULT_GRID_POINTS)
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 100_000)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
+    if args.threads is not None and args.threads < 1:
+        _fail_usage("threads must be positive")
     seed = _seed(cfg, args)
     perturb = _config_value(cfg, "perturb_constant_term", 0.0, float)
     antithetic = _config_value(cfg, "antithetic", False, _flag)
@@ -359,8 +361,7 @@ def cmd_check_constraint(args) -> int:
         y0_family, z_family = fsvie.s_constant_family(model, prefs, sol)
     else:
         _fail_usage(f"unknown family {family_name!r}")
-    ensemble = dynamics.simulate(model, sol.effort, n_paths, n_steps, seed,
-                                 threads=args.threads)
+    ensemble = dynamics.simulate(model, sol.effort, n_paths, n_steps, seed)
     field = fsvie.march(model, prefs, y0_family, z_family, ensemble)
     residuals = fsvie.target_constraint_residual(field, prefs)
     worst = float(np.max(residuals))
@@ -388,7 +389,7 @@ _FLAGS = {
     "tol": (float, "pass threshold"),
 }
 _TABLE_FLAGS = ("config", "out", "steps")
-_MC_FLAGS = _TABLE_FLAGS + ("seed", "paths", "threads")
+_MC_FLAGS = _TABLE_FLAGS + ("seed", "paths")
 
 
 def _build_parser() -> _Parser:
@@ -398,7 +399,8 @@ def _build_parser() -> _Parser:
     for name, fn, flags, blurb in (
             ("discount", cmd_discount, _TABLE_FLAGS, "tabulate discount curves and their rates"),
             ("solve", cmd_solve, _TABLE_FLAGS, "solve a contracting problem in closed form"),
-            ("verify", cmd_verify, _MC_FLAGS, "Monte Carlo verification of a solved contract"),
+            ("verify", cmd_verify, _MC_FLAGS + ("threads",),
+             "Monte Carlo verification of a solved contract"),
             ("figures", cmd_figures, _TABLE_FLAGS,
              "effort/discount tables behind the headline figures"),
             ("check-constraint", cmd_check_constraint, _MC_FLAGS + ("tol",),

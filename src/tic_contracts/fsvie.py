@@ -17,6 +17,11 @@ so one batched best response over the grid serves the whole solve; the
 exponential regimes' action reads each path's diagonal value and is
 solved per step.  The stochastic integral uses each path's own
 increments, so Volterra and Monte Carlo checks share noise.
+For a separable :class:`ProductFamily` z(s, t) = a(s) b(t), as both
+shipped families are, Y^s_T = y0(s) + a(s) sum_j b_j (dX_j - lam_j dt)
++ dt sum_j f(t_j - s) cost_j: one cumulative sum per path and one
+convolution of the cost with the lag table (its negative lags for the
+diagonal), with no step loop.
 :func:`picard_solve` iterates the same scheme to its fixed point: the
 contraction diagnostic, and the reference the march is tested against.
 
@@ -29,6 +34,7 @@ step size; an inadmissible one leaves an O(1) residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,21 +77,52 @@ def _initial_rows(prefs: Preferences, y0_family, ensemble: PathEnsemble):
     return grid, float(grid[1] - grid[0]), pointwise(y0_family, grid)
 
 
+def _lag_table(prefs: Preferences, n: int, dt: float):
+    """f(m dt) for m = n-1 down to -n (extended where m < 0; checked once)."""
+    return prefs.discount.value_extended(np.arange(n - 1, -n - 1, -1) * dt)
+
+
 def _lag_weights(prefs: Preferences, n: int, dt: float):
     """(n, n+1) weights w[j, i] = f(t_j - s_i) for the n step times t_j and
     the rows s_i; None for discounted_utility, whose cost the discount
     does not weigh.
 
     On the uniform grid f(t_j - s_i) depends only on the lag j - i, so the
-    curve is evaluated once, on the 2n lags m dt, m in [-n, n) (its
-    analytic extension where m < 0, domain checked once).  The table runs
-    from the largest lag down, so every row is a window of it read
-    forward: a view, no (n, n+1) array.
+    curve is evaluated once, on the lag table.  The table runs from the
+    largest lag down, so every row is a window of it read forward: a view,
+    no (n, n+1) array.
     """
     if prefs.spec_tag == "discounted_utility":
         return None
-    table = prefs.discount.value_extended(np.arange(n - 1, -n - 1, -1) * dt)
-    return sliding_window_view(table, n + 1)[::-1]
+    return sliding_window_view(_lag_table(prefs, n, dt), n + 1)[::-1]
+
+
+@dataclass(frozen=True)
+class ProductFamily:
+    """An exposure family z(s, t) = s_factor(s) * t_factor(t), callable as
+    z(s, t); :func:`march` sums a separable field of one in closed form."""
+
+    s_factor: Callable
+    t_factor: Callable
+
+    def __call__(self, s, t):
+        return self.s_factor(s) * self.t_factor(t)
+
+
+def _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost, z_diag):
+    """The separable field of a ProductFamily: a (paths, steps) cumulative
+    sum, and the cost convolved with the lag table (see the module doc)."""
+    n = grid.size - 1
+    a = pointwise(z_family.s_factor, grid)
+    path = np.cumsum(pointwise(z_family.t_factor, grid[:-1]) * (dx - lam * dt), axis=1)
+    table = _lag_table(prefs, n, dt)
+    terminal = y0 + a * path[:, -1:] + dt * np.convolve(table, cost, "valid")
+    diagonal = np.empty_like(terminal)
+    diagonal[:, 0] = y0[0]
+    diagonal[:, 1:] = y0[1:] + a[1:] * path + dt * np.convolve(cost, table[n:])[:n]
+    diagonal[:, -1] = terminal[:, -1]
+    return VolterraField(grid=grid.copy(), terminal=terminal, diagonal=diagonal,
+                         z_diag=z_diag, spec_tag=prefs.spec_tag)
 
 
 def _separable_drift(lam, cost, z, w, dt, out=None):
@@ -127,17 +164,20 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     formed; each step then does the same arithmetic as one Picard sweep's
     column.  The separable generator does not read Y: its action depends
     on the diagonal exposures alone, so one batched best response serves
-    the whole march, and each tile's drift is formed before its steps.
+    the whole march, and each tile's drift is formed before its steps; a
+    :class:`ProductFamily` skips the steps for one closed sum per row.
     """
     grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
     dx = ensemble.increments
     n = grid.size - 1
     z_diag = pointwise(z_family, grid, grid)
-    weights = _lag_weights(prefs, n, dt)
     separable = prefs.spec_tag == "separable_rn"
     if separable:
         lam, cost, _ = stars_on_grid(model, grid[:-1], z_diag[:-1])
+        if isinstance(z_family, ProductFamily):
+            return _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost, z_diag)
         ddt = np.empty((min(TILE, n), grid.size))
+    weights = _lag_weights(prefs, n, dt)
     diagonal = np.empty((ensemble.n_paths, grid.size))
     # summing the increments apart from y0, as the Picard sweep does, gives
     # its field bit for bit when the generator does not read Y (separable_rn)
@@ -268,9 +308,9 @@ def diagonal_bsde_check(field: VolterraField, model: MarketModel, prefs: Prefere
 def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
     """(y0_family, z_family) carrying the solved separable contract.
 
-    The exposure family is Z^s_t = f(T-s) * loading(t); the initial row
-    values correct the discounted reservation profile by the s-shift
-    integral of the equilibrium cost.
+    The exposure family is the product Z^s_t = f(T-s) * loading(t); the
+    initial row values correct the discounted reservation profile by the
+    s-shift integral of the equilibrium cost.
     """
     f = prefs.discount
     T = model.horizon
@@ -293,10 +333,8 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
         out = ratio * prefs.r0 - integ
         return float(out[0]) if np.isscalar(s_values) else out
 
-    def z_family(s, t):
-        return np.asarray(f.value(T - np.asarray(s, dtype=float))) * solution.loading(t)
-
-    return y0_family, z_family
+    return y0_family, ProductFamily(lambda s: np.asarray(f.value(T - np.asarray(s, dtype=float))),
+                                    solution.loading)
 
 
 def s_constant_family(model: MarketModel, prefs: Preferences, solution):
@@ -309,9 +347,8 @@ def s_constant_family(model: MarketModel, prefs: Preferences, solution):
     f = prefs.discount
     T = model.horizon
 
-    def z_family(s, t):
+    def t_factor(t):
         t = np.asarray(t, dtype=float)
-        return solution.loading(t) * np.asarray(f.value(T - t)) \
-            * np.ones_like(np.asarray(s, dtype=float))
+        return solution.loading(t) * np.asarray(f.value(T - t))
 
-    return y0_family, z_family
+    return y0_family, ProductFamily(np.ones_like, t_factor)

@@ -367,6 +367,19 @@ class TestCheckConstraint:
         assert code == 0, stderr
         assert max_rss_kb < 80 * 1024
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads ru_maxrss in kilobytes, as Linux reports it")
+    def test_product_family_march_stays_below_64_mb(self, tmp_path):
+        # 2 paths x 20000 steps: the optimal family's closed sums hold
+        # (paths, steps) arrays and a lag table; one (steps, steps)
+        # temporary would be 3.2 GB
+        cfg = os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")
+        code, max_rss_kb, stderr = peak_rss_kb(
+            ["check-constraint", "--config", cfg, "--out", str(tmp_path),
+             "--steps", "20000", "--paths", "2"])
+        assert code == 0, stderr
+        assert max_rss_kb < 64 * 1024
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
@@ -396,6 +409,19 @@ class TestUsageErrors:
         assert main(["discount", "--out", str(tmp_path), "--steps", "0"]) == 1
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_exits_1(self, tmp_path, capsys, monkeypatch, threads):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify started work")
+
+        monkeypatch.setattr(cli.closed_form, "solve", no_work)
+        cfg = write_config(tmp_path, SEPARABLE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "10",
+                     "--steps", "10", "--threads", threads]) == 1
+        assert capsys.readouterr().err == "error: threads must be positive\n"
+        assert not out.exists()
+
     def test_unknown_family_name(self, tmp_path, capsys):
         bumped = json.loads(json.dumps(SEPARABLE_CONFIG))
         bumped["family"] = "sideways"
@@ -409,7 +435,8 @@ _RUN_FLAGS = {"--seed": "3", "--paths": "9", "--threads": "1", "--tol": "0.5"}
 _UNREAD_FLAGS = [(command, flag) for command, read in (
     ("discount", ()), ("solve", ()), ("figures", ()),
     ("verify", ("--seed", "--paths", "--threads")),
-    ("check-constraint", tuple(_RUN_FLAGS))) for flag in _RUN_FLAGS if flag not in read]
+    ("check-constraint", ("--seed", "--paths", "--tol")))
+    for flag in _RUN_FLAGS if flag not in read]
 
 
 class TestUnreadFlags:

@@ -63,6 +63,11 @@ def _proportional_family(disc, horizon, scale, level):
     return y0, zf
 
 
+def _plain(zf):
+    """The family as a plain callable, so that march takes its tiled route."""
+    return lambda s, t: zf(s, t)
+
+
 @pytest.fixture(scope="module")
 def separable_setup():
     m = MarketModel.quadratic(0.1, 2.0, 1.0)
@@ -258,9 +263,10 @@ def test_march_does_not_depend_on_the_tiling(separable_setup, monkeypatch):
     # 300 steps: a multiple of neither 7 nor the default tile
     assert 300 % 7 and 300 % fsvie.TILE
     ens = simulate(m, sol.effort, 2, 300, seed=11)
+    (y0f, zf), (y0c, zc) = separable_optimal_family(m, p, sol), s_constant_family(m, p, sol)
     cases = [
-        (p, separable_optimal_family(m, p, sol)),
-        (p, s_constant_family(m, p, sol)),
+        (p, (y0f, _plain(zf))),
+        (p, (y0c, _plain(zc))),
         (_cara(1.0, 0.5, -0.8, HYP, "discounted_utility"),
          _proportional_family(HYP, 2.0, 0.05, -0.5)),
         (_cara(0.5, 0.5, -0.8, HYP, "discounted_income"),
@@ -289,9 +295,12 @@ def test_initial_profile_blocks_match_single_rows(separable_setup):
 def test_march_reproduces_the_picard_fixed_point(separable_setup):
     m, p, sol = separable_setup
     ens = simulate(m, sol.effort, 2, 300, seed=11)
+    (y0f, zf), (y0c, zc) = separable_optimal_family(m, p, sol), s_constant_family(m, p, sol)
     cases = [
-        (p, separable_optimal_family(m, p, sol)),
-        (p, s_constant_family(m, p, sol)),
+        (p, (y0f, _plain(zf))),
+        (p, (y0c, _plain(zc))),
+        (p, (y0f, zf)),
+        (p, (y0c, zc)),
         (_cara(1.0, 0.5, -0.8, HYP, "discounted_utility"),
          _proportional_family(HYP, 2.0, 0.05, -0.5)),
         (_cara(0.5, 0.5, -0.8, HYP, "discounted_income"),
@@ -303,8 +312,8 @@ def test_march_reproduces_the_picard_fixed_point(separable_setup):
         assert marched.spec_tag == prefs.spec_tag
         np.testing.assert_array_equal(marched.grid, swept.grid)
         np.testing.assert_array_equal(marched.z_diag, swept.z_diag)
-        if prefs.spec_tag == "separable_rn":
-            # the drift does not read Y: the march sums the sweep's
+        if prefs.spec_tag == "separable_rn" and not isinstance(zf, fsvie.ProductFamily):
+            # the drift does not read Y: the tiled march sums the sweep's
             # increments in the sweep's order
             np.testing.assert_array_equal(marched.terminal, swept.terminal)
             np.testing.assert_array_equal(marched.diagonal, swept.diagonal)
@@ -383,10 +392,15 @@ def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
 
     monkeypatch.setattr(fsvie, "stars_on_grid", counted_stars)
     monkeypatch.setattr(DiscountSpec, "value_extended", counted_extended)
-    field = march(m, p, lambda s: y0_values, zf, ens)
-    assert calls == {"stars_on_grid": 1, "value_extended": 1}
+    fields = []
+    for family in (zf, _plain(zf)):
+        fields.append(march(m, p, lambda s: y0_values, family, ens))
+        assert calls == {"stars_on_grid": 1, "value_extended": 1}
+        calls.update(stars_on_grid=0, value_extended=0)
     monkeypatch.undo()
-    np.testing.assert_array_equal(field.terminal, march(m, p, y0f, zf, ens).terminal)
+    np.testing.assert_array_equal(fields[0].terminal, march(m, p, y0f, zf, ens).terminal)
+    np.testing.assert_array_equal(fields[1].terminal,
+                                  march(m, p, y0f, _plain(zf), ens).terminal)
 
 
 def test_batched_best_response_on_custom_callables(separable_setup):
@@ -400,10 +414,52 @@ def test_batched_best_response_on_custom_callables(separable_setup):
     for j in (0, 1, 150, 299):
         for got, want in zip(batched, stars_on_grid(custom, grid[j], z_diag[j])):
             np.testing.assert_array_equal(got[j], want)
-    marched = march(custom, p, y0f, zf, ens)
+    marched = march(custom, p, y0f, _plain(zf), ens)
     swept, _ = picard_solve(custom, p, y0f, zf, ens)
     np.testing.assert_array_equal(marched.terminal, swept.terminal)
     np.testing.assert_array_equal(marched.diagonal, swept.diagonal)
+    summed = march(custom, p, y0f, zf, ens)
+    np.testing.assert_allclose(summed.terminal, swept.terminal, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(summed.diagonal, swept.diagonal, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 300])
+def test_product_route_matches_the_tiled_march(separable_setup, steps):
+    m, p, sol = separable_setup
+    ens = simulate(m, sol.effort, 3, steps, seed=11)
+    for y0f, zf in (separable_optimal_family(m, p, sol), s_constant_family(m, p, sol)):
+        assert isinstance(zf, fsvie.ProductFamily)
+        summed = march(m, p, y0f, zf, ens)
+        tiled = march(m, p, y0f, _plain(zf), ens)
+        np.testing.assert_array_equal(summed.grid, tiled.grid)
+        np.testing.assert_array_equal(summed.z_diag, tiled.z_diag)
+        np.testing.assert_allclose(summed.terminal, tiled.terminal, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(summed.diagonal, tiled.diagonal, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(summed.diagonal[:, 0], tiled.diagonal[:, 0])
+        np.testing.assert_array_equal(summed.diagonal[:, -1], summed.terminal[:, -1])
+
+
+def test_product_families_keep_the_closure_formulas(separable_setup):
+    m, p, sol = separable_setup
+    f, T = p.discount, m.horizon
+
+    def optimal(s, t):
+        return np.asarray(f.value(T - np.asarray(s, dtype=float))) * sol.loading(t)
+
+    def s_constant(s, t):
+        t = np.asarray(t, dtype=float)
+        return sol.loading(t) * np.asarray(f.value(T - t)) \
+            * np.ones_like(np.asarray(s, dtype=float))
+
+    s_col = np.linspace(0.0, T, 37)[:, None]
+    t_row = np.linspace(0.0, T, 53)
+    for (_, zf), want in ((separable_optimal_family(m, p, sol), optimal),
+                          (s_constant_family(m, p, sol), s_constant)):
+        got = zf(s_col, t_row)
+        assert got.shape == (37, 53)
+        np.testing.assert_array_equal(got, want(s_col, t_row))
+        np.testing.assert_array_equal(zf(t_row, t_row), want(t_row, t_row))
+        assert zf(0.3, 1.7) == want(0.3, 1.7)
 
 
 # ---------------------------------------------------------------------------
