@@ -4,71 +4,42 @@ Closed-form solvers for the principal's problem against a sophisticated
 time-inconsistent agent, Monte Carlo verification of the solved
 contracts, and forward Volterra machinery for the admissibility
 constraint that ties the time-indexed value processes together.
+
+The namespace is lazy (PEP 562): each public name imports its submodule
+on first access, so ``import tic_contracts.cli`` loads the closed-form
+solvers but not the Monte Carlo (``dynamics``) or Volterra (``fsvie``)
+modules.  The thread pool is imported only by a multi-threaded path
+fill, in ``dynamics._normal_rows``.
 """
 
-from .closed_form import ContractSolution, default_grid, solve
-from .discounting import DiscountSpec
-from .dynamics import (
-    McEstimate,
-    PathEnsemble,
-    agent_value_mc,
-    contract_payoff,
-    delta_correction_check,
-    principal_value_mc,
-    simulate,
-    spike_deviation_check,
-    verify_contract,
-)
-from .fsvie import (
-    ConvergenceError,
-    VolterraField,
-    diagonal_bsde_check,
-    march,
-    picard_solve,
-    s_constant_family,
-    separable_optimal_family,
-    target_constraint_residual,
-)
-from .hamiltonian import HamiltonianResult, maximize, search_max
-from .model import (
-    InfeasibleError,
-    MarketModel,
-    Preferences,
-    UnboundedLoadingError,
-    validate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContractSolution",
-    "ConvergenceError",
-    "DiscountSpec",
-    "HamiltonianResult",
-    "InfeasibleError",
-    "MarketModel",
-    "McEstimate",
-    "PathEnsemble",
-    "Preferences",
-    "UnboundedLoadingError",
-    "VolterraField",
-    "agent_value_mc",
-    "contract_payoff",
-    "default_grid",
-    "delta_correction_check",
-    "diagonal_bsde_check",
-    "march",
-    "maximize",
-    "picard_solve",
-    "principal_value_mc",
-    "s_constant_family",
-    "search_max",
-    "separable_optimal_family",
-    "simulate",
-    "solve",
-    "spike_deviation_check",
-    "target_constraint_residual",
-    "validate",
-    "verify_contract",
-    "__version__",
-]
+_EXPORTS = {
+    "closed_form": ("ContractSolution", "default_grid", "solve"),
+    "discounting": ("DiscountSpec",),
+    "dynamics": ("McEstimate", "PathEnsemble", "agent_value_mc", "contract_payoff",
+                 "delta_correction_check", "principal_value_mc", "simulate",
+                 "spike_deviation_check", "verify_contract"),
+    "fsvie": ("ConvergenceError", "VolterraField", "diagonal_bsde_check", "march",
+              "picard_solve", "s_constant_family", "separable_optimal_family",
+              "target_constraint_residual"),
+    "hamiltonian": ("HamiltonianResult", "maximize", "search_max"),
+    "model": ("InfeasibleError", "MarketModel", "Preferences", "UnboundedLoadingError",
+              "validate"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_SUBMODULE), "__version__"]
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -17,7 +17,9 @@ import sys
 
 import numpy as np
 
-from . import closed_form, dynamics, fsvie
+# dynamics and fsvie load inside the subcommands that run them, so the
+# closed-form jobs pay no import for the Monte Carlo or Volterra code
+from . import closed_form
 from .discounting import DiscountSpec
 from .model import MarketModel, Preferences, UnboundedLoadingError, validate
 
@@ -94,8 +96,9 @@ def _ensure_outdir(path):
 
 
 def _write_json(path, payload):
-    # strict JSON: a NaN or infinity raises ValueError before the file opens
-    text = json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False)
+    # strict JSON: a NaN or infinity raises ValueError before the file opens;
+    # np.float64 is a float and encodes as one, other numpy values meet _plain
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_plain)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -249,6 +252,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import dynamics
+
     cfg = _load_config(args.config)
     model, prefs = _build_problem(cfg)
     n_grid = _positive_int(cfg, args, None, "grid_points", closed_form.DEFAULT_GRID_POINTS)
@@ -289,21 +294,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
-def _panel_rows(specs, horizon, points):
-    """f, idr and equilibrium effort columns for one panel."""
+def _panel_rows(specs, horizon, points, efforts):
+    """f, idr and equilibrium effort columns for one panel; efforts maps
+    each curve already solved in this run to its effort column."""
     t = np.linspace(0.0, horizon, points)
     header = ["t"]
     columns = [t]
     for label, spec in specs:
-        model = MarketModel.quadratic(0.0, horizon, 1.0, action=(0.0, 10.0))
-        prefs = Preferences(
-            agent_utility="risk_neutral", principal_utility="risk_neutral",
-            gamma_a=0.0, gamma_p=0.0, r0=0.0, discount=spec,
-            spec_tag="separable_rn")
-        sol = closed_form.solve(model, prefs, closed_form.default_grid(horizon, points))
+        if spec not in efforts:
+            model = MarketModel.quadratic(0.0, horizon, 1.0, action=(0.0, 10.0))
+            prefs = Preferences(
+                agent_utility="risk_neutral", principal_utility="risk_neutral",
+                gamma_a=0.0, gamma_p=0.0, r0=0.0, discount=spec,
+                spec_tag="separable_rn")
+            sol = closed_form.solve(model, prefs, closed_form.default_grid(horizon, points))
+            efforts[spec] = np.asarray(sol.effort(t))
         header += [f"f_{label}", f"idr_{label}", f"effort_{label}"]
-        columns += [np.asarray(spec.value(t)), np.asarray(spec.idr(t)),
-                    np.asarray(sol.effort(t))]
+        columns += [np.asarray(spec.value(t)), np.asarray(spec.idr(t)), efforts[spec]]
     return header, columns
 
 
@@ -330,8 +337,9 @@ def cmd_figures(args) -> int:
                            for l in lambdas],
     }
     outdir = _ensure_outdir(args.out)
+    efforts = {}  # the exponential base curve sits in every panel
     for panel, specs in panels.items():
-        header, columns = _panel_rows(specs, horizon, points)
+        header, columns = _panel_rows(specs, horizon, points, efforts)
         path = os.path.join(outdir, f"effort_{panel}.csv")
         _write_csv(path, header, columns)
         print(path)
@@ -339,6 +347,8 @@ def cmd_figures(args) -> int:
 
 
 def cmd_check_constraint(args) -> int:
+    from . import dynamics, fsvie
+
     cfg = _load_config(args.config)
     model, prefs = _build_problem(cfg)
     if prefs.spec_tag != "separable_rn":

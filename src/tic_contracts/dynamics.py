@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -70,9 +69,12 @@ class PathEnsemble:
 
 def _thread_count(threads: Optional[int]) -> int:
     """Worker threads for the RNG fill: the flag, else one; never more
-    than the machine's CPUs (asked only for a count above one)."""
+    than the machine's CPUs (asked only for a count above one).  A count
+    below one raises ValueError."""
     count = 1 if threads is None else int(threads)
-    return 1 if count <= 1 else min(count, os.cpu_count() or 1)
+    if count < 1:
+        raise ValueError("threads must be positive")
+    return 1 if count == 1 else min(count, os.cpu_count() or 1)
 
 
 def _effort_fn(effort) -> Callable[[float], float]:
@@ -90,7 +92,9 @@ def _normal_rows(out: np.ndarray, seed: int, first_key: int, threads: int):
     row (key (seed, first_key + p), counter 0, empty buffer), which draws
     the same numbers as a new Generator(Philox(key=[seed, first_key + p]))
     without building one per row.  The seed keys as Philox's constructor
-    reads it: modulo 2**64, so -1 keys as 2**64 - 1.
+    reads it: modulo 2**64, so -1 keys as 2**64 - 1.  The thread pool is
+    imported here, and only when more than one thread fills, so a
+    one-thread run never loads concurrent.futures.
     """
     seed_word = int(seed) % 2**64
 
@@ -109,6 +113,8 @@ def _normal_rows(out: np.ndarray, seed: int, first_key: int, threads: int):
     if threads <= 1 or n < 2 * threads:
         fill(0, n)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = np.linspace(0, n, threads + 1).astype(int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fill, bounds[i], bounds[i + 1]) for i in range(threads)]

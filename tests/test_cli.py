@@ -161,11 +161,47 @@ class TestSolve:
         assert "reservation utility must be negative" in err["error"]
 
 
+def _fresh_python(*args):
+    """Run a fresh interpreter on this checkout's package; returns the finished run."""
+    src = os.path.dirname(os.path.dirname(tic_contracts.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=True)
+
+
+class TestImportGraph:
+    LAZY = ("tic_contracts.dynamics", "tic_contracts.fsvie", "concurrent.futures")
+
+    def test_cli_import_loads_only_the_solvers(self):
+        code = f"import sys, tic_contracts.cli; print([m for m in {self.LAZY} if m in sys.modules])"
+        assert _fresh_python("-c", code).stdout.strip() == "[]"
+
+    def test_one_thread_verify_starts_no_pool_module(self, tmp_path):
+        cfg = write_config(tmp_path, SEPARABLE_CONFIG)
+        code = ("import sys\n"
+                "from tic_contracts import cli\n"
+                f"rc = cli.main(['verify', '--config', {cfg!r}, '--out', {str(tmp_path)!r}, "
+                "'--paths', '64', '--steps', '20', '--threads', '1'])\n"
+                "print(rc in (0, 3), 'concurrent.futures' in sys.modules)")
+        assert _fresh_python("-c", code).stdout.split("\n")[-2] == "True False"
+
+    def test_namespace_resolves_every_public_name(self):
+        namespace = {}
+        exec("from tic_contracts import *", namespace)
+        for name in tic_contracts.__all__:
+            value = getattr(tic_contracts, name)
+            assert namespace[name] is value
+            if name != "__version__":
+                assert getattr(sys.modules[value.__module__], name) is value
+        assert tic_contracts.simulate is tic_contracts.dynamics.simulate
+        assert tic_contracts.march is tic_contracts.fsvie.march
+        assert set(tic_contracts.__all__) <= set(dir(tic_contracts))
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            tic_contracts.nothing
+
+
 def peak_rss_kb(cli_args):
     """Run the CLI in a fresh interpreter: (exit code, peak RSS in kB, stderr)."""
-    src = os.path.dirname(os.path.dirname(tic_contracts.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     # a child started from this test process counts the test process's
     # own peak in its ru_maxrss, so a small interpreter starts the command
     # and reports the command's peak
@@ -173,9 +209,7 @@ def peak_rss_kb(cli_args):
               "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
               "_, status, usage = os.wait4(p.pid, 0); "
               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-    run = subprocess.run(
-        [sys.executable, "-c", reaper, sys.executable, "-m", "tic_contracts.cli", *cli_args],
-        env=env, capture_output=True, text=True, check=True)
+    run = _fresh_python("-c", reaper, sys.executable, "-m", "tic_contracts.cli", *cli_args)
     code, max_rss_kb = (int(v) for v in run.stdout.split())
     return code, max_rss_kb, run.stderr
 
@@ -302,6 +336,19 @@ class TestFigures:
         header, _ = panels["center"]
         for b in (0.1, 0.19, 0.343, 0.569):
             assert f"effort_beta_{b:g}" in header
+
+    def test_each_curve_is_solved_once(self, tmp_path, monkeypatch):
+        # the exponential base curve sits in all three panels: 13 distinct curves
+        curves = []
+        solve = cli.closed_form.solve
+
+        def counted(model, prefs, grid=None):
+            curves.append(prefs.discount)
+            return solve(model, prefs, grid)
+
+        monkeypatch.setattr(cli.closed_form, "solve", counted)
+        assert main(["figures", "--out", str(tmp_path), "--steps", "41"]) == 0
+        assert len(curves) == len(set(curves)) == 13
 
 
 class TestCheckConstraint:
@@ -492,9 +539,23 @@ class TestBadNumbers:
 
     def test_json_writer_is_strict(self, tmp_path):
         path = tmp_path / "report.json"
-        with pytest.raises(ValueError):
-            cli._write_json(str(path), {"mean": float("nan")})
-        assert not path.exists()
+        for nan in (float("nan"), np.float32("nan"), np.array([1.0, np.inf])):
+            with pytest.raises(ValueError):
+                cli._write_json(str(path), {"ok": 1.0, "row": [{"mean": nan}]})
+            assert not path.exists()
+
+    def test_json_writer_bytes_equal_the_plain_payload(self, tmp_path):
+        payload = {
+            "f64": np.float64(0.1) / 3, "f32": np.float32(0.1), "i64": np.int64(-7),
+            "flag": np.bool_(True), "plain": [True, None, 2, 1e-300, "x"],
+            "grid": np.linspace(0.0, 1.0, 7), "ints": np.arange(3),
+            "nested": (np.array([[np.float64(0.5), 2.0]]), {"b": np.bool_(False)}),
+            "tuple": (np.float64(2.0), np.int64(3), (np.float32(0.25),)),
+        }
+        path = tmp_path / "payload.json"
+        cli._write_json(str(path), payload)
+        want = json.dumps(cli._plain(payload), indent=2, sort_keys=True, allow_nan=False)
+        assert path.read_bytes() == (want + "\n").encode("utf-8")
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

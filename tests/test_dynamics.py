@@ -132,9 +132,21 @@ def test_thread_count_is_capped_at_the_cpu_count():
     cpus = os.cpu_count() or 1
     before = threading.active_count()
     assert _thread_count(10**9) == cpus
-    assert _thread_count(0) == 1
+    assert _thread_count(1) == 1
     assert _thread_count(None) == 1
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be positive"):
+            _thread_count(threads)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_nonpositive_thread_counts_are_refused(separable, threads):
+    m, p, sol = separable
+    with pytest.raises(ValueError, match="threads must be positive"):
+        simulate(m, 0.5, 4, 8, seed=1, threads=threads)
+    with pytest.raises(ValueError, match="threads must be positive"):
+        verify_contract(m, p, sol, n_paths=8, n_steps=8, seed=1, threads=threads)
 
 
 def test_terminal_moments_match_the_gaussian_law():
