@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -69,6 +70,8 @@ def _fail_infeasible(problems):
 
 
 def _plain(obj):
+    """obj with numpy values and tuples made plain Python, for JSON; raises
+    TypeError for what JSON cannot hold, as a json `default` hook must."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -81,7 +84,9 @@ def _plain(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(obj)
-    return obj
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _ensure_outdir(path):
@@ -95,21 +100,49 @@ def _ensure_outdir(path):
     return path
 
 
+def _json_text(obj, indent=""):
+    """The text of json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+    default=_plain) at the given indent.  json indents in pure Python; here
+    a list of floats is one join, and scalars and empty containers, which
+    the compact C encoder spells alike, go through it."""
+    if isinstance(obj, np.ndarray):
+        obj = _plain(obj)
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return json.dumps(obj, allow_nan=False, default=_plain)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        items = []
+        for key, value in sorted(obj.items()):
+            if not (key is None or isinstance(key, (str, int, float))):
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            name = key if isinstance(key, str) else json.dumps(key, allow_nan=False)
+            items.append(encode_basestring_ascii(name) + ": " + _json_text(value, inner))
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    try:  # the repr of a finite float has no "n"
+        text = sep.join(map(float.__repr__, obj))
+    except TypeError:  # not all floats
+        text = "n"
+    if "n" in text:
+        text = sep.join(_json_text(value, inner) for value in obj)
+    return "[\n" + inner + text + "\n" + indent + "]"
+
+
 def _write_json(path, payload):
-    # strict JSON: a NaN or infinity raises ValueError before the file opens;
-    # np.float64 is a float and encodes as one, other numpy values meet _plain
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_plain)
+    # strict JSON: a NaN or infinity raises ValueError before the file opens
+    text = _json_text(payload)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
 def _write_csv(path, header, columns):
-    rows = zip(*columns)
+    # csv writes a float as its repr
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(zip(*columns))
 
 
 def _non_finite(value, where):
@@ -294,32 +327,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
-def _panel_rows(specs, horizon, points, efforts):
-    """f, idr and equilibrium effort columns for one panel; efforts maps
-    each curve already solved in this run to its effort column."""
-    t = np.linspace(0.0, horizon, points)
-    header = ["t"]
-    columns = [t]
-    for label, spec in specs:
-        if spec not in efforts:
-            model = MarketModel.quadratic(0.0, horizon, 1.0, action=(0.0, 10.0))
-            prefs = Preferences(
-                agent_utility="risk_neutral", principal_utility="risk_neutral",
-                gamma_a=0.0, gamma_p=0.0, r0=0.0, discount=spec,
-                spec_tag="separable_rn")
-            sol = closed_form.solve(model, prefs, closed_form.default_grid(horizon, points))
-            efforts[spec] = np.asarray(sol.effort(t))
-        header += [f"f_{label}", f"idr_{label}", f"effort_{label}"]
-        columns += [np.asarray(spec.value(t)), np.asarray(spec.idr(t)), efforts[spec]]
-    return header, columns
-
-
 def cmd_figures(args) -> int:
     cfg = _load_config(args.config)
     horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, float)
     if horizon <= 0.0:
         _fail_usage("horizon must be positive")
     points = _positive_int(cfg, args, "steps", "points", 501)
+    if points < 3:
+        _fail_usage("points must be at least 3")
     gamma = _config_value(cfg, "gamma", FIGURE2_GAMMA, float)
     alphas = _config_value(cfg, "alphas", FIGURE2_ALPHAS, _numbers)
     betas = _config_value(cfg, "betas", FIGURE2_BETAS, _numbers)
@@ -336,11 +351,25 @@ def cmd_figures(args) -> int:
         "right": [base] + [(f"lambda_{l:g}", DiscountSpec.quasi_hyperbolic(gamma, beta_right, l))
                            for l in lambdas],
     }
-    outdir = _ensure_outdir(args.out)
-    efforts = {}  # the exponential base curve sits in every panel
+    # every curve is solved, once (the exponential base curve sits in every
+    # panel), in one batched search before any file is written
+    curves = list(dict.fromkeys(spec for specs in panels.values() for _, spec in specs))
+    model = MarketModel.quadratic(0.0, horizon, 1.0, action=(0.0, 10.0))
+    prefs = [Preferences(agent_utility="risk_neutral", principal_utility="risk_neutral",
+                         gamma_a=0.0, gamma_p=0.0, r0=0.0, discount=spec,
+                         spec_tag="separable_rn") for spec in curves]
+    t = closed_form.default_grid(horizon, points)
+    efforts = dict(zip(curves, closed_form.separable_efforts(model, prefs, t)))
+    tables = {}
     for panel, specs in panels.items():
-        header, columns = _panel_rows(specs, horizon, points, efforts)
-        path = os.path.join(outdir, f"effort_{panel}.csv")
+        header, columns = ["t"], [t]
+        for label, spec in specs:
+            header += [f"f_{label}", f"idr_{label}", f"effort_{label}"]
+            columns += [spec.value(t), spec.idr(t), efforts[spec]]
+        tables[f"effort_{panel}.csv"] = header, columns
+    outdir = _ensure_outdir(args.out)
+    for name, (header, columns) in tables.items():
+        path = os.path.join(outdir, name)
         _write_csv(path, header, columns)
         print(path)
     return EXIT_OK

@@ -11,6 +11,11 @@ ladder of candidates near zero resolves maxima narrower than the scan's
 cells; hamiltonian.search_max, the golden-section search with a parabolic
 polish that also finds the agent's action, finishes the point.
 
+The separable regime's search takes a stack of cost weights f(t)/f(T),
+one row per discount curve, and searches every (curve, t) row at once:
+:func:`solve` passes one row, :func:`separable_efforts` (behind the
+figure tables) one per curve, each row's result bit for bit its own.
+
 Values are integrated with composite Simpson on the solution grid; the
 default grid has 2001 points.
 """
@@ -313,6 +318,22 @@ def _discounted_utility(model: MarketModel, prefs: Preferences, grid):
     return y0_hat, const_adj, value_p, z_star, z_star.copy(), eff
 
 
+def _separable_z(model: MarketModel, grid, weights) -> np.ndarray:
+    """z* of the separable regime, shaped like weights: a (curves, points)
+    stack of cost weights f(t)/f(T).  One z_argmax_grid searches every
+    (curve, t) row; rows do not interact.  Long horizons make the maximum
+    a narrow bump of width ~ f(T)/f(t) beside the clamped-action plateau,
+    which the search's geometric ladder resolves."""
+    t_col = np.tile(grid, weights.shape[0])[:, None]
+    w_col = weights.reshape(-1, 1)
+
+    def objective(zs, r):
+        lam, cost, _ = stars_on_grid(model, t_col[r], zs)
+        return lam - w_col[r] * cost
+
+    return z_argmax_grid(objective, w_col.size)[0].reshape(weights.shape)
+
+
 def _separable_rn(model: MarketModel, prefs: Preferences, grid):
     """Risk-neutral agent and principal with discounted separable cost."""
     f = prefs.discount
@@ -321,18 +342,7 @@ def _separable_rn(model: MarketModel, prefs: Preferences, grid):
     f_t = np.asarray(f.value(grid), dtype=float)
     f_Tt = np.asarray(f.value(T - grid), dtype=float)
 
-    # one search over the whole grid; long horizons make the maximum a
-    # narrow bump of width ~ f(T)/f(t) beside the clamped-action plateau,
-    # which the search's geometric ladder resolves
-    t_col = grid[:, None]
-    w_col = (f_t / fT)[:, None]
-
-    def objective(zs, r):
-        lam, cost, _ = stars_on_grid(model, t_col[r], zs)
-        return lam - w_col[r] * cost
-
-    z_star, _ = z_argmax_grid(objective, grid.size)
-
+    z_star = _separable_z(model, grid, (f_t / fT)[None, :])[0]
     lam, cost, eff = stars_on_grid(model, grid, z_star)
     loading = z_star / f_Tt
     gain = lam - (f_t / fT) * cost
@@ -494,3 +504,26 @@ def solve(model: MarketModel, prefs: Preferences, grid=None) -> ContractSolution
         loading_values=loading,
         effort_values=effort,
     )
+
+
+def separable_efforts(model: MarketModel, prefs, grid=None) -> np.ndarray:
+    """Equilibrium effort of the separable regime for several discount curves.
+
+    prefs is a sequence of separable_rn Preferences on the one model.  Row
+    k of the returned (len(prefs), points) array equals
+    solve(model, prefs[k], grid).effort_values bit for bit, but all rows
+    come from one exposure search.  Raises as solve does, before any
+    search, for the first curve that fails validation.
+    """
+    for p in prefs:
+        if p.spec_tag != "separable_rn":
+            raise ValueError(f"separable_efforts solves separable_rn, not {p.spec_tag}")
+        problems = validate(model, p)
+        if problems:
+            raise ValueError("; ".join(problems))
+    grid = _solution_grid(model, grid)
+    weights = np.array([np.asarray(p.discount.value(grid), dtype=float)
+                        / float(p.discount.value(model.horizon)) for p in prefs])
+    z_star = _separable_z(model, grid, weights)
+    _, _, effort = stars_on_grid(model, np.tile(grid, len(prefs)), z_star.ravel())
+    return effort.reshape(z_star.shape)

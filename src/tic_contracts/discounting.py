@@ -88,7 +88,8 @@ class DiscountSpec:
             # f' = -gamma * (1 + alpha t)^(-gamma/alpha - 1)
             return -g * self._value_raw(t) / (1.0 + a * t)
         b, lam = self.beta, self.lam
-        return -(lam + g) * (1.0 - b) * np.exp(-t * (lam + g)) - g * b * np.exp(-g * t)
+        with np.errstate(over="ignore"):  # a huge rate times t: exp gives 0
+            return -(lam + g) * (1.0 - b) * np.exp(-t * (lam + g)) - g * b * np.exp(-g * t)
 
     def idr(self, t):
         """Instantaneous discount rate -f'(t)/f(t), from its own closed form.
@@ -113,8 +114,10 @@ class DiscountSpec:
             extra = np.zeros(np.shape(t)) if np.ndim(t) else 0.0
         else:
             # lam (1-b) / ((1-b) + b e^{t lam}), rearranged with e^{-t lam}
-            # so the denominator never overflows.
-            decay = np.exp(-lam * np.asarray(t, dtype=float)) if np.ndim(t) else math.exp(-lam * t)
+            # so the denominator never overflows; a huge lam * t gives decay 0.
+            with np.errstate(over="ignore"):
+                decay = (np.exp(-lam * np.asarray(t, dtype=float)) if np.ndim(t)
+                         else math.exp(-lam * t))
             extra = lam * (1.0 - b) * decay / ((1.0 - b) * decay + b)
         return g + extra
 

@@ -2,13 +2,17 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tic_contracts
 from tic_contracts import cli
@@ -338,17 +342,66 @@ class TestFigures:
             assert f"effort_beta_{b:g}" in header
 
     def test_each_curve_is_solved_once(self, tmp_path, monkeypatch):
-        # the exponential base curve sits in all three panels: 13 distinct curves
-        curves = []
-        solve = cli.closed_form.solve
+        # the exponential base curve sits in all three panels: 13 distinct
+        # curves, all solved in one batched call and none through solve
+        calls = []
+        efforts = cli.closed_form.separable_efforts
 
         def counted(model, prefs, grid=None):
-            curves.append(prefs.discount)
-            return solve(model, prefs, grid)
+            calls.append([p.discount for p in prefs])
+            return efforts(model, prefs, grid)
 
-        monkeypatch.setattr(cli.closed_form, "solve", counted)
+        def refuse(*args, **kwargs):
+            raise AssertionError("figures called closed_form.solve")
+
+        monkeypatch.setattr(cli.closed_form, "separable_efforts", counted)
+        monkeypatch.setattr(cli.closed_form, "solve", refuse)
         assert main(["figures", "--out", str(tmp_path), "--steps", "41"]) == 0
-        assert len(curves) == len(set(curves)) == 13
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == 13
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_fewer_than_three_points_exit_1(self, tmp_path, capsys, monkeypatch, how):
+        def refuse(*args, **kwargs):
+            raise AssertionError("figures solved with too few points")
+
+        monkeypatch.setattr(cli.closed_form, "separable_efforts", refuse)
+        out = tmp_path / "out"
+        if how == "flag":
+            argv = ["figures", "--out", str(out), "--steps", "2"]
+        else:
+            argv = ["figures", "--out", str(out),
+                    "--config", write_config(tmp_path, {"points": 2})]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: points must be at least 3\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_a_failing_curve_writes_no_panel(self, tmp_path, capsys):
+        # the right panel's curve fails validation; the left and center
+        # panels, whose curves solve, must not be written either
+        cfg = write_config(tmp_path, {"beta": 0.0, "lambdas": [800.0]})
+        out = tmp_path / "out"
+        assert main(["figures", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "discount factor f(T) underflows to zero at the horizon" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("**/effort_*.csv"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_quasi_hyperbolic_rate_runs_quietly(self, tmp_path):
+        # exp(-lambda t) is 0 for t > 0; the overflow of lambda * t is no fault
+        cfg = write_config(tmp_path, {"lambda": 1e308})
+        assert main(["figures", "--config", cfg, "--out", str(tmp_path), "--steps", "41"]) == 0
+        _, cols = read_csv(tmp_path / "effort_center.csv")
+        assert cols["idr_beta_0.1"][0] == 0.0575 + 1e308 * 0.9
+        assert np.all(cols["idr_beta_0.1"][1:] == 0.0575)
+        curve = {"variant": "quasi_hyperbolic", "gamma": 0.1, "beta": 0.5, "lambda": 1e308}
+        cfg = write_config(tmp_path, {"discounts": [dict(curve, name="huge")]})
+        assert main(["discount", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, cols = read_csv(tmp_path / "discount_huge.csv")
+        assert np.all(np.isfinite(cols["idr"])) and np.all(cols["f"][1:] > 0.0)
 
 
 class TestCheckConstraint:
@@ -573,6 +626,102 @@ class TestBadNumbers:
         cfg = write_config(tmp_path, bad)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "principal value diverged" in _error_of(capsys)
+
+
+# floats json and csv must spell exactly: signed zero, the smallest
+# subnormal, the first integer-valued float printed with an exponent, and
+# values near the top of the range
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.7e308]))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                              np.float32(math.inf), np.array([1.0, -math.inf])])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), FINITE, st.text(max_size=6),
+    FINITE.map(np.float64), st.floats(width=32, allow_nan=False, allow_infinity=False)
+    .map(np.float32), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(FINITE, max_size=6), st.lists(FINITE, max_size=6).map(np.array),
+    st.lists(st.integers(-9, 9), max_size=4).map(np.array))
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24)
+
+
+@st.composite
+def holding(draw, leaf):
+    """A payload with leaf nested somewhere inside it."""
+    payload = leaf
+    for wrap in draw(st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=3)):
+        siblings = draw(st.lists(PAYLOADS, max_size=2))
+        if wrap == "dict":
+            payload = dict({f"k{i}": v for i, v in enumerate(siblings)},
+                           **{draw(st.text(max_size=4)): payload})
+        else:
+            items = siblings + [payload]
+            payload = items if wrap == "list" else tuple(items)
+    return payload
+
+
+def _json_dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=cli._plain)
+
+
+def _old_csv(path, header, columns):
+    # the per-field writer the bulk writer replaced
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+class TestWriters:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @example(payload=[{3: [1.5, 2.5], 2.5: ()}, {True: 1}, {None: 2}, {np.float64(0.5): 0},
+                      {"\u00e9\u2603": {}, "": [[], [0.5, -0.0]]}])
+    @example(payload=[1.0, 2, 3.0, True, "x", np.float32(0.1), np.int64(4)])
+    @example(payload=[np.float64(0.1), 5e-324, 1e16, 1.7e308, -0.0])
+    @given(payload=PAYLOADS)
+    def test_json_bytes_equal_json_dumps(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "payload.json")
+            cli._write_json(path, payload)
+            with open(path, "rb") as fh:
+                assert fh.read() == (_json_dumps(payload) + "\n").encode("utf-8")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(payload=NON_FINITE.flatmap(holding))
+    def test_json_non_finite_raises_before_the_file_opens(self, payload):
+        with pytest.raises(ValueError):
+            _json_dumps(payload)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "payload.json")
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli._write_json(path, payload)
+            assert not os.path.exists(path)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(payload=st.sampled_from([object(), 1j, {1, 2}, b"raw", np.complex128(1.0)])
+           .flatmap(holding))
+    def test_json_unconvertible_object_raises_type_error(self, payload):
+        with pytest.raises(TypeError):
+            _json_dumps(payload)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "payload.json")
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli._write_json(path, payload)
+            assert not os.path.exists(path)
+
+    def test_csv_bytes_equal_the_per_field_writer(self, tmp_path):
+        hostile = [0.0, -0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan]
+        columns = [np.array(hostile), list(reversed(hostile)), np.arange(7),
+                   [np.float64(v) for v in hostile]]
+        header = ["a", "b,c", "d", "e"]
+        cli._write_csv(str(tmp_path / "new.csv"), header, columns)
+        _old_csv(str(tmp_path / "old.csv"), header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestNegativeShiftDomain:

@@ -1,5 +1,5 @@
-"""Property tests of the command line on hostile `solve` and
-`check-constraint` configs.
+"""Property tests of the command line on hostile `solve`,
+`check-constraint` and `figures` configs.
 
 Whatever the config holds (non-finite or huge numbers, extreme horizons and
 curve parameters, cost exponents near 1 with large volatility, inverted or
@@ -198,3 +198,53 @@ def test_check_constraint_survives_hostile_configs(cfg):
         if os.path.exists(written):
             with open(written, encoding="utf-8") as fh:
                 _strict(fh.read())
+
+
+# a figures setting across the float range or between 0 and 1
+FIGURE_NUMBER = st.one_of(st.floats(0.0, 1.0), extreme(1e-300, 1e300))
+
+
+@st.composite
+def figure_configs(draw):
+    """A figures config whose settings and list entries are each absent,
+    extreme or (one time in eight) hostile, with at most 41 points."""
+    def hostile_or(good, bad=HOSTILE):
+        return draw(bad) if draw(st.sampled_from(range(8))) == 7 else draw(good)
+
+    cfg = {}
+    for key in ("horizon", "gamma", "lambda", "beta"):
+        if draw(st.booleans()):
+            cfg[key] = hostile_or(FIGURE_NUMBER)
+    for key in ("alphas", "betas", "lambdas"):
+        if draw(st.booleans()):
+            size = hostile_or(st.integers(0, 3), st.just(None))
+            cfg[key] = (draw(HOSTILE) if size is None
+                        else [hostile_or(FIGURE_NUMBER) for _ in range(size)])
+    # no 1e308 points: that grid is a memory error, not a config error
+    cfg["points"] = hostile_or(st.integers(3, 41), st.one_of(
+        WRONG_TYPES, st.sampled_from([2, 0, -1, math.nan, math.inf, 10 ** 400, 2.9, 41.5])))
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(cfg={"points": 2})
+@example(cfg={"points": 41, "lambda": 1e308})
+@example(cfg={"points": 41, "beta": 0.0, "lambdas": [800.0]})
+@given(cfg=figure_configs())
+def test_figures_survive_hostile_configs(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["figures", "--config", path, "--out", out])
+        assert code in (0, 1, 2)
+        written = sorted(os.listdir(out)) if os.path.isdir(out) else []
+        if code == 0:
+            assert written == ["effort_center.csv", "effort_left.csv", "effort_right.csv"]
+        else:
+            assert written == []
+

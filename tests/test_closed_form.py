@@ -24,8 +24,18 @@ from tic_contracts import (
     default_grid,
     solve,
 )
+from tic_contracts.cli import (
+    FIGURE2_ALPHAS,
+    FIGURE2_BETA_RIGHT,
+    FIGURE2_BETAS,
+    FIGURE2_GAMMA,
+    FIGURE2_LAMBDA,
+    FIGURE2_LAMBDAS,
+)
 from tic_contracts.closed_form import (
     DEFAULT_GRID_POINTS,
+    _separable_z,
+    separable_efforts,
     z_argmax,
     z_argmax_grid,
 )
@@ -168,6 +178,60 @@ def test_separable_survives_a_long_horizon_plateau():
     sol = solve(m, _rn(0.0, f, "separable_rn"), default_grid(50.0, 201))
     ref = float(f.value(50.0)) / np.asarray(f.value(sol.grid), dtype=float)
     assert np.max(np.abs(sol.z_star - ref)) < 1e-9
+
+
+def _assert_stack_equals_each_solve(m, curves, grid):
+    prefs = [_rn(0.0, f, "separable_rn") for f in curves]
+    weights = np.array([np.asarray(f.value(grid), dtype=float) / float(f.value(m.horizon))
+                        for f in curves])
+    z_rows = _separable_z(m, grid, weights)
+    effort_rows = separable_efforts(m, prefs, grid)
+    assert z_rows.shape == effort_rows.shape == (len(curves), grid.size)
+    for p, z, effort in zip(prefs, z_rows, effort_rows):
+        sol = solve(m, p, grid)
+        assert z.tobytes() == sol.z_star.tobytes()
+        assert effort.tobytes() == sol.effort_values.tobytes()
+
+
+FIGURE_CURVES = (
+    [DiscountSpec.exponential(FIGURE2_GAMMA)]
+    + [DiscountSpec.hyperbolic(FIGURE2_GAMMA, a) for a in FIGURE2_ALPHAS]
+    + [DiscountSpec.quasi_hyperbolic(FIGURE2_GAMMA, b, FIGURE2_LAMBDA) for b in FIGURE2_BETAS]
+    + [DiscountSpec.quasi_hyperbolic(FIGURE2_GAMMA, FIGURE2_BETA_RIGHT, lam)
+       for lam in FIGURE2_LAMBDAS])
+
+
+@pytest.mark.parametrize("points", [41, 151])
+def test_stacked_search_equals_each_figure_solve(points):
+    assert len(set(FIGURE_CURVES)) == 13
+    m = MarketModel.quadratic(0.0, 50.0, 1.0, action=(0.0, 10.0))
+    _assert_stack_equals_each_solve(m, FIGURE_CURVES, default_grid(50.0, points))
+
+
+def test_stacked_search_keeps_the_long_horizon_bump():
+    # the plateau setup above, stacked between curves without the bump
+    f = DiscountSpec.quasi_hyperbolic(0.0575, 0.1, 0.439)
+    m = MarketModel.quadratic(0.0, 50.0, 1.0)
+    grid = default_grid(50.0, 201)
+    curves = [DiscountSpec.exponential(0.0575), f, DiscountSpec.hyperbolic(1.0, 4.0)]
+    _assert_stack_equals_each_solve(m, curves, grid)
+    ref = float(f.value(50.0)) / np.asarray(f.value(grid), dtype=float)
+    weights = np.array([np.asarray(c.value(grid)) / float(c.value(50.0)) for c in curves])
+    assert np.max(np.abs(_separable_z(m, grid, weights)[1] - ref)) < 1e-9
+
+
+def test_stacked_efforts_refuse_what_solve_refuses():
+    m = MarketModel.quadratic(0.0, 50.0, 1.0)
+    ok = _rn(0.0, DiscountSpec.exponential(0.1), "separable_rn")
+    underflow = _rn(0.0, DiscountSpec.quasi_hyperbolic(0.0575, 0.0, 800.0), "separable_rn")
+    with pytest.raises(ValueError, match="underflows to zero") as caught:
+        separable_efforts(m, [ok, underflow])
+    with pytest.raises(ValueError) as alone:
+        solve(m, underflow)
+    assert str(caught.value) == str(alone.value)
+    with pytest.raises(ValueError, match="separable_rn"):
+        separable_efforts(m, [ok, _rn(0.0, DiscountSpec.exponential(0.1),
+                                      "first_best_separable")])
 
 
 @settings(max_examples=15, deadline=None)

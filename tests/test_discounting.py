@@ -108,6 +108,21 @@ def test_zero_gamma_is_flat():
         assert_allclose(spec.idr(t), 0.0, rtol=0, atol=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.569])
+def test_huge_quasi_rate_reaches_its_limits_quietly(beta):
+    # lambda * t overflows for t > 1, and exp(-inf) = 0 is the right limit
+    gamma, lam = 0.0575, 1e308
+    spec = DiscountSpec.quasi_hyperbolic(gamma, beta, lam)
+    t = np.linspace(0.0, 50.0, 11)
+    rate = spec.idr(t)
+    assert rate[0] == spec.idr(0.0) == gamma + lam * (1.0 - beta)
+    assert np.all(rate[1:] == gamma) and spec.idr(50.0) == gamma
+    slope = spec.derivative(t)
+    assert slope[0] == spec.derivative(0.0) == -(lam + gamma) * (1.0 - beta) - gamma * beta
+    assert np.array_equal(slope[1:], -gamma * beta * np.exp(-gamma * t[1:]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     gamma=st.floats(0.01, 3.0),
