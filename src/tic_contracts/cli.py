@@ -191,10 +191,26 @@ def _build_problem(cfg):
     return model, prefs
 
 
+def _integer(value):
+    """An int, or a float with an integral value; not a bool or a string."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not an integer")
+    return value
+
+
+def _number(value):
+    """An int or a float as a float; not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a number")
+    return float(value)
+
+
 def _numbers(values):
     if not isinstance(values, (list, tuple)):
         raise TypeError("not a list")
-    return tuple(float(v) for v in values)
+    return tuple(_number(v) for v in values)
 
 
 def _flag(value):
@@ -203,13 +219,13 @@ def _flag(value):
     return value
 
 
-_KINDS = {int: "an integer", float: "a number", _numbers: "a list of numbers",
+_KINDS = {_integer: "an integer", _number: "a number", _numbers: "a list of numbers",
           _flag: "true or false"}
 
 
 def _config_value(cfg, key, default, kind):
-    """cfg[key], or default when absent, read by kind (int, float, _numbers
-    or _flag); a value it cannot read is a parse error."""
+    """cfg[key], or default when absent, read by kind (_integer, _number,
+    _numbers or _flag); a value it does not accept is a parse error."""
     try:
         return kind(cfg.get(key, default))
     except (TypeError, ValueError):
@@ -219,15 +235,24 @@ def _config_value(cfg, key, default, kind):
 def _positive_int(cfg, args, flag_name, cfg_key, default):
     value = getattr(args, flag_name, None) if flag_name else None
     if value is None:
-        value = _config_value(cfg, cfg_key, default, int)
+        value = _config_value(cfg, cfg_key, default, _integer)
     if value <= 0:
         _fail_usage(f"{cfg_key} must be positive")
     return value
 
 
+def _solver_grid(cfg, args, flag_name, horizon):
+    """The closed-form solver's grid on [0, horizon], of grid_points points
+    (from the flag flag_name when given, else the config)."""
+    n = _positive_int(cfg, args, flag_name, "grid_points", closed_form.DEFAULT_GRID_POINTS)
+    if n < 3:
+        _fail_usage("grid_points must be at least 3")
+    return closed_form.default_grid(horizon, n)
+
+
 def _seed(cfg, args):
     """The stream seed, from the flag or the config: a signed 64-bit integer."""
-    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", 7, int)
+    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", 7, _integer)
     if not -2**63 <= seed < 2**63:
         _fail_usage("seed must be a signed 64-bit integer")
     return seed
@@ -235,7 +260,7 @@ def _seed(cfg, args):
 
 def cmd_discount(args) -> int:
     cfg = _load_config(args.config)
-    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, float)
+    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, _number)
     if horizon <= 0.0:
         _fail_usage("horizon must be positive")
     points = _positive_int(cfg, args, "steps", "points", 501)
@@ -269,10 +294,7 @@ def cmd_discount(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     model, prefs = _build_problem(cfg)
-    n_grid = _positive_int(cfg, args, "steps", "grid_points", closed_form.DEFAULT_GRID_POINTS)
-    if n_grid < 3:
-        _fail_usage("grid_points must be at least 3")
-    sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon, n_grid))
+    sol = closed_form.solve(model, prefs, _solver_grid(cfg, args, "steps", model.horizon))
     outdir = _ensure_outdir(args.out)
     sol_path = os.path.join(outdir, "solution.json")
     csv_path = os.path.join(outdir, "curves.csv")
@@ -289,15 +311,19 @@ def cmd_verify(args) -> int:
 
     cfg = _load_config(args.config)
     model, prefs = _build_problem(cfg)
-    n_grid = _positive_int(cfg, args, None, "grid_points", closed_form.DEFAULT_GRID_POINTS)
+    grid = _solver_grid(cfg, args, None, model.horizon)
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 100_000)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
     if args.threads is not None and args.threads < 1:
         _fail_usage("threads must be positive")
     seed = _seed(cfg, args)
-    perturb = _config_value(cfg, "perturb_constant_term", 0.0, float)
+    perturb = _config_value(cfg, "perturb_constant_term", 0.0, _number)
     antithetic = _config_value(cfg, "antithetic", False, _flag)
-    sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon, n_grid))
+    try:
+        dynamics._check_estimator_units(n_paths, antithetic)
+    except ValueError as exc:
+        _fail_usage(str(exc))
+    sol = closed_form.solve(model, prefs, grid)
     if perturb:
         sol = sol.shifted(perturb)
     report = dynamics.verify_contract(
@@ -329,17 +355,17 @@ def cmd_verify(args) -> int:
 
 def cmd_figures(args) -> int:
     cfg = _load_config(args.config)
-    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, float)
+    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, _number)
     if horizon <= 0.0:
         _fail_usage("horizon must be positive")
     points = _positive_int(cfg, args, "steps", "points", 501)
     if points < 3:
         _fail_usage("points must be at least 3")
-    gamma = _config_value(cfg, "gamma", FIGURE2_GAMMA, float)
+    gamma = _config_value(cfg, "gamma", FIGURE2_GAMMA, _number)
     alphas = _config_value(cfg, "alphas", FIGURE2_ALPHAS, _numbers)
     betas = _config_value(cfg, "betas", FIGURE2_BETAS, _numbers)
-    lam_center = _config_value(cfg, "lambda", FIGURE2_LAMBDA, float)
-    beta_right = _config_value(cfg, "beta", FIGURE2_BETA_RIGHT, float)
+    lam_center = _config_value(cfg, "lambda", FIGURE2_LAMBDA, _number)
+    beta_right = _config_value(cfg, "beta", FIGURE2_BETA_RIGHT, _number)
     lambdas = _config_value(cfg, "lambdas", FIGURE2_LAMBDAS, _numbers)
 
     base = ("exp", DiscountSpec.exponential(gamma))
@@ -382,24 +408,24 @@ def cmd_check_constraint(args) -> int:
     model, prefs = _build_problem(cfg)
     if prefs.spec_tag != "separable_rn":
         _fail_usage("check-constraint covers the separable risk-neutral spec")
-    n_grid = _positive_int(cfg, args, None, "grid_points", closed_form.DEFAULT_GRID_POINTS)
+    grid = _solver_grid(cfg, args, None, model.horizon)
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 3)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
     seed = _seed(cfg, args)
-    threshold = args.tol if args.tol is not None else _config_value(cfg, "threshold", 0.01, float)
+    threshold = (args.tol if args.tol is not None
+                 else _config_value(cfg, "threshold", 0.01, _number))
     if not 0.0 < threshold < math.inf:
         _fail_usage("threshold must be positive and finite")
     family_name = str(cfg.get("family", "optimal"))
+    families = {"optimal": fsvie.separable_optimal_family,
+                "s_constant": fsvie.s_constant_family}
+    if family_name not in families:
+        _fail_usage(f"unknown family {family_name!r}")
     # the Volterra generator and the family's initial profile evaluate
     # f(r - s) down to r - s = -T; a curve undefined there raises here
     prefs.discount.value_extended(-model.horizon)
-    sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon, n_grid))
-    if family_name == "optimal":
-        y0_family, z_family = fsvie.separable_optimal_family(model, prefs, sol)
-    elif family_name == "s_constant":
-        y0_family, z_family = fsvie.s_constant_family(model, prefs, sol)
-    else:
-        _fail_usage(f"unknown family {family_name!r}")
+    sol = closed_form.solve(model, prefs, grid)
+    y0_family, z_family = families[family_name](model, prefs, sol)
     ensemble = dynamics.simulate(model, sol.effort, n_paths, n_steps, seed)
     field = fsvie.march(model, prefs, y0_family, z_family, ensemble)
     residuals = fsvie.target_constraint_residual(field, prefs)

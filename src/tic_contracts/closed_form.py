@@ -112,7 +112,7 @@ def _solution_grid(model: MarketModel, grid) -> np.ndarray:
     return grid
 
 
-def z_argmax_grid(objective, n: int, radius: float = 1.0):
+def z_argmax_grid(objective, n: int):
     """Maximize n scalar objectives over all reals at once, one per grid row.
 
     objective(zs, rows) receives an (m, k) array of candidate exposures for
@@ -120,10 +120,10 @@ def z_argmax_grid(objective, n: int, radius: float = 1.0):
     their values as an (m, k) array.  Each row runs the same steps, as array
     operations over the rows that still need them:
 
-    * a 64-point scan of [-radius, radius] that doubles outward only while
-      an edge strictly dominates every interior sample; an edge that merely
-      ties the interior is a plateau (clamped action), not growth, and
-      growth past |z| <= Z_CAP raises UnboundedLoadingError;
+    * a 64-point scan of the start bracket [-1, 1] that doubles outward
+      only while an edge strictly dominates every interior sample; an edge
+      that merely ties the interior is a plateau (clamped action), not
+      growth, and growth past |z| <= Z_CAP raises UnboundedLoadingError;
     * a zoom scan of the two cells around the best sample;
     * hamiltonian.search_max on the zoom's best cell pair: an 8-point scan,
       golden-section search to 1e-10, then two centered parabolic steps
@@ -133,14 +133,12 @@ def z_argmax_grid(objective, n: int, radius: float = 1.0):
     Narrow maxima, such as the bump of width f(T)/f(t) that long horizons
     put next to the plateau of clamped actions, fall between the linear
     scan's samples.  The first scan therefore also samples a signed
-    geometric ladder +-radius * 10**-j (j = 0..9) plus zero;
-    when the ladder's best interior point beats every linear sample, the
-    zoom brackets on the ladder's neighbours of that point instead.
+    geometric ladder +-10**-j (j = 0..9) plus zero; when the ladder's best
+    interior point beats every linear sample, the zoom brackets on the
+    ladder's neighbours of that point instead.
 
     Returns (argmax, value) arrays of length n.
     """
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
     every = np.arange(n)
 
     def evaluate(zs, rows):
@@ -152,11 +150,10 @@ def z_argmax_grid(objective, n: int, radius: float = 1.0):
             raise ValueError("exposure objective produced non-finite values")
         return vals
 
-    lo = np.full(n, -radius)
-    hi = np.full(n, radius)
-    ladder = radius * _LADDER
+    lo = np.full(n, -1.0)
+    hi = np.full(n, 1.0)
     xs = np.linspace(lo, hi, _SCAN, axis=1)
-    vals = scan(np.concatenate([xs, np.tile(ladder, (n, 1))], axis=1), every)
+    vals = scan(np.concatenate([xs, np.tile(_LADDER, (n, 1))], axis=1), every)
     vals, ladder_vals = vals[:, :_SCAN], vals[:, _SCAN:]
     while True:
         best = np.argmax(vals, axis=1)
@@ -184,8 +181,8 @@ def z_argmax_grid(objective, n: int, radius: float = 1.0):
     on_ladder = ((rung > 0) & (rung < _LADDER.size - 1)
                  & (ladder_vals[every, rung] > v_lin + 1e-12 * (1.0 + np.abs(v_lin))))
     rung = np.clip(rung, 1, _LADDER.size - 2)
-    a = np.where(on_ladder, ladder[rung - 1], xs[every, best - 1])
-    b = np.where(on_ladder, ladder[rung + 1], xs[every, best + 1])
+    a = np.where(on_ladder, _LADDER[rung - 1], xs[every, best - 1])
+    b = np.where(on_ladder, _LADDER[rung + 1], xs[every, best + 1])
 
     # zoom once into the bracketing cells before the golden-section search
     xs = np.linspace(a, b, _SCAN, axis=1)
@@ -195,19 +192,18 @@ def z_argmax_grid(objective, n: int, radius: float = 1.0):
     return search_max(evaluate, a, b, _REFINE_SCAN)
 
 
-def z_argmax(objective, radius: float = 1.0):
+def z_argmax(objective):
     """Maximize a scalar objective over all reals: the one-row z_argmax_grid.
 
     objective must accept a numpy array of candidate exposures and return
-    an array of values.  The search starts on [-radius, radius]; see
-    z_argmax_grid for its steps.
+    an array of values.  See z_argmax_grid for the search's steps.
 
     Returns (argmax, value).
     """
     def one_row(zs, rows):
         return np.reshape(np.asarray(objective(zs[0]), dtype=float), zs.shape)
 
-    z, value = z_argmax_grid(one_row, 1, radius=radius)
+    z, value = z_argmax_grid(one_row, 1)
     return float(z[0]), float(value[0])
 
 

@@ -9,7 +9,8 @@ Three parametric families are supported:
 All three satisfy f(0) = 1 and f > 0, and each comes with a closed-form
 derivative and instantaneous discount rate idr(t) = -f'(t) / f(t).  The
 exponential family has constant idr; the other two do not, which is what
-makes an agent discounting with them time-inconsistent.
+makes an agent discounting with them time-inconsistent.  The exponential
+curve is evaluated as the hyperbolic one at alpha = 0.
 
 The public evaluators reject negative times.  Generator code that needs
 f(r - s) for r < s goes through :meth:`DiscountSpec.value_extended`, which
@@ -50,6 +51,8 @@ class DiscountSpec:
         if self.variant == "hyperbolic":
             if self.alpha < 0.0 or not math.isfinite(self.alpha):
                 raise ValueError("alpha must be nonnegative and finite")
+        elif self.alpha != 0.0:
+            raise ValueError("alpha applies to the hyperbolic variant only")
         if self.variant == "quasi_hyperbolic":
             if not (0.0 <= self.beta <= 1.0):
                 raise ValueError("beta must lie in [0, 1]")
@@ -79,17 +82,15 @@ class DiscountSpec:
         """Closed-form f'(t) for t >= 0."""
         t = _check_nonnegative(t)
         g = self.gamma
-        if self.variant == "exponential":
+        if self.variant == "quasi_hyperbolic":
+            b, lam = self.beta, self.lam
+            with np.errstate(over="ignore"):  # a huge rate times t: exp gives 0
+                return -(lam + g) * (1.0 - b) * np.exp(-t * (lam + g)) - g * b * np.exp(-g * t)
+        a = self.alpha
+        if a == 0.0:
             return -g * np.exp(-g * t)
-        if self.variant == "hyperbolic":
-            a = self.alpha
-            if a == 0.0:
-                return -g * np.exp(-g * t)
-            # f' = -gamma * (1 + alpha t)^(-gamma/alpha - 1)
-            return -g * self._value_raw(t) / (1.0 + a * t)
-        b, lam = self.beta, self.lam
-        with np.errstate(over="ignore"):  # a huge rate times t: exp gives 0
-            return -(lam + g) * (1.0 - b) * np.exp(-t * (lam + g)) - g * b * np.exp(-g * t)
+        # f' = -gamma * (1 + alpha t)^(-gamma/alpha - 1)
+        return -g * self._value_raw(t) / (1.0 + a * t)
 
     def idr(self, t):
         """Instantaneous discount rate -f'(t)/f(t), from its own closed form.
@@ -100,9 +101,7 @@ class DiscountSpec:
         """
         t = _check_nonnegative(t)
         g = self.gamma
-        if self.variant == "exponential":
-            return np.broadcast_to(np.float64(g), np.shape(t)).copy() if np.ndim(t) else g
-        if self.variant == "hyperbolic":
+        if self.variant != "quasi_hyperbolic":
             a = self.alpha
             return g / (1.0 + a * t) if a != 0.0 else (
                 np.broadcast_to(np.float64(g), np.shape(t)).copy() if np.ndim(t) else g
@@ -129,7 +128,7 @@ class DiscountSpec:
         every form does where its value passes the float range.
         """
         t = np.asarray(t, dtype=float)
-        if self.variant == "hyperbolic" and self.alpha > 0.0:
+        if self.alpha > 0.0:
             if np.any(1.0 + self.alpha * t <= 0.0):
                 raise ValueError(
                     "hyperbolic discount undefined at 1 + alpha*t <= 0; "
@@ -146,15 +145,13 @@ class DiscountSpec:
         # a rate times a huge |t| overflows: for t >= 0 exp then gives the
         # curve's limit 0; value_extended rejects what is not finite
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.variant == "exponential":
+            if self.variant == "quasi_hyperbolic":
+                b, lam = self.beta, self.lam
+                return (1.0 - b) * np.exp(-t * (lam + g)) + b * np.exp(-g * t)
+            a = self.alpha
+            if a == 0.0:
                 return np.exp(-g * t)
-            if self.variant == "hyperbolic":
-                a = self.alpha
-                if a == 0.0:
-                    return np.exp(-g * t)
-                return np.exp((-g / a) * np.log1p(a * t))
-            b, lam = self.beta, self.lam
-            return (1.0 - b) * np.exp(-t * (lam + g)) + b * np.exp(-g * t)
+            return np.exp((-g / a) * np.log1p(a * t))
 
     # -- serialization ---------------------------------------------------
 

@@ -38,6 +38,8 @@ from .model import MarketModel, Preferences, pointwise
 BLOCK_PATHS = 256
 # rows per matrix-vector product in contract_payoff
 PAYOFF_ROWS = 8
+# values of s per block of the s-shift correction's (s, solver grid) arrays
+SHIFT_ROWS = 32
 INNER_SPIKE_PATHS = 10_000
 
 
@@ -231,6 +233,26 @@ def principal_value_mc(model: MarketModel, prefs: Preferences, solution: Contrac
     return _estimate(_principal_values(prefs, xi, ensemble.terminal), ensemble.antithetic)
 
 
+def _shift_correction(model: MarketModel, prefs: Preferences, solution: ContractSolution,
+                      s: np.ndarray) -> np.ndarray:
+    """I(s) = int_0^T c(r) [f(r - s) - f(T - s) f(r) / f(T)] dr, the s-shift
+    correction, for a 1-D array of s: Simpson on the solver grid at the
+    equilibrium cost, which reduces each row alone, so any block gives the
+    same bits."""
+    f = prefs.discount
+    sg = solution.grid
+    cost = pointwise(model.cost, sg, solution.effort_values)
+    f_sg = np.asarray(f.value(sg), dtype=float)
+    ratio = np.asarray(f.value(model.horizon - s), dtype=float) / float(f.value(model.horizon))
+    out = np.empty_like(s)
+    for lo in range(0, s.size, SHIFT_ROWS):
+        rows = slice(lo, lo + SHIFT_ROWS)
+        shifted = np.asarray(f.value_extended(sg[None, :] - s[rows, None]), dtype=float)
+        out[rows] = simpson(cost[None, :] * (shifted - ratio[rows, None] * f_sg[None, :]),
+                            sg, axis=1)
+    return out
+
+
 def _delta_residuals(model: MarketModel, prefs: Preferences, solution: ContractSolution,
                      xi: np.ndarray, grid: np.ndarray, s: float) -> np.ndarray:
     f = prefs.discount
@@ -243,11 +265,8 @@ def _delta_residuals(model: MarketModel, prefs: Preferences, solution: ContractS
 
     lhs = prefs.reward(fTs, xi, prefs.running_cost(t_left - s, cost, dt))
     rhs_mc = (fTs / fT) * prefs.reward(fT, xi, prefs.running_cost(t_left, cost, dt))
-    # delta integral on the solver grid, an independent quadrature route
-    sg = solution.grid
-    cg = pointwise(model.cost, sg, solution.effort_values)
-    delta = cg * (np.asarray(f.value_extended(sg - s)) - (fTs / fT) * np.asarray(f.value(sg)))
-    rhs = rhs_mc - float(simpson(delta, sg))
+    # the correction on the solver grid, an independent quadrature route
+    rhs = rhs_mc - float(_shift_correction(model, prefs, solution, np.array([s]))[0])
     return lhs - rhs
 
 
@@ -296,6 +315,9 @@ def _spike_nested_mc(model: MarketModel, prefs: Preferences, solution: ContractS
                      seed: int) -> McEstimate:
     if prefs.spec_tag not in ("discounted_utility", "discounted_income"):
         raise ValueError(f"no nested Monte Carlo spike check for spec {prefs.spec_tag!r}")
+    if n_inner < 2:
+        raise ValueError("the nested Monte Carlo spike check needs n_inner >= 2 "
+                         "for a standard error")
     T = model.horizon
     alt_fn = _effort_fn(alt)
     m = max(2, int(round((T - t) / T * n_steps)))
@@ -364,6 +386,15 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
                             n_inner, n_steps, seed)
 
 
+def _check_estimator_units(n_paths: int, antithetic: bool):
+    """Raise ValueError unless the paths give two estimator units for a
+    standard error: two paths, or two antithetic pairs (an odd antithetic
+    count simulates one more path)."""
+    if ((n_paths + 1) // 2 if antithetic else n_paths) < 2:
+        raise ValueError("n_paths must be at least 2, and at least 3 when antithetic: "
+                         "a standard error needs two samples")
+
+
 def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSolution,
                     n_paths: int = 100_000, n_steps: int = 2000, seed: int = 7,
                     antithetic: bool = False, threads: Optional[int] = None,
@@ -379,10 +410,12 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     principal_value_mc on one simulate of all paths, bit for bit.  An
     antithetic run with odd n_paths simulates one more path.  Checks pass
     at 3 standard errors; the correction-identity check adds an explicit
-    O(dt) discretization allowance on top.
+    O(dt) discretization allowance on top.  A standard error needs two
+    estimator units (paths, or antithetic pairs); fewer raise ValueError.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
+    _check_estimator_units(n_paths, antithetic)
     if antithetic and "risk_neutral" in (prefs.agent_utility, prefs.principal_utility):
         # a risk-neutral reward is linear in the paths, so every antithetic
         # pair averages to the same number: the standard error is rounding

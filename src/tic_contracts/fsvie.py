@@ -39,13 +39,11 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .closed_form import simpson
-from .dynamics import PathEnsemble
+from .dynamics import PathEnsemble, _shift_correction
 from .hamiltonian import stars_on_grid
 from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
 
-# times per tile of the march, and rows per block of the separable
-# family's initial profile; a tile at 20000 steps is a 5 MB block
+# times per tile of the march's exposures; a 5 MB block at 20000 steps
 TILE = 32
 
 
@@ -125,11 +123,11 @@ def _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost, z_diag):
                          z_diag=z_diag, spec_tag=prefs.spec_tag)
 
 
-def _separable_drift(lam, cost, z, w, dt, out=None):
+def _separable_drift(lam, cost, z, w, dt):
     """The separable generator times the step, (lam z - w cost) dt, for
     the rows' exposures z and weights w; lam and cost are the agent's
     best response to the diagonal exposure, shared by every row."""
-    out = np.multiply(lam, z, out=out)
+    out = lam * z
     out -= w * cost
     out *= dt
     return out
@@ -164,8 +162,8 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     formed; each step then does the same arithmetic as one Picard sweep's
     column.  The separable generator does not read Y: its action depends
     on the diagonal exposures alone, so one batched best response serves
-    the whole march, and each tile's drift is formed before its steps; a
-    :class:`ProductFamily` skips the steps for one closed sum per row.
+    the whole march, and a :class:`ProductFamily` skips the steps for one
+    closed sum per row.
     """
     grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
     dx = ensemble.increments
@@ -176,7 +174,6 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
         lam, cost, _ = stars_on_grid(model, grid[:-1], z_diag[:-1])
         if isinstance(z_family, ProductFamily):
             return _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost, z_diag)
-        ddt = np.empty((min(TILE, n), grid.size))
     weights = _lag_weights(prefs, n, dt)
     diagonal = np.empty((ensemble.n_paths, grid.size))
     # summing the increments apart from y0, as the Picard sweep does, gives
@@ -187,17 +184,14 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
         stop = min(start + TILE, n)
         zt = pointwise(z_family, grid[None, :], grid[start:stop, None])
         wt = None if weights is None else weights[start:stop]
-        if separable:
-            tile = _separable_drift(lam[start:stop, None], cost[start:stop, None], zt, wt,
-                                    dt, out=ddt[:stop - start])
         for k in range(stop - start):
             j = start + k
+            w = None if wt is None else wt[k]
             diagonal[:, j] = y0[j] + acc[:, j]
             np.multiply(zt[k], dx[:, j:j + 1], out=step)
             if separable:
-                step -= tile[k]
+                step -= _separable_drift(lam[j], cost[j], zt[k], w, dt)
             else:
-                w = None if wt is None else wt[k]
                 step -= _generator(model, prefs, grid[j], w, zt[k], y0 + acc, z_diag[j],
                                    diagonal[:, j:j + 1]) * dt
             acc += step
@@ -309,28 +303,18 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
     """(y0_family, z_family) carrying the solved separable contract.
 
     The exposure family is the product Z^s_t = f(T-s) * loading(t); the
-    initial row values correct the discounted reservation profile by the
-    s-shift integral of the equilibrium cost.
+    initial row values f(T-s) / f(T) * r0 - I(s) correct the discounted
+    reservation profile by the s-shift correction I(s) of the equilibrium
+    cost, the one the Monte Carlo identity check uses.
     """
     f = prefs.discount
     T = model.horizon
     fT = float(f.value(T))
-    sg = solution.grid
-    cost_eq = pointwise(model.cost, sg, solution.effort_values)
-    f_sg = np.asarray(f.value(sg), dtype=float)
 
     def y0_family(s_values):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
         ratio = np.asarray(f.value(T - s), dtype=float) / fT
-        # simpson reduces each row on its own, so blocks of rows give the
-        # whole array's result without its (rows x grid) temporaries
-        integ = np.empty_like(s)
-        for lo in range(0, s.size, TILE):
-            rows = slice(lo, lo + TILE)
-            shifted = np.asarray(f.value_extended(sg[None, :] - s[rows, None]), dtype=float)
-            delta = cost_eq[None, :] * (shifted - ratio[rows, None] * f_sg[None, :])
-            integ[rows] = simpson(delta, sg, axis=1)
-        out = ratio * prefs.r0 - integ
+        out = ratio * prefs.r0 - _shift_correction(model, prefs, solution, s)
         return float(out[0]) if np.isscalar(s_values) else out
 
     return y0_family, ProductFamily(lambda s: np.asarray(f.value(T - np.asarray(s, dtype=float))),

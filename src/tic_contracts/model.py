@@ -35,9 +35,6 @@ SECOND_BEST_TAGS = ("discounted_utility", "separable_rn", "discounted_income")
 
 UTILITIES = ("exponential", "risk_neutral")
 
-DRIFT_FAMILIES = ("hm_linear", "quadratic", "power")
-COST_FAMILIES = ("hm_linear", "quadratic", "power")
-
 
 class InfeasibleError(ValueError):
     """Raised when no admissible contract attains the reservation level."""
@@ -80,15 +77,17 @@ def pointwise(fn, *arrays):
 
 @dataclass(frozen=True)
 class Families:
-    """The builtin families a model was built from, in their JSON form.
-
-    sigma is the constant volatility; drift and cost are
-    {"family": name, "params": {...}} entries.
+    """The builtin families a model was built from: their JSON form (the
+    constant volatility sigma and {"family": name, "params": {...}} drift
+    and cost entries), the drift's slope with sigma b(a) = slope * a, and
+    stationary(s), the stationary point of s a - c(a).
     """
 
     sigma: float
     drift: dict
     cost: dict
+    slope: float
+    stationary: Callable
 
 
 @dataclass
@@ -132,15 +131,17 @@ class MarketModel:
             raise ValueError("sigma must be positive")
         drift = {"family": drift[0], "params": dict(drift[1])}
         cost = {"family": cost[0], "params": dict(cost[1])}
+        drift_fn, slope = _make_drift(drift["family"], sigma)
+        cost_fn, stationary = _make_cost(cost["family"], cost["params"])
         return cls(
             x0=float(x0),
             horizon=float(horizon),
             sigma=lambda t, s=sigma: np.full(np.shape(t), s),
-            drift=_make_drift(drift["family"], sigma),
-            cost=_make_cost(cost["family"], cost["params"]),
+            drift=drift_fn,
+            cost=cost_fn,
             action_lo=float(action[0]),
             action_hi=float(action[1]),
-            families=Families(sigma, drift, cost),
+            families=Families(sigma, drift, cost, slope, stationary),
         )
 
     @classmethod
@@ -166,8 +167,6 @@ class MarketModel:
     @classmethod
     def power(cls, x0, horizon, sigma, p, action=(0.0, 10.0)) -> "MarketModel":
         """b(a) = a with cost a^p / p for p > 1."""
-        if not p > 1.0:
-            raise ValueError("power cost needs p > 1")
         return cls.from_families(
             x0, horizon, sigma,
             ("power", {"p": float(p)}),
@@ -188,20 +187,9 @@ class MarketModel:
         not depend on time.
         """
         fam = self.families
-        m = 1.0 if fam.drift["family"] == "hm_linear" else fam.sigma
-        s = m * np.asarray(z, dtype=float)
-        name, params = fam.cost["family"], fam.cost["params"]
-        if name == "hm_linear":
-            a = s / float(params["k"])
-        elif name == "quadratic":
-            a = s
-        else:
-            # with p near 1 the power overflows to infinity for large |s|;
-            # the clamp below turns that into the action bound
-            with np.errstate(over="ignore"):
-                a = np.sign(s) * np.abs(s) ** (1.0 / (float(params["p"]) - 1.0))
-        a = np.clip(a, self.action_lo, self.action_hi)
-        return m * a, self.cost(0.0, a), a
+        a = np.clip(fam.stationary(fam.slope * np.asarray(z, dtype=float)),
+                    self.action_lo, self.action_hi)
+        return fam.slope * a, self.cost(0.0, a), a
 
     def to_json(self) -> dict:
         if self.families is None:
@@ -222,10 +210,6 @@ class MarketModel:
             obj = json.loads(obj)
         drift = obj["drift"]
         cost = obj["cost"]
-        if drift["family"] not in DRIFT_FAMILIES:
-            raise ValueError(f"unknown drift family {drift['family']!r}")
-        if cost["family"] not in COST_FAMILIES:
-            raise ValueError(f"unknown cost family {cost['family']!r}")
         action = tuple(obj["action"])
         if len(action) != 2:
             raise ValueError("action must be a [lo, hi] pair")
@@ -240,28 +224,31 @@ class MarketModel:
 
 
 def _make_drift(name, sigma):
+    """(b(t, a), m) of a builtin drift family, where sigma b(a) = m a."""
     if name == "hm_linear":
-        return lambda t, a: a / sigma
-    if name == "quadratic":
-        return lambda t, a: a
-    if name == "power":
-        return lambda t, a: a
+        return (lambda t, a: a / sigma), 1.0
+    if name in ("quadratic", "power"):
+        return (lambda t, a: a), sigma
     raise ValueError(f"unknown drift family {name!r}")
 
 
 def _make_cost(name, params):
+    """(c(t, a), the stationary point of s a - c(a)) of a builtin cost family."""
     if name == "hm_linear":
         k = float(params["k"])
         if not k > 0.0:
             raise ValueError("hm_linear needs k > 0")
-        return lambda t, a: 0.5 * k * a * a
+        return (lambda t, a: 0.5 * k * a * a), (lambda s: s / k)
     if name == "quadratic":
-        return lambda t, a: 0.5 * a * a
+        return (lambda t, a: 0.5 * a * a), (lambda s: s)
     if name == "power":
         p = float(params["p"])
         if not p > 1.0:
             raise ValueError("power cost needs p > 1")
-        return lambda t, a: abs(a) ** p / p
+        # with p near 1 the power overflows to infinity for large |s|; the
+        # clamp in closed_response turns that into the action bound
+        return (lambda t, a: abs(a) ** p / p), np.errstate(over="ignore")(
+            lambda s: np.sign(s) * np.abs(s) ** (1.0 / (p - 1.0)))
     raise ValueError(f"unknown cost family {name!r}")
 
 

@@ -522,12 +522,18 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: threads must be positive\n"
         assert not out.exists()
 
-    def test_unknown_family_name(self, tmp_path, capsys):
+    def test_unknown_family_name(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("check-constraint solved before refusing")
+
+        monkeypatch.setattr(cli.closed_form, "solve", no_work)
         bumped = json.loads(json.dumps(SEPARABLE_CONFIG))
         bumped["family"] = "sideways"
         cfg = write_config(tmp_path, bumped)
-        assert main(["check-constraint", "--config", cfg]) == 1
-        assert "unknown family" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["check-constraint", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown family 'sideways'\n"
+        assert not out.exists()
 
 
 # a value for each flag that only some subcommands read
@@ -766,13 +772,64 @@ class TestParseErrors:
         ("check-constraint", {"grid_points": "many"}, "grid_points"),
         ("verify", {"perturb_constant_term": "up"}, "perturb_constant_term"),
         ("verify", {"antithetic": "false"}, "antithetic"),
+        # numbers are read strictly: no bool or string for a number, and
+        # no fraction for an integer
+        ("verify", {"grid_points": 501.7}, "grid_points"),
+        ("check-constraint", {"grid_points": "301"}, "grid_points"),
+        ("verify", {"n_paths": True}, "n_paths"),
+        ("check-constraint", {"n_steps": 10.5}, "n_steps"),
+        ("verify", {"seed": 7.5}, "seed"),
+        ("check-constraint", {"seed": False}, "seed"),
+        ("check-constraint", {"threshold": True}, "threshold"),
+        ("verify", {"perturb_constant_term": "0.1"}, "perturb_constant_term"),
     ])
     def test_unreadable_run_option_exits_1(self, tmp_path, capsys, command, extra, key):
-        cfg = write_config(tmp_path, dict(SEPARABLE_CONFIG, **extra))
+        cfg = write_config(tmp_path, {**SEPARABLE_CONFIG, "n_paths": 10, "n_steps": 10,
+                                      **extra})
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out), "--paths", "10",
-                     "--steps", "10"]) == 1
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "check-constraint"])
+    def test_integral_float_settings_are_integers(self, tmp_path, capsys, command):
+        config = {**SEPARABLE_CONFIG, "grid_points": 201.0, "n_paths": 10.0, "n_steps": 10.0,
+                  "seed": 3.0}
+        rc = main([command, "--config", write_config(tmp_path, config), "--out",
+                   str(tmp_path / "out")])
+        assert rc in (0, 3)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "check-constraint"])
+    @pytest.mark.parametrize("points", [2, True, 0])
+    def test_too_few_grid_points_exit_1_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                       command, points):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work")
+
+        monkeypatch.setattr(cli.closed_form, "solve", no_work)
+        cfg = write_config(tmp_path, dict(SEPARABLE_CONFIG, grid_points=points))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        want = {2: "at least 3", True: "an integer", 0: "positive"}[points]
+        assert capsys.readouterr().err == f"error: grid_points must be {want}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("paths,antithetic", [(1, False), (1, True), (2, True)])
+    def test_one_estimator_unit_exits_1_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                       paths, antithetic):
+        # one path, or one antithetic pair, has no standard error: the
+        # 3-standard-error checks would fail a sound contract
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify started work")
+
+        monkeypatch.setattr(cli.closed_form, "solve", no_work)
+        with open(os.path.join(ROOT, "perfbench", "configs", "discounted_income.json")) as fh:
+            config = dict(json.load(fh), antithetic=antithetic)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_config(tmp_path, config), "--out", str(out),
+                     "--paths", str(paths), "--steps", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error: n_paths must be at least 2")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify", "check-constraint"])
@@ -814,6 +871,10 @@ class TestParseErrors:
         ("discount", {"horizon": None}, "horizon"),
         ("discount", {"discounts": 5}, "discounts"),
         ("discount", {"discounts": ["exponential"]}, "discounts"),
+        ("figures", {"alphas": [0.1, True]}, "alphas"),
+        ("figures", {"betas": ["0.4"]}, "betas"),
+        ("figures", {"gamma": "0.05"}, "gamma"),
+        ("discount", {"horizon": True}, "horizon"),
     ])
     def test_unreadable_table_option_exits_1(self, tmp_path, capsys, command, extra, key):
         cfg = write_config(tmp_path, extra)

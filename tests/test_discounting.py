@@ -150,6 +150,27 @@ def test_quasi_idr_between_gamma_and_gamma_plus_lambda(gamma, beta, lam, t):
     assert gamma - 1e-12 <= rate <= gamma + lam + 1e-12
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 700.0])
+def test_exponential_is_the_hyperbolic_alpha_zero_curve(gamma):
+    exponential = DiscountSpec("exponential", gamma)
+    hyperbolic = DiscountSpec.hyperbolic(gamma, 0.0)
+    t = np.array([0.0, 1e-9, 0.5, 3.0, 1e3])
+    for name in ("value", "derivative", "idr"):
+        for arg in (t, 0.7, 0.0):
+            got, want = getattr(exponential, name)(arg), getattr(hyperbolic, name)(arg)
+            assert type(got) is type(want), name
+            np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(exponential.value_extended(-t[:3]),
+                                  hyperbolic.value_extended(-t[:3]))
+
+
+@pytest.mark.parametrize("variant", ["exponential", "quasi_hyperbolic"])
+@pytest.mark.parametrize("alpha", [0.4, -0.1, float("nan"), float("inf")])
+def test_alpha_belongs_to_the_hyperbolic_curve(variant, alpha):
+    with pytest.raises(ValueError, match="alpha applies to the hyperbolic variant only"):
+        DiscountSpec(variant, 0.3, alpha=alpha)
+
+
 def test_validation_rejects_bad_parameters():
     with pytest.raises(ValueError):
         DiscountSpec.exponential(-0.1)

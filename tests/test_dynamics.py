@@ -272,6 +272,36 @@ def test_delta_check_validation(separable, discounted_utility):
         verify_contract(mu, pu, solu, n_paths=10, n_steps=8, s_values=(0.5,))
 
 
+@pytest.mark.parametrize("rows", [1, 7, dynamics.SHIFT_ROWS])
+def test_shift_correction_rows_match_single_calls(separable, monkeypatch, rows):
+    # the identity check asks for one s at a time, the Volterra family's
+    # initial profile for the whole grid; a grid of several blocks with a
+    # partial last one must give each s the same bits either way
+    m, p, sol = separable
+    s = default_grid(2.0, 3 * dynamics.SHIFT_ROWS + 5)
+    one_by_one = np.array([dynamics._shift_correction(m, p, sol, np.array([v]))[0]
+                           for v in s])
+    monkeypatch.setattr(dynamics, "SHIFT_ROWS", rows)
+    np.testing.assert_array_equal(dynamics._shift_correction(m, p, sol, s), one_by_one)
+
+
+def test_shift_correction_is_the_integral_it_names(separable):
+    # I(s) = int_0^T c(r) [f(r - s) - f(T - s) f(r) / f(T)] dr by the
+    # trapezoid rule on a fine grid of the equilibrium effort; it is zero at
+    # s = 0.  Simpson on the 201-point solver grid differs by about 5e-6.
+    m, p, sol = separable
+    f, T = p.discount, m.horizon
+    r = np.linspace(0.0, T, 20001)
+    cost = 0.5 * sol.effort(r) ** 2
+    s = np.array([0.0, 0.3, 1.0, 2.0])
+    got = dynamics._shift_correction(m, p, sol, s)
+    for v, value in zip(s, got):
+        integrand = cost * (f.value_extended(r - v) - f.value(T - v) * f.value(r) / f.value(T))
+        want = float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(r)))
+        assert value == pytest.approx(want, abs=2e-5)
+    assert got[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # spike deviations
 
@@ -394,6 +424,38 @@ def test_verify_contract_refuses_antithetic_sampling_of_a_linear_reward(separabl
                                    spec_tag="discounted_utility")
     with pytest.raises(ValueError, match="antithetic"):
         verify_contract(m, du_prefs, sol, n_paths=900, n_steps=120, seed=5, antithetic=True)
+
+
+@pytest.mark.parametrize("n_paths,antithetic", [(1, False), (1, True), (2, True)])
+def test_verify_contract_needs_two_estimator_units(discounted_income, monkeypatch,
+                                                   n_paths, antithetic):
+    # one path, or one antithetic pair, gives se = 0, and the 3-se rule
+    # would then fail a sound contract
+    m, p, sol = discounted_income
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before refusing")
+
+    monkeypatch.setattr(dynamics, "simulate", no_simulation)
+    with pytest.raises(ValueError, match="n_paths must be at least 2"):
+        verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, antithetic=antithetic)
+
+
+@pytest.mark.parametrize("n_paths,antithetic", [(2, False), (3, True)])
+def test_verify_contract_runs_on_two_estimator_units(discounted_income, n_paths, antithetic):
+    m, p, sol = discounted_income
+    report = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, antithetic=antithetic)
+    assert report["participation"]["se"] > 0.0
+    assert report["principal_value"]["se"] > 0.0
+
+
+def test_nested_spike_check_needs_two_inner_paths(discounted_utility):
+    m, p, sol = discounted_utility
+    for n_inner in (0, 1):
+        with pytest.raises(ValueError, match="n_inner >= 2"):
+            spike_deviation_check(m, p, sol, 0.5, 0.25, 0.0, n_inner=n_inner, n_steps=50)
+    two = spike_deviation_check(m, p, sol, 0.5, 0.25, 0.0, n_inner=2, n_steps=50)
+    assert two.n == 2 and two.std_error > 0.0
 
 
 def test_verify_contract_flags_a_shifted_constant(separable):

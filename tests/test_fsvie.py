@@ -28,7 +28,7 @@ from tic_contracts import (
     solve,
     target_constraint_residual,
 )
-from tic_contracts import fsvie
+from tic_contracts import dynamics, fsvie
 from tic_contracts.hamiltonian import stars_on_grid
 from tic_contracts.model import pointwise
 
@@ -287,9 +287,14 @@ def test_march_does_not_depend_on_the_tiling(separable_setup, monkeypatch):
 def test_initial_profile_blocks_match_single_rows(separable_setup):
     m, p, sol = separable_setup
     y0f, _ = separable_optimal_family(m, p, sol)
-    grid = default_grid(2.0, 3 * fsvie.TILE + 5)
+    grid = default_grid(2.0, 3 * dynamics.SHIFT_ROWS + 5)
     want = np.array([y0f(float(s)) for s in grid])
     np.testing.assert_array_equal(y0f(grid), want)
+    # y0(s) = f(T - s) / f(T) r0 - I(s), with the identity check's I(s)
+    f = p.discount
+    ratio = f.value(2.0 - grid) / float(f.value(2.0))
+    np.testing.assert_array_equal(
+        want, ratio * p.r0 - dynamics._shift_correction(m, p, sol, grid))
 
 
 def test_march_reproduces_the_picard_fixed_point(separable_setup):

@@ -32,6 +32,56 @@ def test_quadratic_and_power_families():
         MarketModel.power(0.0, 1.0, 1.0, 1.0)
 
 
+BUILTIN_PARAMS = {"hm_linear": {"k": 2.5}, "quadratic": {}, "power": {"p": 3.0}}
+
+
+def _independent_drift(name, sigma, a):
+    return a / sigma if name == "hm_linear" else a
+
+
+def _independent_cost(name, a):
+    if name == "hm_linear":
+        return 2.5 * a * a / 2.0
+    if name == "quadratic":
+        return a * a / 2.0
+    return np.abs(a) ** 3 / 3.0
+
+
+@pytest.mark.parametrize("drift", sorted(BUILTIN_PARAMS))
+@pytest.mark.parametrize("cost", sorted(BUILTIN_PARAMS))
+def test_closed_response_is_the_clamped_maximizer(drift, cost):
+    # every drift x cost pair, mixed ones included: the action maximizes
+    # sigma b(a) z - c(a) over the action interval, here on a grid of
+    # spacing 1e-5 with the families written out independently
+    sigma, lo, hi = 1.5, -0.5, 2.0
+    m = MarketModel.from_families(0.0, 1.0, sigma, (drift, BUILTIN_PARAMS[drift]),
+                                  (cost, BUILTIN_PARAMS[cost]), (lo, hi))
+    z = np.array([-3.0, -0.2, 0.0, 0.1, 0.7, 1.3, 4.0, 40.0])
+    lam, c, a = m.closed_response(z)
+    grid = np.linspace(lo, hi, 250001)
+    gain = (sigma * _independent_drift(drift, sigma, grid)[None, :] * z[:, None]
+            - _independent_cost(cost, grid)[None, :])
+    np.testing.assert_allclose(a, grid[np.argmax(gain, axis=1)], rtol=0.0, atol=1e-5)
+    assert a.min() == lo and a.max() == hi
+    np.testing.assert_allclose(lam, sigma * _independent_drift(drift, sigma, a),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(c, _independent_cost(cost, a), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("drift,cost,message", [
+    (("cubic", {}), ("quadratic", {}), "unknown drift family 'cubic'"),
+    (("quadratic", {}), ("cubic", {}), "unknown cost family 'cubic'"),
+    (("power", {"p": 3.0}), ("power", {"p": 1.0}), "power cost needs p > 1"),
+    (("hm_linear", {"k": 1.0}), ("hm_linear", {"k": 0.0}), "hm_linear needs k > 0"),
+])
+def test_family_makers_name_the_fault(drift, cost, message):
+    obj = {"x0": 0.0, "T": 1.0, "sigma": 1.0, "action": [0.0, 1.0],
+           "drift": {"family": drift[0], "params": drift[1]},
+           "cost": {"family": cost[0], "params": cost[1]}}
+    with pytest.raises(ValueError, match=message):
+        MarketModel.from_json(obj)
+
+
 def test_sigma_must_be_positive():
     with pytest.raises(ValueError):
         MarketModel.quadratic(0.0, 1.0, 0.0)
