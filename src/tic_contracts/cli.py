@@ -21,7 +21,7 @@ import numpy as np
 # dynamics and fsvie load inside the subcommands that run them, so the
 # closed-form jobs pay no import for the Monte Carlo or Volterra code
 from . import closed_form
-from .discounting import DiscountSpec
+from .discounting import DiscountSpec, _number
 from .model import MarketModel, Preferences, UnboundedLoadingError, validate
 
 EXIT_OK = 0
@@ -200,13 +200,6 @@ def _integer(value):
     return value
 
 
-def _number(value):
-    """An int or a float as a float; not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("not a number")
-    return float(value)
-
-
 def _numbers(values):
     if not isinstance(values, (list, tuple)):
         raise TypeError("not a list")
@@ -223,19 +216,20 @@ _KINDS = {_integer: "an integer", _number: "a number", _numbers: "a list of numb
           _flag: "true or false"}
 
 
-def _config_value(cfg, key, default, kind):
+def _config_value(cfg, key, default, kind, flag=None):
     """cfg[key], or default when absent, read by kind (_integer, _number,
-    _numbers or _flag); a value it does not accept is a parse error."""
+    _numbers or _flag); a value it does not accept is a parse error, also
+    when the flag's value, if given, replaces it."""
     try:
-        return kind(cfg.get(key, default))
+        value = kind(cfg.get(key, default))
     except (TypeError, ValueError):
         _fail_usage(f"{key} must be {_KINDS[kind]}")
+    return value if flag is None else flag
 
 
 def _positive_int(cfg, args, flag_name, cfg_key, default):
-    value = getattr(args, flag_name, None) if flag_name else None
-    if value is None:
-        value = _config_value(cfg, cfg_key, default, _integer)
+    flag = getattr(args, flag_name, None) if flag_name else None
+    value = _config_value(cfg, cfg_key, default, _integer, flag)
     if value <= 0:
         _fail_usage(f"{cfg_key} must be positive")
     return value
@@ -252,7 +246,7 @@ def _solver_grid(cfg, args, flag_name, horizon):
 
 def _seed(cfg, args):
     """The stream seed, from the flag or the config: a signed 64-bit integer."""
-    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", 7, _integer)
+    seed = _config_value(cfg, "seed", 7, _integer, args.seed)
     if not -2**63 <= seed < 2**63:
         _fail_usage("seed must be a signed 64-bit integer")
     return seed
@@ -412,8 +406,7 @@ def cmd_check_constraint(args) -> int:
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 3)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
     seed = _seed(cfg, args)
-    threshold = (args.tol if args.tol is not None
-                 else _config_value(cfg, "threshold", 0.01, _number))
+    threshold = _config_value(cfg, "threshold", 0.01, _number, args.tol)
     if not 0.0 < threshold < math.inf:
         _fail_usage("threshold must be positive and finite")
     family_name = str(cfg.get("family", "optimal"))

@@ -22,19 +22,30 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-VARIANTS = ("exponential", "hyperbolic", "quasi_hyperbolic")
+# the parameters each variant reads beside gamma: field name -> JSON key
+_PARAMETERS = {"exponential": {}, "hyperbolic": {"alpha": "alpha"},
+               "quasi_hyperbolic": {"beta": "beta", "lam": "lambda"}}
+
+
+def _number(value, name="value"):
+    """An int or a float as a float; not a bool, a string or anything else.
+    The rule for every number a config holds, in every section."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number")
+    return float(value)
 
 
 @dataclass(frozen=True)
 class DiscountSpec:
     """Immutable description of one discount curve.
 
-    Use the factory classmethods rather than the bare constructor; they
-    fill in the fields that a variant does not use.
+    The constructor refuses a parameter that the variant does not read
+    unless it is at its default, so every spec survives its JSON round
+    trip; the factory classmethods build each variant.
     """
 
     variant: str
@@ -44,15 +55,18 @@ class DiscountSpec:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in _PARAMETERS:
             raise ValueError(f"unknown discount variant {self.variant!r}")
         if self.gamma < 0.0 or not math.isfinite(self.gamma):
             raise ValueError("gamma must be nonnegative and finite")
+        for field in fields(self)[2:]:  # alpha, beta, lam
+            if (field.name not in _PARAMETERS[self.variant]
+                    and getattr(self, field.name) != field.default):
+                owner = next(v for v, names in _PARAMETERS.items() if field.name in names)
+                raise ValueError(f"{field.name} applies to the {owner} variant only")
         if self.variant == "hyperbolic":
             if self.alpha < 0.0 or not math.isfinite(self.alpha):
                 raise ValueError("alpha must be nonnegative and finite")
-        elif self.alpha != 0.0:
-            raise ValueError("alpha applies to the hyperbolic variant only")
         if self.variant == "quasi_hyperbolic":
             if not (0.0 <= self.beta <= 1.0):
                 raise ValueError("beta must lie in [0, 1]")
@@ -157,11 +171,8 @@ class DiscountSpec:
 
     def to_json(self) -> dict:
         out = {"variant": self.variant, "gamma": self.gamma}
-        if self.variant == "hyperbolic":
-            out["alpha"] = self.alpha
-        if self.variant == "quasi_hyperbolic":
-            out["beta"] = self.beta
-            out["lambda"] = self.lam
+        for name, key in _PARAMETERS[self.variant].items():
+            out[key] = getattr(self, name)
         return out
 
     @classmethod
@@ -169,14 +180,9 @@ class DiscountSpec:
         if isinstance(obj, str):
             obj = json.loads(obj)
         variant = obj["variant"]
-        gamma = obj["gamma"]
-        if variant == "exponential":
-            return cls.exponential(gamma)
-        if variant == "hyperbolic":
-            return cls.hyperbolic(gamma, obj["alpha"])
-        if variant == "quasi_hyperbolic":
-            return cls.quasi_hyperbolic(gamma, obj["beta"], obj["lambda"])
-        raise ValueError(f"unknown discount variant {variant!r}")
+        gamma = _number(obj["gamma"], "gamma")
+        return cls(variant, gamma, **{name: _number(obj[key], key)
+                                      for name, key in _PARAMETERS.get(variant, {}).items()})
 
 
 def _check_nonnegative(t):

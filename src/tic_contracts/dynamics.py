@@ -79,6 +79,21 @@ def _thread_count(threads: Optional[int]) -> int:
     return 1 if count == 1 else min(count, os.cpu_count() or 1)
 
 
+def _check_actions(model: MarketModel, actions, what: str):
+    """Raise ValueError unless every action lies in the action interval,
+    up to a rounding slack of 1e-9 max(1, hi - lo)."""
+    lo, hi = model.action_lo, model.action_hi
+    slack = 1e-9 * max(1.0, hi - lo)
+    if np.any(actions < lo - slack) or np.any(actions > hi + slack):
+        raise ValueError(f"{what} leaves the action interval")
+
+
+def _check_regime(prefs: Preferences, solution: ContractSolution):
+    """Raise ValueError unless the solution was solved for the preferences' regime."""
+    if prefs.spec_tag != solution.spec_tag:
+        raise ValueError("preferences and solution disagree on the spec tag")
+
+
 def _effort_fn(effort) -> Callable[[float], float]:
     if callable(effort):
         return effort
@@ -145,10 +160,7 @@ def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
     dt = T / n_steps
     t_left = grid[:-1]
     actions = pointwise(eff, t_left)
-    lo, hi = model.action_lo, model.action_hi
-    slack = 1e-9 * max(1.0, hi - lo)
-    if np.any(actions < lo - slack) or np.any(actions > hi + slack):
-        raise ValueError("effort policy leaves the action interval")
+    _check_actions(model, actions, "effort policy")
     sig = model.sigma_at(t_left)
     drift = sig * pointwise(model.drift, t_left, actions)
 
@@ -213,8 +225,7 @@ def _agent_values(model: MarketModel, prefs: Preferences, solution: ContractSolu
 def agent_value_mc(model: MarketModel, prefs: Preferences, solution: ContractSolution,
                    ensemble: PathEnsemble) -> McEstimate:
     """Monte Carlo estimate of the agent's time-0 value under the contract."""
-    if prefs.spec_tag != solution.spec_tag:
-        raise ValueError("preferences and solution disagree on the spec tag")
+    _check_regime(prefs, solution)
     xi = contract_payoff(solution, ensemble)
     return _estimate(_agent_values(model, prefs, solution, xi, ensemble.grid),
                      ensemble.antithetic)
@@ -227,8 +238,7 @@ def _principal_values(prefs: Preferences, xi: np.ndarray, terminal: np.ndarray) 
 def principal_value_mc(model: MarketModel, prefs: Preferences, solution: ContractSolution,
                        ensemble: PathEnsemble) -> McEstimate:
     """Monte Carlo estimate of the principal's value under the contract."""
-    if prefs.spec_tag != solution.spec_tag:
-        raise ValueError("preferences and solution disagree on the spec tag")
+    _check_regime(prefs, solution)
     xi = contract_payoff(solution, ensemble)
     return _estimate(_principal_values(prefs, xi, ensemble.terminal), ensemble.antithetic)
 
@@ -378,8 +388,7 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
     if t + ell > model.horizon + 1e-12:
         raise ValueError("spike window [t, t+ell) must fit inside [0, T]")
     probe = pointwise(_effort_fn(alt_effort), np.linspace(t, min(t + ell, model.horizon), 7))
-    if np.any(probe < model.action_lo - 1e-12) or np.any(probe > model.action_hi + 1e-12):
-        raise ValueError("alt_effort leaves the action interval")
+    _check_actions(model, probe, "alt_effort")
     if prefs.spec_tag in ("separable_rn", "first_best_separable"):
         return _spike_quadrature(model, prefs, solution, t, ell, alt_effort)
     return _spike_nested_mc(model, prefs, solution, t, ell, alt_effort,
@@ -397,9 +406,13 @@ def _check_estimator_units(n_paths: int, antithetic: bool):
 
 def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSolution,
                     n_paths: int = 100_000, n_steps: int = 2000, seed: int = 7,
-                    antithetic: bool = False, threads: Optional[int] = None,
-                    s_values=None, spike_tests=None) -> dict:
+                    antithetic: bool = False, threads: Optional[int] = None) -> dict:
     """Run the full Monte Carlo verification suite and return a report.
+
+    Every regime gets participation and the principal's value; the
+    separable regime also gets the correction identity at s = T/4 and T/2
+    and eight spike deviations (delta_correction_check and
+    spike_deviation_check take any other s or spike).
 
     Paths are simulated in blocks of BLOCK_PATHS, rounded up to whole
     groups of PAYOFF_ROWS.  Each block is reduced to its payments and
@@ -422,12 +435,10 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
         # and cannot cover the O(dt) discretization gap of the mean
         raise ValueError("antithetic sampling needs exponential utilities for both "
                          "parties: a risk-neutral reward has no noise left to estimate")
-    if s_values is None:
-        s_values = (0.25 * model.horizon, 0.5 * model.horizon) \
-            if prefs.spec_tag == "separable_rn" else ()
-    if len(s_values) and prefs.spec_tag != "separable_rn":
-        raise ValueError("the correction identity check covers the separable regime")
-    for s in s_values:
+    _check_regime(prefs, solution)
+    separable = prefs.spec_tag == "separable_rn"
+    shifts = (0.25 * model.horizon, 0.5 * model.horizon) if separable else ()
+    for s in shifts:
         # the identity evaluates f(t - s) down to t - s = -s; a curve
         # undefined there raises ValueError before any path is simulated
         prefs.discount.value_extended(-s)
@@ -465,7 +476,7 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
 
     dt = model.horizon / n_steps
     t_left = grid[:-1]
-    for s in s_values:
+    for s in shifts:
         est = _estimate(_delta_residuals(model, prefs, solution, xi, grid, s), anti)
         cmax = float(np.max(np.abs(_cost_at_equilibrium(model, solution, t_left))))
         fmax = float(np.max(np.abs(prefs.discount.value_extended(t_left - s))))
@@ -476,16 +487,14 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
             "pass": abs(est.mean) <= 3.0 * est.std_error + allowance,
         })
 
-    if spike_tests is None and prefs.spec_tag == "separable_rn":
-        ts = np.linspace(0.0, 0.75 * model.horizon, 4)
-        alts = (model.action_lo,
-                0.5 * (model.action_lo + model.action_hi))
-        spike_tests = [(float(t), 0.1 * model.horizon, a) for t in ts for a in alts]
-    for (t, ell, alt) in (spike_tests or []):
+    ell = 0.1 * model.horizon
+    alts = (model.action_lo, 0.5 * (model.action_lo + model.action_hi))
+    ts = np.linspace(0.0, 0.75 * model.horizon, 4).tolist() if separable else []
+    for t, alt in [(t, alt) for t in ts for alt in alts]:
         est = spike_deviation_check(model, prefs, solution, t, ell, alt, seed=seed + 1)
         bound = 10.0 * ell * ell + 3.0 * est.std_error
         report["spike_tests"].append({
-            "t": t, "ell": ell, "alt": alt if not callable(alt) else "policy",
+            "t": t, "ell": ell, "alt": alt,
             "gain": est.mean, "se": est.std_error, "bound": bound,
             "pass": est.mean <= bound,
         })

@@ -9,9 +9,9 @@ exposure.  With left-endpoint time stepping on a square (s, t) grid,
 
 every row's step reads only values at t_j, so :func:`march` solves it
 in one forward pass over t.  Its state holds every path's rows, paths
-along the first axis; the exposures Z^s_t are evaluated for a tile of
-TILE times at once.  On the uniform grid the weights f(t - s) depend only
-on the lag t - s, so both solvers read them from one table of 2N lags.
+along the first axis; each step evaluates its column of exposures
+Z^s_{t_j}.  On the uniform grid the weights f(t - s) depend only on the
+lag t - s, so both solvers read them from one table of 2N lags.
 The separable generator's action depends on the diagonal exposure alone,
 so one batched best response over the grid serves the whole solve; the
 exponential regimes' action reads each path's diagonal value and is
@@ -42,9 +42,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dynamics import PathEnsemble, _shift_correction
 from .hamiltonian import stars_on_grid
 from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
-
-# times per tile of the march's exposures; a 5 MB block at 20000 steps
-TILE = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -156,14 +153,14 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
 
     y0_family maps s to the initial row value; z_family maps (s, t) to the
     row's exposure (vectorized over arrays when possible).  The state holds
-    paths along the first axis and rows s along the second.  The exposures
-    are evaluated for TILE times at once, a (TILE, s) block, and the
-    weights f(t - s) are read from one table of lags, so no (s, t) array is
-    formed; each step then does the same arithmetic as one Picard sweep's
-    column.  The separable generator does not read Y: its action depends
-    on the diagonal exposures alone, so one batched best response serves
-    the whole march, and a :class:`ProductFamily` skips the steps for one
-    closed sum per row.
+    paths along the first axis and rows s along the second.  Each step
+    evaluates its column of exposures z(s, t_j) and reads the weights
+    f(t_j - s) from one table of lags, so no (s, t) array is formed, and
+    does the same arithmetic as one Picard sweep's column.  The separable
+    generator does not read Y: its action depends on the diagonal
+    exposures alone, so one batched best response serves the whole march,
+    and a :class:`ProductFamily` skips the steps for one closed sum per
+    row.
     """
     grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
     dx = ensemble.increments
@@ -179,22 +176,17 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     # summing the increments apart from y0, as the Picard sweep does, gives
     # its field bit for bit when the generator does not read Y (separable_rn)
     acc = np.zeros((ensemble.n_paths, grid.size))
-    step = np.empty_like(acc)
-    for start in range(0, n, TILE):
-        stop = min(start + TILE, n)
-        zt = pointwise(z_family, grid[None, :], grid[start:stop, None])
-        wt = None if weights is None else weights[start:stop]
-        for k in range(stop - start):
-            j = start + k
-            w = None if wt is None else wt[k]
-            diagonal[:, j] = y0[j] + acc[:, j]
-            np.multiply(zt[k], dx[:, j:j + 1], out=step)
-            if separable:
-                step -= _separable_drift(lam[j], cost[j], zt[k], w, dt)
-            else:
-                step -= _generator(model, prefs, grid[j], w, zt[k], y0 + acc, z_diag[j],
-                                   diagonal[:, j:j + 1]) * dt
-            acc += step
+    for j in range(n):
+        z = pointwise(z_family, grid, grid[j])
+        w = None if weights is None else weights[j]
+        diagonal[:, j] = y0[j] + acc[:, j]
+        step = z * dx[:, j:j + 1]
+        if separable:
+            step -= _separable_drift(lam[j], cost[j], z, w, dt)
+        else:
+            step -= _generator(model, prefs, grid[j], w, z, y0 + acc, z_diag[j],
+                               diagonal[:, j:j + 1]) * dt
+        acc += step
     diagonal[:, -1] = y0[-1] + acc[:, -1]
     return VolterraField(grid=grid.copy(), terminal=y0 + acc, diagonal=diagonal,
                          z_diag=z_diag, spec_tag=prefs.spec_tag)
@@ -311,11 +303,11 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
     T = model.horizon
     fT = float(f.value(T))
 
-    def y0_family(s_values):
-        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+    def y0_family(rows):
+        s = np.atleast_1d(np.asarray(rows, dtype=float))
         ratio = np.asarray(f.value(T - s), dtype=float) / fT
         out = ratio * prefs.r0 - _shift_correction(model, prefs, solution, s)
-        return float(out[0]) if np.isscalar(s_values) else out
+        return float(out[0]) if np.isscalar(rows) else out
 
     return y0_family, ProductFamily(lambda s: np.asarray(f.value(T - np.asarray(s, dtype=float))),
                                     solution.loading)

@@ -126,24 +126,16 @@ def stars_on_grid(model: MarketModel, t, z_values):
     return sig * pointwise(model.drift, times, arg), pointwise(model.cost, times, arg), arg
 
 
-def stars_at(model: MarketModel, t: float, z: float):
-    """(lam, cost, argmax) at one time and exposure: the one-point stars_on_grid."""
-    return tuple(float(v) for v in stars_on_grid(model, t, z))
-
-
-def maximize(model: MarketModel, t: float, z: float,
-             spec_tag: str = "separable_rn") -> HamiltonianResult:
-    """Best effort response and its value at exposure z.
+def maximize(model: MarketModel, t: float, z: float) -> HamiltonianResult:
+    """Best effort response and its value at one time and exposure z: the
+    one-point :func:`stars_on_grid`.
 
     The trade-off has the same shape for every second-best regime (the
-    diagonal cost weight is one); first-best tags have no agent
-    Hamiltonian and are rejected.
+    diagonal cost weight is one), so no regime is read.
     """
-    if spec_tag in ("first_best_nonseparable", "first_best_separable"):
-        raise ValueError(f"{spec_tag} has no agent-side maximization")
     if not np.isfinite(z):
         raise ValueError("exposure z must be finite")
-    lam, cost, a_star = stars_at(model, t, z)
+    lam, cost, a_star = (float(v) for v in stars_on_grid(model, t, z))
     edge = max(1e-9, 1e-12 * (model.action_hi - model.action_lo))
     at_boundary = (a_star - model.action_lo) < edge or (model.action_hi - a_star) < edge
     return HamiltonianResult(value=lam * float(z) - cost, argmax=a_star, at_boundary=at_boundary)

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .discounting import DiscountSpec
+from .discounting import DiscountSpec, _number
 
 SPEC_TAGS = (
     "discounted_utility",
@@ -210,13 +210,13 @@ class MarketModel:
             obj = json.loads(obj)
         drift = obj["drift"]
         cost = obj["cost"]
-        action = tuple(obj["action"])
+        action = tuple(_number(v, "action bound") for v in obj["action"])
         if len(action) != 2:
             raise ValueError("action must be a [lo, hi] pair")
         return cls.from_families(
-            obj["x0"],
-            obj["T"],
-            obj["sigma"],
+            _number(obj["x0"], "x0"),
+            _number(obj["T"], "T"),
+            _number(obj["sigma"], "sigma"),
             (drift["family"], drift.get("params", {})),
             (cost["family"], cost.get("params", {})),
             action,
@@ -235,14 +235,14 @@ def _make_drift(name, sigma):
 def _make_cost(name, params):
     """(c(t, a), the stationary point of s a - c(a)) of a builtin cost family."""
     if name == "hm_linear":
-        k = float(params["k"])
+        k = _number(params["k"], "k")
         if not k > 0.0:
             raise ValueError("hm_linear needs k > 0")
         return (lambda t, a: 0.5 * k * a * a), (lambda s: s / k)
     if name == "quadratic":
         return (lambda t, a: 0.5 * a * a), (lambda s: s)
     if name == "power":
-        p = float(params["p"])
+        p = _number(params["p"], "p")
         if not p > 1.0:
             raise ValueError("power cost needs p > 1")
         # with p near 1 the power overflows to infinity for large |s|; the
@@ -357,9 +357,9 @@ class Preferences:
         return cls(
             agent_utility=obj["agent"],
             principal_utility=obj["principal"],
-            gamma_a=float(obj.get("gamma_a", 0.0)),
-            gamma_p=float(obj.get("gamma_p", 0.0)),
-            r0=float(obj["r0"]),
+            gamma_a=_number(obj.get("gamma_a", 0.0), "gamma_a"),
+            gamma_p=_number(obj.get("gamma_p", 0.0), "gamma_p"),
+            r0=_number(obj["r0"], "r0"),
             discount=DiscountSpec.from_json(obj["discount"]),
             spec_tag=obj["spec"],
         )

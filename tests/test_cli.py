@@ -791,6 +791,58 @@ class TestParseErrors:
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,extra,flag,key", [
+        ("verify", {"n_paths": True}, ["--paths", "10"], "n_paths"),
+        ("verify", {"seed": 7.5}, ["--seed", "3"], "seed"),
+        ("check-constraint", {"threshold": "x"}, ["--tol", "0.5"], "threshold"),
+        ("solve", {"grid_points": "301"}, ["--steps", "51"], "grid_points"),
+        ("check-constraint", {"n_steps": 10.5}, ["--steps", "10"], "n_steps"),
+        ("figures", {"points": "41"}, ["--steps", "11"], "points"),
+    ])
+    def test_a_flag_does_not_skip_the_config_value_check(self, tmp_path, capsys, command,
+                                                         extra, flag, key):
+        # the config is read and checked first; the flag then replaces it
+        cfg = write_config(tmp_path, {**SEPARABLE_CONFIG, "n_paths": 10, "n_steps": 10,
+                                      **extra})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *flag]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path,value", [
+        (("model", "x0"), True), (("model", "sigma"), "0.7"), (("model", "T"), "2"),
+        (("model", "action", 1), "10"), (("model", "cost", "params", "k"), True),
+        (("preferences", "r0"), "0.1"), (("preferences", "gamma_a"), None),
+        (("preferences", "discount", "gamma"), True),
+        (("preferences", "discount", "alpha"), "0.4"),
+    ])
+    def test_model_section_numbers_are_read_strictly(self, tmp_path, capsys, path, value):
+        # the run settings' rule: a bool or a string is not a number
+        bad = json.loads(json.dumps(HM_DU_CONFIG))
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        name = "action bound" if path[-2] == "action" else path[-1]
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: bad config: {name} must be a number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("params", 5), ("params", "k"), ("params", [1, 2]), ("params", None),
+        ("action", 5), ("action", "ab"), ("action", None), ("action", {"lo": 0, "hi": 1}),
+    ])
+    def test_params_or_action_of_the_wrong_type_exit_1(self, tmp_path, capsys, key, value):
+        bad = json.loads(json.dumps(HM_DU_CONFIG))
+        if key == "params":
+            bad["model"]["cost"]["params"] = value
+        else:
+            bad["model"]["action"] = value
+        assert main(["solve", "--config", write_config(tmp_path, bad), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: bad config: ")
+
     @pytest.mark.parametrize("command", ["verify", "check-constraint"])
     def test_integral_float_settings_are_integers(self, tmp_path, capsys, command):
         config = {**SEPARABLE_CONFIG, "grid_points": 201.0, "n_paths": 10.0, "n_steps": 10.0,
@@ -875,6 +927,7 @@ class TestParseErrors:
         ("figures", {"betas": ["0.4"]}, "betas"),
         ("figures", {"gamma": "0.05"}, "gamma"),
         ("discount", {"horizon": True}, "horizon"),
+        ("discount", {"discounts": [{"variant": "exponential", "gamma": True}]}, "gamma"),
     ])
     def test_unreadable_table_option_exits_1(self, tmp_path, capsys, command, extra, key):
         cfg = write_config(tmp_path, extra)

@@ -117,7 +117,7 @@ def test_time_varying_sigma_against_pointwise_brent():
     assert sol.value_principal == pytest.approx(-1.0252619318370078, abs=1e-9)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     k=st.floats(0.25, 4.0),
     ga=st.floats(0.1, 3.0),
@@ -234,7 +234,7 @@ def test_stacked_efforts_refuse_what_solve_refuses():
                                       "first_best_separable")])
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(alpha=st.floats(0.05, 3.0), gamma=st.floats(0.1, 2.0))
 def test_separable_exposure_ratio_property(alpha, gamma):
     f = DiscountSpec.hyperbolic(gamma, alpha)

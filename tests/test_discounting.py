@@ -123,7 +123,7 @@ def test_huge_quasi_rate_reaches_its_limits_quietly(beta):
     assert np.array_equal(slope[1:], -gamma * beta * np.exp(-gamma * t[1:]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     gamma=st.floats(0.01, 3.0),
     alpha=st.floats(0.001, 10.0),
@@ -137,7 +137,7 @@ def test_hyperbolic_decreasing_and_positive(gamma, alpha, t, dt):
     assert spec.idr(t) > 0.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     gamma=st.floats(0.01, 2.0),
     beta=st.floats(0.0, 1.0),
@@ -171,6 +171,17 @@ def test_alpha_belongs_to_the_hyperbolic_curve(variant, alpha):
         DiscountSpec(variant, 0.3, alpha=alpha)
 
 
+@pytest.mark.parametrize("variant", ["exponential", "hyperbolic"])
+@pytest.mark.parametrize("name,value", [("beta", 0.5), ("beta", 0.0), ("lam", 2.0),
+                                        ("lam", float("nan"))])
+def test_beta_and_lambda_belong_to_the_quasi_hyperbolic_curve(variant, name, value):
+    # an unused parameter would be dropped by to_json, and the spec would
+    # compare unequal to the curve it evaluates as
+    with pytest.raises(ValueError, match=f"{name} applies to the quasi_hyperbolic variant only"):
+        DiscountSpec(variant, 0.3, alpha=0.4 if variant == "hyperbolic" else 0.0,
+                     **{name: value})
+
+
 def test_validation_rejects_bad_parameters():
     with pytest.raises(ValueError):
         DiscountSpec.exponential(-0.1)
@@ -193,3 +204,31 @@ def test_json_round_trip():
         assert again == spec
         via_text = DiscountSpec.from_json(json.dumps(spec.to_json()))
         assert via_text == spec
+    assert [list(spec.to_json()) for spec in specs] == [
+        ["variant", "gamma"], ["variant", "gamma", "alpha"],
+        ["variant", "gamma", "beta", "lambda"]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(["exponential", "hyperbolic", "quasi_hyperbolic"]),
+       gamma=st.floats(0.0, 1e300), alpha=st.floats(0.0, 1e300),
+       beta=st.floats(0.0, 1.0), lam=st.floats(0.0, 1e300),
+       keep=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_every_constructible_spec_survives_its_json_round_trip(variant, gamma, alpha, beta,
+                                                               lam, keep):
+    params = {name: value for name, value, use in
+              zip(("alpha", "beta", "lam"), (alpha, beta, lam), keep) if use}
+    try:
+        spec = DiscountSpec(variant, gamma, **params)
+    except ValueError:
+        return
+    assert DiscountSpec.from_json(spec.to_json()) == spec
+    assert DiscountSpec.from_json(json.dumps(spec.to_json())) == spec
+
+
+@pytest.mark.parametrize("key,value", [("gamma", True), ("gamma", "0.3"), ("alpha", None),
+                                       ("alpha", [0.4])])
+def test_json_numbers_are_read_strictly(key, value):
+    with pytest.raises(TypeError, match=f"{key} must be a number"):
+        DiscountSpec.from_json({"variant": "hyperbolic", "gamma": 0.3, "alpha": 0.4,
+                                key: value})

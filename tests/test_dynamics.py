@@ -231,6 +231,12 @@ def test_mc_tag_mismatch_rejected(separable, discounted_utility):
         agent_value_mc(m, p_other, sol, ens)
     with pytest.raises(ValueError, match="spec tag"):
         principal_value_mc(m, p_other, sol, ens)
+    # the verifier applies the same check: first-best preferences with the
+    # second-best separable solution share every number but the regime
+    first_best = _rn(p.r0, p.discount, "first_best_separable")
+    for prefs in (p_other, first_best):
+        with pytest.raises(ValueError, match="spec tag"):
+            verify_contract(m, prefs, sol, n_paths=10, n_steps=8)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +274,6 @@ def test_delta_check_validation(separable, discounted_utility):
         delta_correction_check(mu, pu, solu, ens, 0.5)
     with pytest.raises(ValueError, match="s must lie"):
         delta_correction_check(m, p, sol, ens, 3.0)
-    with pytest.raises(ValueError, match="separable"):
-        verify_contract(mu, pu, solu, n_paths=10, n_steps=8, s_values=(0.5,))
 
 
 @pytest.mark.parametrize("rows", [1, 7, dynamics.SHIFT_ROWS])
@@ -332,6 +336,22 @@ def test_spike_nested_mc_for_utility_regimes(discounted_utility, discounted_inco
         dev = spike_deviation_check(m, p, sol, 0.5, 0.25, 0.0,
                                     n_inner=4000, n_steps=400, seed=11)
         assert dev.mean <= 10.0 * 0.25 ** 2 + 3.0 * dev.std_error
+
+
+@pytest.mark.parametrize("action,inside", [
+    (10.0 + 1e-10, True), (10.0 + 5e-9, True), (-1e-10, True),
+    (10.0 + 2e-8, False), (-2e-8, False), (11.0, False),
+])
+def test_simulate_and_spike_check_share_the_action_interval(separable, action, inside):
+    # one slack for both: 1e-9 max(1, hi - lo), 1e-8 on the interval [0, 10]
+    m, p, sol = separable
+    for run in (lambda: simulate(m, action, 2, 4, seed=1),
+                lambda: spike_deviation_check(m, p, sol, 0.5, 0.2, action)):
+        if inside:
+            run()
+        else:
+            with pytest.raises(ValueError, match="leaves the action interval"):
+                run()
 
 
 def test_spike_validation(separable):

@@ -64,7 +64,7 @@ def _proportional_family(disc, horizon, scale, level):
 
 
 def _plain(zf):
-    """The family as a plain callable, so that march takes its tiled route."""
+    """The family as a plain callable, so that march takes its step loop."""
     return lambda s, t: zf(s, t)
 
 
@@ -258,32 +258,6 @@ def test_pointwise_passes_the_arrays_unbroadcast():
         np.testing.assert_array_equal(got, want)
 
 
-def test_march_does_not_depend_on_the_tiling(separable_setup, monkeypatch):
-    m, p, sol = separable_setup
-    # 300 steps: a multiple of neither 7 nor the default tile
-    assert 300 % 7 and 300 % fsvie.TILE
-    ens = simulate(m, sol.effort, 2, 300, seed=11)
-    (y0f, zf), (y0c, zc) = separable_optimal_family(m, p, sol), s_constant_family(m, p, sol)
-    cases = [
-        (p, (y0f, _plain(zf))),
-        (p, (y0c, _plain(zc))),
-        (_cara(1.0, 0.5, -0.8, HYP, "discounted_utility"),
-         _proportional_family(HYP, 2.0, 0.05, -0.5)),
-        (_cara(0.5, 0.5, -0.8, HYP, "discounted_income"),
-         _proportional_family(HYP, 2.0, 0.05, -0.5)),
-    ]
-    for prefs, (y0f, zf) in cases:
-        fields = []
-        for tile in (1, 7, fsvie.TILE):
-            with monkeypatch.context() as patch:
-                patch.setattr(fsvie, "TILE", tile)
-                fields.append(march(m, prefs, y0f, zf, ens))
-        for field in fields[1:]:
-            np.testing.assert_array_equal(field.terminal, fields[0].terminal)
-            np.testing.assert_array_equal(field.diagonal, fields[0].diagonal)
-            np.testing.assert_array_equal(field.z_diag, fields[0].z_diag)
-
-
 def test_initial_profile_blocks_match_single_rows(separable_setup):
     m, p, sol = separable_setup
     y0f, _ = separable_optimal_family(m, p, sol)
@@ -318,7 +292,7 @@ def test_march_reproduces_the_picard_fixed_point(separable_setup):
         np.testing.assert_array_equal(marched.grid, swept.grid)
         np.testing.assert_array_equal(marched.z_diag, swept.z_diag)
         if prefs.spec_tag == "separable_rn" and not isinstance(zf, fsvie.ProductFamily):
-            # the drift does not read Y: the tiled march sums the sweep's
+            # the drift does not read Y: the step loop sums the sweep's
             # increments in the sweep's order
             np.testing.assert_array_equal(marched.terminal, swept.terminal)
             np.testing.assert_array_equal(marched.diagonal, swept.diagonal)
@@ -340,10 +314,9 @@ def test_lag_table_rows_match_direct_weights(disc):
     weights = fsvie._lag_weights(_rn(0.05, disc, "separable_rn"), steps,
                                  float(grid[1] - grid[0]))
     assert weights.shape == (steps, steps + 1)
-    for start in range(0, steps, fsvie.TILE):
-        for j in range(start, min(start + fsvie.TILE, steps)):
-            np.testing.assert_allclose(weights[j], disc.value_extended(grid[j] - grid),
-                                       rtol=1e-14, atol=0.0)
+    for j in range(steps):
+        np.testing.assert_allclose(weights[j], disc.value_extended(grid[j] - grid),
+                                   rtol=1e-14, atol=0.0)
     assert fsvie._lag_weights(_cara(1.0, 0.5, -0.8, disc, "discounted_utility"),
                               steps, 0.1) is None
 
