@@ -216,50 +216,49 @@ _KINDS = {_integer: "an integer", _number: "a number", _numbers: "a list of numb
           _flag: "true or false"}
 
 
-def _config_value(cfg, key, default, kind, flag=None):
+def _config_value(cfg, key, default, kind, flag=None, rules=()):
     """cfg[key], or default when absent, read by kind (_integer, _number,
-    _numbers or _flag); a value it does not accept is a parse error, also
-    when the flag's value, if given, replaces it."""
+    _numbers or _flag), unless the flag's value, if given, replaces it.
+    The config value must pass kind and the range rules, (test, what the
+    value must be) pairs, and then the flag's value the rules, so a flag
+    hides no bad config value; a value that fails is a parse error."""
     try:
         value = kind(cfg.get(key, default))
     except (TypeError, ValueError):
         _fail_usage(f"{key} must be {_KINDS[kind]}")
+    for v in (value, flag):
+        for test, needs in rules:
+            if v is not None and not test(v):
+                _fail_usage(f"{key} must be {needs}")
     return value if flag is None else flag
 
 
-def _positive_int(cfg, args, flag_name, cfg_key, default):
+def _positive_int(cfg, args, flag_name, cfg_key, default, least=1):
+    """A positive integer, at least least, from the flag or the config."""
     flag = getattr(args, flag_name, None) if flag_name else None
-    value = _config_value(cfg, cfg_key, default, _integer, flag)
-    if value <= 0:
-        _fail_usage(f"{cfg_key} must be positive")
-    return value
+    return _config_value(cfg, cfg_key, default, _integer, flag,
+                         [(lambda n: n > 0, "positive"),
+                          (lambda n: n >= least, f"at least {least}")])
 
 
 def _solver_grid(cfg, args, flag_name, horizon):
     """The closed-form solver's grid on [0, horizon], of grid_points points
     (from the flag flag_name when given, else the config)."""
-    n = _positive_int(cfg, args, flag_name, "grid_points", closed_form.DEFAULT_GRID_POINTS)
-    if n < 3:
-        _fail_usage("grid_points must be at least 3")
+    n = _positive_int(cfg, args, flag_name, "grid_points", closed_form.DEFAULT_GRID_POINTS, 3)
     return closed_form.default_grid(horizon, n)
 
 
 def _seed(cfg, args):
     """The stream seed, from the flag or the config: a signed 64-bit integer."""
-    seed = _config_value(cfg, "seed", 7, _integer, args.seed)
-    if not -2**63 <= seed < 2**63:
-        _fail_usage("seed must be a signed 64-bit integer")
-    return seed
+    return _config_value(cfg, "seed", 7, _integer, args.seed,
+                         [(lambda n: -2**63 <= n < 2**63, "a signed 64-bit integer")])
 
 
 def cmd_discount(args) -> int:
     cfg = _load_config(args.config)
-    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, _number)
-    if horizon <= 0.0:
-        _fail_usage("horizon must be positive")
-    points = _positive_int(cfg, args, "steps", "points", 501)
-    if points < 2:
-        _fail_usage("points must be at least 2")
+    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, _number,
+                            rules=[(lambda x: x > 0.0, "positive")])
+    points = _positive_int(cfg, args, "steps", "points", 501, 2)
     entries = cfg.get("discounts")
     if entries is None:
         named = list(FIGURE1_SPECS)
@@ -272,7 +271,10 @@ def cmd_discount(args) -> int:
                 spec = DiscountSpec.from_json(entry)
             except (KeyError, TypeError, ValueError) as exc:
                 _fail_usage(f"bad discount entry: {exc}")
-            named.append((str(entry.get("name", spec.variant)), spec))
+            name = str(entry.get("name", spec.variant))
+            if os.path.basename(name) != name or "\0" in name:
+                _fail_usage(f"bad discount entry: name {name!r} is not a plain file name")
+            named.append((name, spec))
     outdir = _ensure_outdir(args.out)
     t = np.linspace(0.0, horizon, points)
     written = []
@@ -349,12 +351,9 @@ def cmd_verify(args) -> int:
 
 def cmd_figures(args) -> int:
     cfg = _load_config(args.config)
-    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, _number)
-    if horizon <= 0.0:
-        _fail_usage("horizon must be positive")
-    points = _positive_int(cfg, args, "steps", "points", 501)
-    if points < 3:
-        _fail_usage("points must be at least 3")
+    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, _number,
+                            rules=[(lambda x: x > 0.0, "positive")])
+    points = _positive_int(cfg, args, "steps", "points", 501, 3)
     gamma = _config_value(cfg, "gamma", FIGURE2_GAMMA, _number)
     alphas = _config_value(cfg, "alphas", FIGURE2_ALPHAS, _numbers)
     betas = _config_value(cfg, "betas", FIGURE2_BETAS, _numbers)
@@ -406,9 +405,8 @@ def cmd_check_constraint(args) -> int:
     n_paths = _positive_int(cfg, args, "paths", "n_paths", 3)
     n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
     seed = _seed(cfg, args)
-    threshold = _config_value(cfg, "threshold", 0.01, _number, args.tol)
-    if not 0.0 < threshold < math.inf:
-        _fail_usage("threshold must be positive and finite")
+    threshold = _config_value(cfg, "threshold", 0.01, _number, args.tol,
+                              [(lambda x: 0.0 < x < math.inf, "positive and finite")])
     family_name = str(cfg.get("family", "optimal"))
     families = {"optimal": fsvie.separable_optimal_family,
                 "s_constant": fsvie.s_constant_family}

@@ -43,9 +43,10 @@ def _number(value, name="value"):
 class DiscountSpec:
     """Immutable description of one discount curve.
 
-    The constructor refuses a parameter that the variant does not read
-    unless it is at its default, so every spec survives its JSON round
-    trip; the factory classmethods build each variant.
+    The constructor reads each parameter by from_json's number rule and
+    refuses one that the variant does not read unless it is at its
+    default, so every spec survives its JSON round trip; the factory
+    classmethods build each variant.
     """
 
     variant: str
@@ -57,6 +58,8 @@ class DiscountSpec:
     def __post_init__(self):
         if self.variant not in _PARAMETERS:
             raise ValueError(f"unknown discount variant {self.variant!r}")
+        for field in fields(self)[1:]:  # gamma, alpha, beta, lam, stored as floats
+            object.__setattr__(self, field.name, _number(getattr(self, field.name), field.name))
         if self.gamma < 0.0 or not math.isfinite(self.gamma):
             raise ValueError("gamma must be nonnegative and finite")
         for field in fields(self)[2:]:  # alpha, beta, lam
@@ -95,16 +98,16 @@ class DiscountSpec:
     def derivative(self, t):
         """Closed-form f'(t) for t >= 0."""
         t = _check_nonnegative(t)
-        g = self.gamma
-        if self.variant == "quasi_hyperbolic":
-            b, lam = self.beta, self.lam
-            with np.errstate(over="ignore"):  # a huge rate times t: exp gives 0
+        g, a = self.gamma, self.alpha
+        # a huge rate times t overflows to infinity, where f' is 0
+        with np.errstate(over="ignore"):
+            if self.variant == "quasi_hyperbolic":
+                b, lam = self.beta, self.lam
                 return -(lam + g) * (1.0 - b) * np.exp(-t * (lam + g)) - g * b * np.exp(-g * t)
-        a = self.alpha
-        if a == 0.0:
-            return -g * np.exp(-g * t)
-        # f' = -gamma * (1 + alpha t)^(-gamma/alpha - 1)
-        return -g * self._value_raw(t) / (1.0 + a * t)
+            if a == 0.0:
+                return -g * np.exp(-g * t)
+            # f' = -gamma * (1 + alpha t)^(-gamma/alpha - 1)
+            return -g * self._value_raw(t) / (1.0 + a * t)
 
     def idr(self, t):
         """Instantaneous discount rate -f'(t)/f(t), from its own closed form.
@@ -117,9 +120,10 @@ class DiscountSpec:
         g = self.gamma
         if self.variant != "quasi_hyperbolic":
             a = self.alpha
-            return g / (1.0 + a * t) if a != 0.0 else (
-                np.broadcast_to(np.float64(g), np.shape(t)).copy() if np.ndim(t) else g
-            )
+            if a == 0.0:
+                return np.broadcast_to(np.float64(g), np.shape(t)).copy() if np.ndim(t) else g
+            with np.errstate(over="ignore"):  # a huge alpha t: the rate is 0
+                return g / (1.0 + a * t)
         b, lam = self.beta, self.lam
         if b == 0.0:
             extra = np.broadcast_to(np.float64(lam), np.shape(t)).copy() if np.ndim(t) else lam

@@ -18,7 +18,10 @@ paths), not O(paths x steps).
 
 The checkers cover: participation (agent Monte Carlo value vs the
 reservation level), the principal's value, the s-shift correction identity
-for the separable regime, and spike deviations of the equilibrium effort.
+for the separable regime, and spike deviations of the equilibrium effort
+for every second-best regime.  A spike gain has no sampling error: Simpson
+quadrature for the separable regime, and for the exponential-utility
+regimes the closed-form mean of a CARA reward of Gaussian output noise.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .closed_form import ContractSolution, simpson
-from .model import MarketModel, Preferences, pointwise
+from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
 
 # paths per simulated block in verify_contract (rounded up to whole payoff
 # groups); 256 x 2000 steps is a 4 MB block
@@ -40,7 +43,6 @@ BLOCK_PATHS = 256
 PAYOFF_ROWS = 8
 # values of s per block of the s-shift correction's (s, solver grid) arrays
 SHIFT_ROWS = 32
-INNER_SPIKE_PATHS = 10_000
 
 
 @dataclass
@@ -320,70 +322,58 @@ def _spike_quadrature(model: MarketModel, prefs: Preferences, solution: Contract
     return McEstimate(mean=gain, std_error=0.0, n=n_nodes)
 
 
-def _spike_nested_mc(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                     t: float, ell: float, alt, n_inner: int, n_steps: int,
-                     seed: int) -> McEstimate:
-    if prefs.spec_tag not in ("discounted_utility", "discounted_income"):
-        raise ValueError(f"no nested Monte Carlo spike check for spec {prefs.spec_tag!r}")
-    if n_inner < 2:
-        raise ValueError("the nested Monte Carlo spike check needs n_inner >= 2 "
-                         "for a standard error")
+def _spike_cara(model: MarketModel, prefs: Preferences, solution: ContractSolution,
+                t: float, ell: float, alt, n_steps: int) -> McEstimate:
+    """The exact mean gain on the m-step left-point tail grid of [t, T].
+
+    Seen from t, the payment is w_t + sum load sigma b(a) dt + N with
+    N ~ N(0, v), v = sum load^2 sigma^2 dt, whatever the action; a CARA
+    reward of that has the mean reward(w, p, k) exp((gamma_a b)^2 v / 2),
+    with b the weight the payment carries inside the utility (1, or w for
+    discounted income).  That is the reward at the payment less
+    gamma_a b v / 2, which is how it is formed: the factor alone can
+    overflow where the product is finite.
+    """
     T = model.horizon
-    alt_fn = _effort_fn(alt)
     m = max(2, int(round((T - t) / T * n_steps)))
-    rs = np.linspace(t, T, m + 1)
-    r_left = rs[:-1]
+    r_left = np.linspace(t, T, m + 1)[:-1]
     dt = (T - t) / m
     sig = model.sigma_at(r_left)
     load = solution.loading(r_left)
-
     a_eq = solution.effort(r_left)
-    a_dev = np.where(r_left < t + ell, pointwise(alt_fn, r_left), a_eq)
-    drift_eq = sig * pointwise(model.drift, r_left, a_eq)
-    drift_dev = sig * pointwise(model.drift, r_left, a_dev)
-    cost_eq = pointwise(model.cost, r_left, a_eq)
-    cost_dev = pointwise(model.cost, r_left, a_dev)
+    a_dev = np.where(r_left < t + ell, pointwise(_effort_fn(alt), r_left), a_eq)
 
     # realized contract part on [0, t], taken along the mean path
-    sg = solution.grid
-    head = sg[sg <= t]
-    if head.size >= 3:
-        lam_head = model.sigma_at(head) * pointwise(model.drift, head, solution.effort(head)) \
-            * solution.loading(head)
-        w_t = solution.constant_term + float(simpson(lam_head, head))
-    else:
-        w_t = solution.constant_term
+    head = solution.grid[solution.grid <= t]
+    lam_head = model.sigma_at(head) * pointwise(model.drift, head, solution.effort(head)) \
+        * solution.loading(head)
+    w_t = solution.constant_term + (float(simpson(lam_head, head)) if head.size >= 3 else 0.0)
 
-    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    gains = np.empty(n_inner)
-    block = 2000
-    k_tail_dev = prefs.running_cost(r_left - t, cost_dev, dt)
-    k_tail_eq = prefs.running_cost(r_left - t, cost_eq, dt)
-    fTt = float(prefs.discount.value(T - t))
-    for lo in range(0, n_inner, block):
-        hi = min(lo + block, n_inner)
-        z = gen.standard_normal((hi - lo, m))
-        noise = (z * (sig * math.sqrt(dt))) @ load
-        tail_dev = noise + float(np.sum(load * drift_dev) * dt)
-        tail_eq = noise + float(np.sum(load * drift_eq) * dt)
-        gains[lo:hi] = (prefs.reward(fTt, w_t + tail_dev, k_tail_dev)
-                        - prefs.reward(fTt, w_t + tail_eq, k_tail_eq))
-    return _estimate(gains, antithetic=False)
+    w = float(prefs.discount.value(T - t))
+    b = 1.0 if prefs.spec_tag == "discounted_utility" else w
+    risk = 0.5 * prefs.gamma_a * b * float(np.sum(load * load * sig * sig) * dt)
+
+    def value(actions):
+        pay = w_t - risk + float(np.sum(load * (sig * pointwise(model.drift, r_left, actions))) * dt)
+        running = prefs.running_cost(r_left - t, pointwise(model.cost, r_left, actions), dt)
+        return float(prefs.reward(w, pay, running))
+
+    return McEstimate(mean=value(a_dev) - value(a_eq), std_error=0.0, n=m)
 
 
 def spike_deviation_check(model: MarketModel, prefs: Preferences,
                           solution: ContractSolution, t: float, ell: float, alt_effort,
-                          n_inner: int = INNER_SPIKE_PATHS, n_steps: int = 2000,
-                          seed: int = 977) -> McEstimate:
-    """Value gain from deviating to alt_effort on [t, t+ell).
+                          n_steps: int = 2000) -> McEstimate:
+    """Value gain from deviating to alt_effort on [t, t+ell), std_error 0.
 
-    For the separable regime both values are deterministic integrals given
-    the loading, so the gain is closed-form quadrature (std_error 0).  The
-    exponential-utility regimes use nested Monte Carlo with common random
-    numbers across the deviation and equilibrium branches, evaluated at the
-    mean realized state; alt_effort may be a constant or a callable of
-    time.  Only constant and policy-valued deviations are explored, so a
-    pass is a necessary condition for equilibrium, not a proof.
+    alt_effort may be a constant or a callable of time.  For the separable
+    regimes both values are deterministic integrals given the loading, so
+    the gain is Simpson quadrature on the window.  For the exponential-
+    utility regimes the gain is the exact expectation over the output noise
+    after t, on the tail grid of [t, T] that n_steps steps on [0, T] give
+    it, from the contract part realized along the mean path up to t.  Only
+    constant and policy-valued deviations are explored, so a pass is a
+    necessary condition for equilibrium, not a proof.
     """
     if t + ell > model.horizon + 1e-12:
         raise ValueError("spike window [t, t+ell) must fit inside [0, T]")
@@ -391,8 +381,9 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
     _check_actions(model, probe, "alt_effort")
     if prefs.spec_tag in ("separable_rn", "first_best_separable"):
         return _spike_quadrature(model, prefs, solution, t, ell, alt_effort)
-    return _spike_nested_mc(model, prefs, solution, t, ell, alt_effort,
-                            n_inner, n_steps, seed)
+    if prefs.spec_tag in ("discounted_utility", "discounted_income"):
+        return _spike_cara(model, prefs, solution, t, ell, alt_effort, n_steps)
+    raise ValueError(f"no spike deviation check for spec {prefs.spec_tag!r}")
 
 
 def _check_estimator_units(n_paths: int, antithetic: bool):
@@ -409,10 +400,12 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
                     antithetic: bool = False, threads: Optional[int] = None) -> dict:
     """Run the full Monte Carlo verification suite and return a report.
 
-    Every regime gets participation and the principal's value; the
-    separable regime also gets the correction identity at s = T/4 and T/2
-    and eight spike deviations (delta_correction_check and
-    spike_deviation_check take any other s or spike).
+    Every regime gets participation and the principal's value; every
+    second-best regime also gets eight spike deviations (t in {0, T/4, T/2,
+    3T/4}, alt in {action_lo, mid}, on the n_steps grid), and the
+    separable one the correction identity at s = T/4 and T/2
+    (delta_correction_check and spike_deviation_check take any other s or
+    spike).
 
     Paths are simulated in blocks of BLOCK_PATHS, rounded up to whole
     groups of PAYOFF_ROWS.  Each block is reduced to its payments and
@@ -436,8 +429,8 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
         raise ValueError("antithetic sampling needs exponential utilities for both "
                          "parties: a risk-neutral reward has no noise left to estimate")
     _check_regime(prefs, solution)
-    separable = prefs.spec_tag == "separable_rn"
-    shifts = (0.25 * model.horizon, 0.5 * model.horizon) if separable else ()
+    shifts = (0.25 * model.horizon, 0.5 * model.horizon) \
+        if prefs.spec_tag == "separable_rn" else ()
     for s in shifts:
         # the identity evaluates f(t - s) down to t - s = -s; a curve
         # undefined there raises ValueError before any path is simulated
@@ -489,9 +482,10 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
 
     ell = 0.1 * model.horizon
     alts = (model.action_lo, 0.5 * (model.action_lo + model.action_hi))
-    ts = np.linspace(0.0, 0.75 * model.horizon, 4).tolist() if separable else []
+    ts = np.linspace(0.0, 0.75 * model.horizon, 4).tolist() \
+        if prefs.spec_tag in SECOND_BEST_TAGS else []
     for t, alt in [(t, alt) for t in ts for alt in alts]:
-        est = spike_deviation_check(model, prefs, solution, t, ell, alt, seed=seed + 1)
+        est = spike_deviation_check(model, prefs, solution, t, ell, alt, n_steps=n_steps)
         bound = 10.0 * ell * ell + 3.0 * est.std_error
         report["spike_tests"].append({
             "t": t, "ell": ell, "alt": alt,

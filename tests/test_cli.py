@@ -112,6 +112,17 @@ class TestDiscount:
         assert len(out) == 3
         assert all(line.endswith(".csv") for line in out)
 
+    @pytest.mark.parametrize("name", ["a/b", "../up", "/", "x\0y"])
+    def test_a_name_that_is_no_plain_file_name_exits_1(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, {"discounts": [
+            {"variant": "exponential", "gamma": 0.1},
+            {"variant": "exponential", "gamma": 0.2, "name": name}]})
+        out = tmp_path / "out"
+        assert main(["discount", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad discount entry: name {name!r} is not a plain file name\n")
+        assert not out.exists()
+
 
 class TestSolve:
     def test_holmstrom_milgrom_loading_is_a_constant_column(self, tmp_path):
@@ -283,6 +294,35 @@ class TestVerify:
         f_t = float(DiscountSpec.hyperbolic(1.0, 0.4).value(2.0))
         shift = report["participation"]["mean"] - clean_report["participation"]["mean"]
         assert shift == pytest.approx(f_t, abs=1e-12)
+
+    @pytest.mark.parametrize("config", ["discounted_utility", "discounted_income"])
+    def test_cara_report_holds_eight_exact_spikes(self, tmp_path, capsys, config):
+        if config == "discounted_utility":
+            payload = HM_DU_CONFIG
+        else:
+            with open(os.path.join(ROOT, "perfbench", "configs", f"{config}.json")) as fh:
+                payload = json.load(fh)
+        cfg = write_config(tmp_path, payload)
+
+        def run(name, *flags):
+            out = tmp_path / name
+            rc = main(["verify", "--config", cfg, "--out", str(out), "--paths", "2000",
+                       "--steps", "100", *flags])
+            return rc, capsys.readouterr().out, (out / "report.json").read_bytes()
+
+        rc, stdout, report = run("one", "--seed", "7")
+        assert rc == 0
+        assert run("again", "--seed", "7") == (rc, stdout, report)
+        assert run("threads", "--seed", "7", "--threads", "2") == (rc, stdout, report)
+        rows = json.loads(report)["spike_tests"]
+        assert len(rows) == 8
+        assert all(row["se"] == 0.0 and row["pass"] for row in rows)
+        assert [line for line in stdout.splitlines() if line.startswith("spike t=")] == [
+            f"spike t={row['t']:g} alt={row['alt']}: pass "
+            f"(gain={row['gain']:.3g}, bound={row['bound']:.3g})" for row in rows]
+        assert json.loads(report)["delta_residuals"] == []
+        # the gains are exact: no stream feeds them
+        assert json.loads(run("seed", "--seed", "8")[2])["spike_tests"] == rows
 
     def test_antithetic_run_with_a_risk_neutral_party_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SEPARABLE_CONFIG, antithetic=True))
@@ -807,6 +847,33 @@ class TestParseErrors:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out), *flag]) == 1
         assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra,flag,message", [
+        ("verify", {"n_paths": 0}, ["--paths", "10", "--seed", "3", "--steps", "10"],
+         "n_paths must be positive"),
+        ("verify", {"seed": 2**64}, ["--paths", "10", "--seed", "3", "--steps", "10"],
+         "seed must be a signed 64-bit integer"),
+        ("solve", {"grid_points": 1}, ["--steps", "101"], "grid_points must be at least 3"),
+        ("check-constraint", {"threshold": -1.0}, ["--tol", "0.5"],
+         "threshold must be positive and finite"),
+        ("figures", {"points": 2}, ["--steps", "11"], "points must be at least 3"),
+    ])
+    def test_a_flag_does_not_hide_a_config_value_out_of_range(self, tmp_path, capsys,
+                                                              monkeypatch, command, extra,
+                                                              flag, message):
+        # the config value meets the range rule first; the flag then meets it too
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work")
+
+        monkeypatch.setattr(cli.closed_form, "solve", no_work)
+        monkeypatch.setattr(cli.closed_form, "separable_efforts", no_work)
+        with open(os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")) as fh:
+            config = dict(json.load(fh), **extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, config), "--out", str(out),
+                     *flag]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("path,value", [

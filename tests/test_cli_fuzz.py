@@ -1,5 +1,5 @@
 """Property tests of the command line on hostile `solve`,
-`check-constraint` and `figures` configs.
+`check-constraint`, `figures` and `discount` configs.
 
 Whatever the config holds (non-finite or huge numbers, extreme horizons and
 curve parameters, cost exponents near 1 with large volatility, inverted or
@@ -248,3 +248,62 @@ def test_figures_survive_hostile_configs(cfg):
         else:
             assert written == []
 
+
+
+VARIANT_KEYS = {"exponential": ("gamma",), "hyperbolic": ("gamma", "alpha"),
+                "quasi_hyperbolic": ("gamma", "beta", "lambda")}
+
+
+@st.composite
+def discount_configs(draw):
+    """A discount config whose horizon, points, curve entries and their
+    parameters and names are each absent, extreme or (one time in eight)
+    hostile, with at most 41 points."""
+    def hostile_or(good, bad=HOSTILE):
+        return draw(bad) if draw(st.sampled_from(range(8))) == 7 else draw(good)
+
+    def entry():
+        variant = draw(st.sampled_from(sorted(VARIANT_KEYS)))
+        keys = VARIANT_KEYS[variant] + hostile_or(st.just(()), st.sampled_from(
+            [("alpha",), ("beta",), ("lambda",), ("junk",)]))
+        out = {"variant": hostile_or(st.just(variant))}
+        out.update((key, hostile_or(FIGURE_NUMBER)) for key in keys)
+        if draw(st.booleans()):
+            out["name"] = hostile_or(st.sampled_from(["a", "b", "", "..", "a/b", "/", "x\0y"]))
+        return out
+
+    cfg = {}
+    if draw(st.booleans()):
+        cfg["horizon"] = hostile_or(FIGURE_NUMBER)
+    if draw(st.booleans()):
+        size = hostile_or(st.integers(0, 3), st.just(None))
+        cfg["discounts"] = draw(HOSTILE) if size is None else [entry() for _ in range(size)]
+    cfg["points"] = hostile_or(st.integers(2, 41), st.one_of(
+        WRONG_TYPES, st.sampled_from([1, 0, -1, math.nan, math.inf, 10 ** 400, 1.9, 41.5])))
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(cfg={"horizon": 1e300, "points": 5,
+              "discounts": [{"variant": "hyperbolic", "gamma": 1, "alpha": 1e300}]})
+@example(cfg={"points": 5, "discounts": [{"variant": "exponential", "gamma": 1, "name": "a/b"}]})
+@example(cfg={"points": 1})
+@given(cfg=discount_configs())
+def test_discount_survives_hostile_configs(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["discount", "--config", path, "--out", out])
+        assert code in (0, 1, 2)
+        written = sorted(os.listdir(out)) if os.path.isdir(out) else []
+        if code == 0:
+            names = ({str(e.get("name", e["variant"])) for e in cfg["discounts"]}
+                     if cfg.get("discounts") is not None else set(VARIANT_KEYS))
+            assert written == sorted(f"discount_{name}.csv" for name in names)
+        else:
+            assert written == []

@@ -123,6 +123,18 @@ def test_huge_quasi_rate_reaches_its_limits_quietly(beta):
     assert np.array_equal(slope[1:], -gamma * beta * np.exp(-gamma * t[1:]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_rate_times_t_reaches_its_limits_quietly():
+    # 1 + alpha t and gamma t overflow to infinity, where f' and the
+    # hyperbolic rate are 0
+    t = np.array([0.0, 1e300, 1e308])
+    hyperbolic = DiscountSpec.hyperbolic(1.0, 1e300)
+    assert hyperbolic.idr(t).tolist() == [1.0, 0.0, 0.0]
+    assert hyperbolic.idr(1e308) == 0.0
+    assert hyperbolic.derivative(t).tolist() == [-1.0, 0.0, 0.0]
+    assert DiscountSpec.exponential(1e300).derivative(t).tolist() == [-1e300, 0.0, 0.0]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     gamma=st.floats(0.01, 3.0),
@@ -232,3 +244,24 @@ def test_json_numbers_are_read_strictly(key, value):
     with pytest.raises(TypeError, match=f"{key} must be a number"):
         DiscountSpec.from_json({"variant": "hyperbolic", "gamma": 0.3, "alpha": 0.4,
                                 key: value})
+
+
+@pytest.mark.parametrize("variant,key,value", [
+    ("exponential", "gamma", True), ("exponential", "gamma", np.int64(1)),
+    ("hyperbolic", "alpha", False), ("hyperbolic", "alpha", np.int64(1)),
+    ("quasi_hyperbolic", "beta", True), ("quasi_hyperbolic", "lam", np.int64(1)),
+])
+def test_constructor_reads_numbers_by_the_json_rule(variant, key, value):
+    # what from_json refuses the constructor refuses, with the same message
+    params = {"gamma": 0.3, **{"hyperbolic": {"alpha": 0.4},
+                               "quasi_hyperbolic": {"beta": 0.5, "lam": 2.0}}.get(variant, {})}
+    params[key] = value
+    with pytest.raises(TypeError, match=f"^{key} must be a number$"):
+        DiscountSpec(variant, **params)
+
+
+def test_constructor_stores_plain_floats():
+    spec = DiscountSpec("quasi_hyperbolic", 1, beta=np.float64(0.5), lam=2)
+    assert spec == DiscountSpec.quasi_hyperbolic(1.0, 0.5, 2.0)
+    assert all(type(getattr(spec, name)) is float for name in ("gamma", "alpha", "beta", "lam"))
+    assert DiscountSpec.from_json(spec.to_json()) == spec

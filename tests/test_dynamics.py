@@ -30,6 +30,7 @@ from tic_contracts import (
     verify_contract,
 )
 from tic_contracts import dynamics
+from tic_contracts.closed_form import simpson
 from tic_contracts.dynamics import _cost_at_equilibrium, _normal_rows, _thread_count
 from tic_contracts.hamiltonian import stars_on_grid
 
@@ -327,15 +328,79 @@ def test_spike_deviations_lose_for_separable(separable):
             assert est.mean <= 10.0 * 0.2 ** 2
 
 
+# inner paths and steps on [0, T] of the test-side nested Monte Carlo
+INNER_PATHS = 200_000
+ORACLE_STEPS = 40
+
+
+def _nested_mc_spike(m, p, sol, t, ell, alt, n_steps, n_inner=INNER_PATHS):
+    """(mean, se, lognormal) of the spike gain.  mean and se are a nested
+    Monte Carlo: n_inner Gaussian tails on the left-point grid of [t, T]
+    that n_steps steps on [0, T] give it, common to both branches, after
+    the contract part realized along the mean path up to t, with draws
+    from their own Philox key.  lognormal is the gain at no noise times
+    exp((gamma_a b)^2 v / 2), v the tail variance, b = 1 for discounted
+    utility and f(T - t) for discounted income."""
+    T = m.horizon
+    steps = max(2, int(round((T - t) / T * n_steps)))
+    r_left = np.linspace(t, T, steps + 1)[:-1]
+    dt = (T - t) / steps
+    sig = m.sigma_at(r_left)
+    load = sol.loading(r_left)
+    a_eq = sol.effort(r_left)
+    a_dev = np.where(r_left < t + ell, alt, a_eq)
+
+    head = sol.grid[sol.grid <= t]
+    w_t = sol.constant_term
+    if head.size >= 3:
+        lam_head = m.sigma_at(head) * m.drift(head, sol.effort(head)) * sol.loading(head)
+        w_t += float(simpson(lam_head, head))
+
+    gen = np.random.Generator(np.random.Philox(key=[977, 0]))
+    noise = np.concatenate([(gen.standard_normal((20_000, steps)) * (sig * math.sqrt(dt))) @ load
+                            for _ in range(n_inner // 20_000)])
+    w = float(p.discount.value(T - t))
+
+    def rewards(actions, noise):
+        pay = w_t + noise + float(np.sum(load * sig * m.drift(r_left, actions)) * dt)
+        return p.reward(w, pay, p.running_cost(r_left - t, m.cost(r_left, actions), dt))
+
+    gains = rewards(a_dev, noise) - rewards(a_eq, noise)
+    b = 1.0 if p.spec_tag == "discounted_utility" else w
+    factor = math.exp((p.gamma_a * b) ** 2 * float(np.sum(load ** 2 * sig ** 2) * dt) / 2)
+    return (float(np.mean(gains)), float(np.std(gains, ddof=1) / math.sqrt(gains.size)),
+            factor * float(rewards(a_dev, 0.0) - rewards(a_eq, 0.0)))
+
+
 def test_spike_nested_mc_for_utility_regimes(discounted_utility, discounted_income):
+    # the exact CARA gain is the mean of what the nested Monte Carlo samples
     for m, p, sol in (discounted_utility, discounted_income):
         at_policy = spike_deviation_check(m, p, sol, 0.5, 0.25, sol.effort,
-                                          n_inner=2000, n_steps=200, seed=11)
+                                          n_steps=ORACLE_STEPS)
         assert at_policy.mean == 0.0
         assert at_policy.std_error == 0.0
-        dev = spike_deviation_check(m, p, sol, 0.5, 0.25, 0.0,
-                                    n_inner=4000, n_steps=400, seed=11)
-        assert dev.mean <= 10.0 * 0.25 ** 2 + 3.0 * dev.std_error
+        for t in (0.0, 1.0, 1.5):
+            for alt in (m.action_lo, 0.5 * (m.action_lo + m.action_hi)):
+                est = spike_deviation_check(m, p, sol, t, 0.2, alt, n_steps=ORACLE_STEPS)
+                assert est.std_error == 0.0
+                mean, se, lognormal = _nested_mc_spike(m, p, sol, t, 0.2, alt, ORACLE_STEPS)
+                assert abs(est.mean - mean) <= 3.0 * se, (p.spec_tag, t, alt)
+                assert est.mean == pytest.approx(lognormal, rel=1e-12, abs=0.0)
+                assert est.mean <= 10.0 * 0.2 ** 2
+
+
+def test_spike_gain_of_a_risk_neutral_income_agent_is_its_mean():
+    # gamma_a = 0: the noise leaves a linear reward's mean unchanged
+    m = MarketModel.hm_linear(0.3, 2.0, 1.0, 1.0)
+    p = Preferences(agent_utility="risk_neutral", principal_utility="exponential",
+                    gamma_a=0.0, gamma_p=0.5, r0=0.2, discount=HYP,
+                    spec_tag="discounted_income")
+    sol = solve(m, p, default_grid(2.0, 201))
+    est = spike_deviation_check(m, p, sol, 1.0, 0.2, 0.0, n_steps=ORACLE_STEPS)
+    mean, se, lognormal = _nested_mc_spike(m, p, sol, 1.0, 0.2, 0.0, ORACLE_STEPS)
+    assert est.std_error == 0.0
+    assert se < 1e-12
+    assert est.mean == pytest.approx(mean, rel=1e-9) and est.mean == lognormal
 
 
 @pytest.mark.parametrize("action,inside", [
@@ -364,9 +429,9 @@ def test_spike_validation(separable):
     p3 = _cara(1.2, 0.9, -0.6, DiscountSpec.exponential(0.0),
                "first_best_nonseparable")
     s3 = solve(m3, p3, default_grid(1.5, 201))
-    with pytest.raises(ValueError, match="no nested Monte Carlo"):
-        spike_deviation_check(m3, p3, s3, 0.2, 0.1, 0.0, n_inner=100,
-                              n_steps=50)
+    with pytest.raises(ValueError,
+                       match="no spike deviation check for spec 'first_best_nonseparable'"):
+        spike_deviation_check(m3, p3, s3, 0.2, 0.1, 0.0, n_steps=50)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +449,26 @@ def test_verify_contract_report(separable):
         assert abs(row["mean"]) <= 3.0 * row["se"] + row["allowance"]
     again = verify_contract(m, p, sol, n_paths=12000, n_steps=400, seed=7)
     assert rep == again
+
+
+def test_verify_contract_spikes_every_second_best_regime(discounted_utility,
+                                                        discounted_income):
+    # the same eight spikes as the separable report, on the run's own grid
+    for m, p, sol in (discounted_utility, discounted_income):
+        rep = verify_contract(m, p, sol, n_paths=200, n_steps=60, seed=3)
+        assert rep["delta_residuals"] == []
+        rows = rep["spike_tests"]
+        assert [(row["t"], row["alt"]) for row in rows] == [
+            (t, alt) for t in (0.0, 0.5, 1.0, 1.5) for alt in (0.0, 5.0)]
+        for row in rows:
+            est = spike_deviation_check(m, p, sol, row["t"], row["ell"], row["alt"],
+                                        n_steps=60)
+            assert (row["gain"], row["se"]) == (est.mean, 0.0)
+            assert row["pass"]
+    m = MarketModel.hm_linear(0.2, 1.5, 1.0, 2.0)
+    p = _cara(1.2, 0.9, -0.6, DiscountSpec.exponential(0.0), "first_best_nonseparable")
+    rep = verify_contract(m, p, solve(m, p, default_grid(1.5, 201)), n_paths=200, n_steps=60)
+    assert rep["spike_tests"] == [] and rep["delta_residuals"] == []
 
 
 def test_verify_contract_chunking_is_invisible(separable, discounted_income, monkeypatch):
@@ -467,15 +552,6 @@ def test_verify_contract_runs_on_two_estimator_units(discounted_income, n_paths,
     report = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, antithetic=antithetic)
     assert report["participation"]["se"] > 0.0
     assert report["principal_value"]["se"] > 0.0
-
-
-def test_nested_spike_check_needs_two_inner_paths(discounted_utility):
-    m, p, sol = discounted_utility
-    for n_inner in (0, 1):
-        with pytest.raises(ValueError, match="n_inner >= 2"):
-            spike_deviation_check(m, p, sol, 0.5, 0.25, 0.0, n_inner=n_inner, n_steps=50)
-    two = spike_deviation_check(m, p, sol, 0.5, 0.25, 0.0, n_inner=2, n_steps=50)
-    assert two.n == 2 and two.std_error > 0.0
 
 
 def test_verify_contract_flags_a_shifted_constant(separable):
