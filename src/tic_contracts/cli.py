@@ -9,6 +9,7 @@ for external plotting.  Exit codes: 0 success, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import json
 import math
@@ -216,49 +217,74 @@ _KINDS = {_integer: "an integer", _number: "a number", _numbers: "a list of numb
           _flag: "true or false"}
 
 
-def _config_value(cfg, key, default, kind, flag=None, rules=()):
-    """cfg[key], or default when absent, read by kind (_integer, _number,
-    _numbers or _flag), unless the flag's value, if given, replaces it.
-    The config value must pass kind and the range rules, (test, what the
-    value must be) pairs, and then the flag's value the rules, so a flag
-    hides no bad config value; a value that fails is a parse error."""
-    try:
-        value = kind(cfg.get(key, default))
-    except (TypeError, ValueError):
-        _fail_usage(f"{key} must be {_KINDS[kind]}")
+# a run setting: its config key (None for a flag only), its reader
+# (_integer, _number, _numbers or _flag), default, the flag that replaces
+# it, and its range rules
+_Setting = collections.namedtuple("_Setting", "key kind default flag rules",
+                                  defaults=(None, ()))
+_POSITIVE = ((lambda n: n > 0, "positive"),)
+
+
+def _config_value(cfg, row, flag):
+    """cfg[row.key] read by row.kind, or row.default when absent, unless
+    the flag's value, if given, replaces it.  The config value must pass
+    the reader and the range rules, (test, what the value must be) pairs,
+    and then the flag's value the rules, so a flag hides no bad config
+    value; a value that fails is a parse error."""
+    name = row.key or row.flag
+    value = row.default
+    if row.key in cfg:
+        try:
+            value = row.kind(cfg[row.key])
+        except (TypeError, ValueError):
+            _fail_usage(f"{name} must be {_KINDS[row.kind]}")
     for v in (value, flag):
-        for test, needs in rules:
+        for test, needs in row.rules:
             if v is not None and not test(v):
-                _fail_usage(f"{key} must be {needs}")
+                _fail_usage(f"{name} must be {needs}")
     return value if flag is None else flag
 
 
-def _positive_int(cfg, args, flag_name, cfg_key, default, least=1):
-    """A positive integer, at least least, from the flag or the config."""
-    flag = getattr(args, flag_name, None) if flag_name else None
-    return _config_value(cfg, cfg_key, default, _integer, flag,
-                         [(lambda n: n > 0, "positive"),
-                          (lambda n: n >= least, f"at least {least}")])
+def _at_least(least):
+    return _POSITIVE + ((lambda n: n >= least, f"at least {least}"),)
 
 
-def _solver_grid(cfg, args, flag_name, horizon):
-    """The closed-form solver's grid on [0, horizon], of grid_points points
-    (from the flag flag_name when given, else the config)."""
-    n = _positive_int(cfg, args, flag_name, "grid_points", closed_form.DEFAULT_GRID_POINTS, 3)
-    return closed_form.default_grid(horizon, n)
+_GRID = _Setting("grid_points", _integer, closed_form.DEFAULT_GRID_POINTS, None, _at_least(3))
+_HORIZON = _Setting("horizon", _number, FIGURE_HORIZON, None, _POSITIVE)
+_N_STEPS = _Setting("n_steps", _integer, 2000, "steps", _POSITIVE)
+_SEED = _Setting("seed", _integer, 7, "seed",
+                 ((lambda n: -2**63 <= n < 2**63, "a signed 64-bit integer"),))
+# each subcommand's settings, in the order they are read and checked
+_SETTINGS = {
+    "discount": (_HORIZON, _Setting("points", _integer, 501, "steps", _at_least(2))),
+    "solve": (_GRID._replace(flag="steps"),),
+    "verify": (_GRID, _Setting("n_paths", _integer, 100_000, "paths", _POSITIVE), _N_STEPS,
+               _Setting(None, _integer, None, "threads", _POSITIVE), _SEED,
+               _Setting("perturb_constant_term", _number, 0.0),
+               _Setting("antithetic", _flag, False)),
+    "figures": (_HORIZON, _Setting("points", _integer, 501, "steps", _at_least(3)),
+                _Setting("gamma", _number, FIGURE2_GAMMA),
+                _Setting("alphas", _numbers, FIGURE2_ALPHAS),
+                _Setting("betas", _numbers, FIGURE2_BETAS),
+                _Setting("lambda", _number, FIGURE2_LAMBDA),
+                _Setting("beta", _number, FIGURE2_BETA_RIGHT),
+                _Setting("lambdas", _numbers, FIGURE2_LAMBDAS)),
+    "check-constraint": (_GRID, _Setting("n_paths", _integer, 3, "paths", _POSITIVE), _N_STEPS,
+                         _SEED, _Setting("threshold", _number, 0.01, "tol", (
+                             (lambda x: 0.0 < x < math.inf, "positive and finite"),))),
+}
 
 
-def _seed(cfg, args):
-    """The stream seed, from the flag or the config: a signed 64-bit integer."""
-    return _config_value(cfg, "seed", 7, _integer, args.seed,
-                         [(lambda n: -2**63 <= n < 2**63, "a signed 64-bit integer")])
+def _settings(cfg, args):
+    """The settings of args.command in use, keyed by config key (the
+    keyless --threads by its flag)."""
+    return {row.key or row.flag: _config_value(cfg, row, row.flag and getattr(args, row.flag))
+            for row in _SETTINGS[args.command]}
 
 
 def cmd_discount(args) -> int:
     cfg = _load_config(args.config)
-    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, _number,
-                            rules=[(lambda x: x > 0.0, "positive")])
-    points = _positive_int(cfg, args, "steps", "points", 501, 2)
+    s = _settings(cfg, args)
     entries = cfg.get("discounts")
     if entries is None:
         named = list(FIGURE1_SPECS)
@@ -272,11 +298,13 @@ def cmd_discount(args) -> int:
             except (KeyError, TypeError, ValueError) as exc:
                 _fail_usage(f"bad discount entry: {exc}")
             name = str(entry.get("name", spec.variant))
-            if os.path.basename(name) != name or "\0" in name:
+            # a file name holds at most 255 bytes
+            if (os.path.basename(name) != name or "\0" in name
+                    or len(f"discount_{name}.csv".encode("utf-8", "surrogatepass")) > 255):
                 _fail_usage(f"bad discount entry: name {name!r} is not a plain file name")
             named.append((name, spec))
     outdir = _ensure_outdir(args.out)
-    t = np.linspace(0.0, horizon, points)
+    t = np.linspace(0.0, s["horizon"], s["points"])
     written = []
     for name, spec in named:
         path = os.path.join(outdir, f"discount_{name}.csv")
@@ -290,7 +318,8 @@ def cmd_discount(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     model, prefs = _build_problem(cfg)
-    sol = closed_form.solve(model, prefs, _solver_grid(cfg, args, "steps", model.horizon))
+    grid = closed_form.default_grid(model.horizon, _settings(cfg, args)["grid_points"])
+    sol = closed_form.solve(model, prefs, grid)
     outdir = _ensure_outdir(args.out)
     sol_path = os.path.join(outdir, "solution.json")
     csv_path = os.path.join(outdir, "curves.csv")
@@ -307,38 +336,27 @@ def cmd_verify(args) -> int:
 
     cfg = _load_config(args.config)
     model, prefs = _build_problem(cfg)
-    grid = _solver_grid(cfg, args, None, model.horizon)
-    n_paths = _positive_int(cfg, args, "paths", "n_paths", 100_000)
-    n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
-    if args.threads is not None and args.threads < 1:
-        _fail_usage("threads must be positive")
-    seed = _seed(cfg, args)
-    perturb = _config_value(cfg, "perturb_constant_term", 0.0, _number)
-    antithetic = _config_value(cfg, "antithetic", False, _flag)
+    s = _settings(cfg, args)
     try:
-        dynamics._check_estimator_units(n_paths, antithetic)
+        dynamics._check_estimator_units(s["n_paths"], s["antithetic"])
     except ValueError as exc:
         _fail_usage(str(exc))
-    sol = closed_form.solve(model, prefs, grid)
-    if perturb:
-        sol = sol.shifted(perturb)
-    report = dynamics.verify_contract(
-        model, prefs, sol, n_paths=n_paths, n_steps=n_steps, seed=seed,
-        antithetic=antithetic, threads=args.threads)
-    report = _plain(report)
-    outdir = _ensure_outdir(args.out)
-    path = os.path.join(outdir, "report.json")
-    _write_json(path, report)
+    sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon,
+                                                                   s["grid_points"]))
+    if s["perturb_constant_term"]:
+        sol = sol.shifted(s["perturb_constant_term"])
+    report = _plain(dynamics.verify_contract(
+        model, prefs, sol, n_paths=s["n_paths"], n_steps=s["n_steps"], seed=s["seed"],
+        antithetic=s["antithetic"], threads=s["threads"]))
+    _write_json(os.path.join(_ensure_outdir(args.out), "report.json"), report)
 
     def verdict(ok):
         return "pass" if ok else "FAIL"
 
-    p = report["participation"]
-    print(f"participation: {verdict(p['pass'])} "
-          f"(mean={p['mean']:.6g}, target={p['target']:.6g}, se={p['se']:.3g})")
-    v = report["principal_value"]
-    print(f"principal_value: {verdict(v['pass'])} "
-          f"(mean={v['mean']:.6g}, target={v['target']:.6g}, se={v['se']:.3g})")
+    for key in ("participation", "principal_value"):
+        p = report[key]
+        print(f"{key}: {verdict(p['pass'])} "
+              f"(mean={p['mean']:.6g}, target={p['target']:.6g}, se={p['se']:.3g})")
     for row in report["delta_residuals"]:
         print(f"correction_identity s={row['s']:g}: {verdict(row['pass'])} "
               f"(mean={row['mean']:.3g}, allowance={row['allowance']:.3g})")
@@ -350,25 +368,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    cfg = _load_config(args.config)
-    horizon = _config_value(cfg, "horizon", FIGURE_HORIZON, _number,
-                            rules=[(lambda x: x > 0.0, "positive")])
-    points = _positive_int(cfg, args, "steps", "points", 501, 3)
-    gamma = _config_value(cfg, "gamma", FIGURE2_GAMMA, _number)
-    alphas = _config_value(cfg, "alphas", FIGURE2_ALPHAS, _numbers)
-    betas = _config_value(cfg, "betas", FIGURE2_BETAS, _numbers)
-    lam_center = _config_value(cfg, "lambda", FIGURE2_LAMBDA, _number)
-    beta_right = _config_value(cfg, "beta", FIGURE2_BETA_RIGHT, _number)
-    lambdas = _config_value(cfg, "lambdas", FIGURE2_LAMBDAS, _numbers)
-
+    s = _settings(_load_config(args.config), args)
+    horizon, gamma = s["horizon"], s["gamma"]
     base = ("exp", DiscountSpec.exponential(gamma))
     panels = {
         "left": [base] + [(f"alpha_{a:g}", DiscountSpec.hyperbolic(gamma, a))
-                          for a in alphas],
-        "center": [base] + [(f"beta_{b:g}", DiscountSpec.quasi_hyperbolic(gamma, b, lam_center))
-                            for b in betas],
-        "right": [base] + [(f"lambda_{l:g}", DiscountSpec.quasi_hyperbolic(gamma, beta_right, l))
-                           for l in lambdas],
+                          for a in s["alphas"]],
+        "center": [base] + [(f"beta_{b:g}", DiscountSpec.quasi_hyperbolic(gamma, b, s["lambda"]))
+                            for b in s["betas"]],
+        "right": [base] + [(f"lambda_{l:g}", DiscountSpec.quasi_hyperbolic(gamma, s["beta"], l))
+                           for l in s["lambdas"]],
     }
     # every curve is solved, once (the exponential base curve sits in every
     # panel), in one batched search before any file is written
@@ -377,7 +386,7 @@ def cmd_figures(args) -> int:
     prefs = [Preferences(agent_utility="risk_neutral", principal_utility="risk_neutral",
                          gamma_a=0.0, gamma_p=0.0, r0=0.0, discount=spec,
                          spec_tag="separable_rn") for spec in curves]
-    t = closed_form.default_grid(horizon, points)
+    t = closed_form.default_grid(horizon, s["points"])
     efforts = dict(zip(curves, closed_form.separable_efforts(model, prefs, t)))
     tables = {}
     for panel, specs in panels.items():
@@ -401,12 +410,7 @@ def cmd_check_constraint(args) -> int:
     model, prefs = _build_problem(cfg)
     if prefs.spec_tag != "separable_rn":
         _fail_usage("check-constraint covers the separable risk-neutral spec")
-    grid = _solver_grid(cfg, args, None, model.horizon)
-    n_paths = _positive_int(cfg, args, "paths", "n_paths", 3)
-    n_steps = _positive_int(cfg, args, "steps", "n_steps", 2000)
-    seed = _seed(cfg, args)
-    threshold = _config_value(cfg, "threshold", 0.01, _number, args.tol,
-                              [(lambda x: 0.0 < x < math.inf, "positive and finite")])
+    s = _settings(cfg, args)
     family_name = str(cfg.get("family", "optimal"))
     families = {"optimal": fsvie.separable_optimal_family,
                 "s_constant": fsvie.s_constant_family}
@@ -415,56 +419,42 @@ def cmd_check_constraint(args) -> int:
     # the Volterra generator and the family's initial profile evaluate
     # f(r - s) down to r - s = -T; a curve undefined there raises here
     prefs.discount.value_extended(-model.horizon)
-    sol = closed_form.solve(model, prefs, grid)
+    sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon,
+                                                                   s["grid_points"]))
     y0_family, z_family = families[family_name](model, prefs, sol)
-    ensemble = dynamics.simulate(model, sol.effort, n_paths, n_steps, seed)
+    ensemble = dynamics.simulate(model, sol.effort, s["n_paths"], s["n_steps"], s["seed"])
     field = fsvie.march(model, prefs, y0_family, z_family, ensemble)
     residuals = fsvie.target_constraint_residual(field, prefs)
     worst = float(np.max(residuals))
-    ok = worst < threshold
-    report = {
-        "family": family_name, "residual": worst,
-        "per_path": [float(r) for r in residuals],
-        "threshold": threshold, "pass": ok,
-    }
+    ok = worst < s["threshold"]
+    report = {"family": family_name, "residual": worst, "per_path": [float(r) for r in residuals],
+              "threshold": s["threshold"], "pass": ok}
     if args.out:
         _write_json(os.path.join(_ensure_outdir(args.out), "constraint.json"), report)
     print(f"target constraint residual {worst:.3e} "
-          f"(threshold {threshold:g}): {'pass' if ok else 'FAIL'}")
+          f"(threshold {s['threshold']:g}): {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY
-
-
-# every flag, in the order usage lines list them: (type, help)
-_FLAGS = {
-    "config": (str, "JSON config file"),
-    "out": (str, "output directory (default: current)"),
-    "seed": (int, "stream seed"),
-    "paths": (int, "Monte Carlo paths"),
-    "steps": (int, "time steps / table points"),
-    "threads": (int, "worker threads for the path fill (default 1)"),
-    "tol": (float, "pass threshold"),
-}
-_TABLE_FLAGS = ("config", "out", "steps")
-_MC_FLAGS = _TABLE_FLAGS + ("seed", "paths")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tic-contracts",
                      description="Optimal contracts under non-exponential discounting")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, flags, blurb in (
-            ("discount", cmd_discount, _TABLE_FLAGS, "tabulate discount curves and their rates"),
-            ("solve", cmd_solve, _TABLE_FLAGS, "solve a contracting problem in closed form"),
-            ("verify", cmd_verify, _MC_FLAGS + ("threads",),
-             "Monte Carlo verification of a solved contract"),
-            ("figures", cmd_figures, _TABLE_FLAGS,
-             "effort/discount tables behind the headline figures"),
-            ("check-constraint", cmd_check_constraint, _MC_FLAGS + ("tol",),
+    for name, fn, blurb in (
+            ("discount", cmd_discount, "tabulate discount curves and their rates"),
+            ("solve", cmd_solve, "solve a contracting problem in closed form"),
+            ("verify", cmd_verify, "Monte Carlo verification of a solved contract"),
+            ("figures", cmd_figures, "effort/discount tables behind the headline figures"),
+            ("check-constraint", cmd_check_constraint,
              "Volterra target-constraint residual of a contract family")):
         p = sub.add_parser(name, help=blurb)
-        for flag, (kind, text) in _FLAGS.items():
-            if flag in flags:
-                p.add_argument(f"--{flag}", type=kind, help=text)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output directory (default: current)")
+        for row in _SETTINGS[name]:
+            if row.flag:
+                where = f"config key {row.key}" if row.key else "no config key"
+                p.add_argument(f"--{row.flag}", type=int if row.kind is _integer else float,
+                               help=f"{where}, default {json.dumps(row.default)}")
         p.set_defaults(func=fn)
     return parser
 
@@ -479,11 +469,11 @@ def main(argv=None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
-    except (ValueError, UnboundedLoadingError) as exc:
+    except (ValueError, UnboundedLoadingError, MemoryError) as exc:
         # the one place where solver errors become exit codes: infeasible
         # models (InfeasibleError is a ValueError), runaway loadings, curves
-        # undefined where a check needs them, and objectives without a
-        # finite maximum all exit 2
+        # undefined where a check needs them, objectives without a finite
+        # maximum and sizes too large for memory all exit 2
         return _report_infeasible(str(exc))
 
 

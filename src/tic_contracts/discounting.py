@@ -75,6 +75,8 @@ class DiscountSpec:
                 raise ValueError("beta must lie in [0, 1]")
             if self.lam < 0.0 or not math.isfinite(self.lam):
                 raise ValueError("lambda must be nonnegative and finite")
+            if not math.isfinite(self.lam + self.gamma):  # f(0) would be exp(0 * inf)
+                raise ValueError("lambda + gamma must be finite")
 
     @classmethod
     def exponential(cls, gamma: float) -> "DiscountSpec":

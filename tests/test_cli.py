@@ -112,7 +112,8 @@ class TestDiscount:
         assert len(out) == 3
         assert all(line.endswith(".csv") for line in out)
 
-    @pytest.mark.parametrize("name", ["a/b", "../up", "/", "x\0y"])
+    @pytest.mark.parametrize("name", ["a/b", "../up", "/", "x\0y",
+                                      pytest.param("x" * 300, id="x*300")])
     def test_a_name_that_is_no_plain_file_name_exits_1(self, tmp_path, capsys, name):
         cfg = write_config(tmp_path, {"discounts": [
             {"variant": "exponential", "gamma": 0.1},
@@ -121,6 +122,16 @@ class TestDiscount:
         assert main(["discount", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: bad discount entry: name {name!r} is not a plain file name\n")
+        assert not out.exists()
+
+    def test_an_overflowing_quasi_hyperbolic_rate_exits_1(self, tmp_path, capsys):
+        # f(0) would be exp(0 * inf) = nan
+        cfg = write_config(tmp_path, {"points": 5, "discounts": [
+            {"variant": "quasi_hyperbolic", "gamma": 1e308, "beta": 0.5, "lambda": 1e308}]})
+        out = tmp_path / "out"
+        assert main(["discount", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad discount entry: lambda + gamma must be finite\n")
         assert not out.exists()
 
 
@@ -1053,3 +1064,101 @@ class TestCostExponentNearOne:
 
         solution = json.loads((out / "solution.json").read_text(), parse_constant=reject)
         assert max(solution["effort"]["values"]) == 10.0
+
+
+_HUGE = str(10 ** 15)  # float64 elements: numpy refuses the allocation at once
+
+
+class TestTooLargeForMemory:
+    @pytest.mark.parametrize("command,extra,flags", [
+        ("verify", {}, ["--paths", "10", "--steps", _HUGE]),
+        ("verify", {}, ["--paths", _HUGE]),
+        ("solve", {"grid_points": 10 ** 15}, []),
+        ("figures", {}, ["--steps", _HUGE]),
+        ("discount", {}, ["--steps", _HUGE]),
+        ("check-constraint", {}, ["--steps", _HUGE]),
+    ])
+    def test_a_size_too_large_for_memory_exits_2(self, tmp_path, capsys, command, extra,
+                                                 flags):
+        cfg = write_config(tmp_path, {**SEPARABLE_CONFIG, **extra})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"].startswith("Unable to allocate")
+        assert not out.exists() or not os.listdir(out)
+
+
+_FIGURE_DEFAULTS = {"horizon": 50.0, "points": 501, "gamma": 0.0575,
+                    "alphas": (4.0, 0.4, 0.04, 0.004), "betas": (0.1, 0.19, 0.343, 0.569),
+                    "lambda": 0.439, "beta": 0.3, "lambdas": (0.439, 0.1927, 0.0371, 0.0013)}
+# per subcommand: (its settings at defaults, every flag given, the settings then)
+_RESOLVED = {
+    "discount": ({"horizon": 50.0, "points": 501}, ["--steps", "11"],
+                 {"horizon": 50.0, "points": 11}),
+    "solve": ({"grid_points": 2001}, ["--steps", "51"], {"grid_points": 51}),
+    "verify": ({"grid_points": 2001, "n_paths": 100000, "n_steps": 2000, "threads": None,
+                "seed": 7, "perturb_constant_term": 0.0, "antithetic": False},
+               ["--paths", "10", "--steps", "20", "--threads", "2", "--seed", "-3"],
+               {"grid_points": 2001, "n_paths": 10, "n_steps": 20, "threads": 2, "seed": -3,
+                "perturb_constant_term": 0.0, "antithetic": False}),
+    "figures": (_FIGURE_DEFAULTS, ["--steps", "41"], dict(_FIGURE_DEFAULTS, points=41)),
+    "check-constraint": ({"grid_points": 2001, "n_paths": 3, "n_steps": 2000, "seed": 7,
+                          "threshold": 0.01},
+                         ["--paths", "2", "--steps", "30", "--seed", "5", "--tol", "0.5"],
+                         {"grid_points": 2001, "n_paths": 2, "n_steps": 30, "seed": 5,
+                          "threshold": 0.5}),
+}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", sorted(_RESOLVED))
+    def test_resolved_settings_at_defaults_and_under_every_flag(self, command):
+        defaults, flags, flagged = _RESOLVED[command]
+        parse = cli._build_parser().parse_args
+        # the dict lists the settings in the order they are checked
+        assert list(cli._settings({}, parse([command])).items()) == list(defaults.items())
+        assert list(cli._settings({}, parse([command, *flags])).items()) == list(flagged.items())
+
+    def test_config_values_are_read_and_flags_replace_them(self):
+        cfg = {"grid_points": 301.0, "n_paths": 40, "seed": -1, "antithetic": True,
+               "perturb_constant_term": 2, "threads": 4}
+        got = cli._settings(cfg, cli._build_parser().parse_args(["verify", "--paths", "6"]))
+        # no config key reads threads
+        assert got == {"grid_points": 301, "n_paths": 6, "n_steps": 2000, "threads": None,
+                       "seed": -1, "perturb_constant_term": 2.0, "antithetic": True}
+        assert type(got["grid_points"]) is int and type(got["perturb_constant_term"]) is float
+        got = cli._settings({"alphas": [1, 2.5], "horizon": 10},
+                            cli._build_parser().parse_args(["figures"]))
+        assert got["alphas"] == (1.0, 2.5) and got["horizon"] == 10.0
+
+    @pytest.mark.parametrize("command,flags", [
+        ("discount", ["--steps"]), ("solve", ["--steps"]),
+        ("verify", ["--paths", "--steps", "--threads", "--seed"]), ("figures", ["--steps"]),
+        ("check-constraint", ["--paths", "--steps", "--seed", "--tol"]),
+    ])
+    def test_help_lists_exactly_the_table_flags(self, capsys, command, flags):
+        assert [f"--{row.flag}" for row in cli._SETTINGS[command] if row.flag] == flags
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        options = text[text.index("options:"):]
+        listed = [line.split()[0] for line in options.splitlines()
+                  if line.lstrip().startswith("--")]
+        assert listed == ["--config", "--out", *flags]
+        for row in cli._SETTINGS[command]:
+            if row.key and row.flag:
+                assert f"config key {row.key}, default {json.dumps(row.default)}" in text
+
+    def test_readme_table_holds_exactly_the_settings(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        start = lines.index("| subcommand | config key | flag | default | range |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+        want = [[command, row.key or "—", f"--{row.flag}" if row.flag else "—",
+                 json.dumps(row.default), ", ".join(needs for _, needs in row.rules) or "—"]
+                for command, table in cli._SETTINGS.items() for row in table]
+        assert rows == want

@@ -205,6 +205,9 @@ def test_validation_rejects_bad_parameters():
         DiscountSpec.quasi_hyperbolic(0.5, 0.5, -1.0)
     with pytest.raises(ValueError):
         DiscountSpec(variant="gaussian", gamma=1.0)
+    # exp(-t (lam + gamma)) at t = 0 would be exp(0 * inf) = nan
+    with pytest.raises(ValueError, match=r"lambda \+ gamma must be finite"):
+        DiscountSpec.quasi_hyperbolic(1e308, 0.5, 1e308)
 
 
 def test_json_round_trip():
