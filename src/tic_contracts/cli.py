@@ -298,9 +298,13 @@ def cmd_discount(args) -> int:
             except (KeyError, TypeError, ValueError) as exc:
                 _fail_usage(f"bad discount entry: {exc}")
             name = str(entry.get("name", spec.variant))
-            # a file name holds at most 255 bytes
-            if (os.path.basename(name) != name or "\0" in name
-                    or len(f"discount_{name}.csv".encode("utf-8", "surrogatepass")) > 255):
+            # encoded as open encodes it, a file name holds at most 255 bytes
+            try:
+                plain = (os.path.basename(name) == name and "\0" not in name
+                         and len(os.fsencode(f"discount_{name}.csv")) <= 255)
+            except UnicodeEncodeError:
+                plain = False
+            if not plain:
                 _fail_usage(f"bad discount entry: name {name!r} is not a plain file name")
             named.append((name, spec))
     outdir = _ensure_outdir(args.out)

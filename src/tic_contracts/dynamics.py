@@ -19,9 +19,9 @@ paths), not O(paths x steps).
 The checkers cover: participation (agent Monte Carlo value vs the
 reservation level), the principal's value, the s-shift correction identity
 for the separable regime, and spike deviations of the equilibrium effort
-for every second-best regime.  A spike gain has no sampling error: Simpson
-quadrature for the separable regime, and for the exponential-utility
-regimes the closed-form mean of a CARA reward of Gaussian output noise.
+for every second-best regime.  A spike gain has no sampling error: it is
+the closed-form mean of the reward over the Gaussian output noise after
+the spike, a CARA factor that is 1 for a risk-neutral agent.
 """
 
 from __future__ import annotations
@@ -214,14 +214,15 @@ def _cost_at_equilibrium(model: MarketModel, solution: ContractSolution, t_left)
     return pointwise(model.cost, t_left, solution.effort(t_left))
 
 
-def _agent_values(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                  xi: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The agent's realized reward per path, from the payments xi."""
+def _rewards(model: MarketModel, prefs: Preferences, solution: ContractSolution,
+             xi: np.ndarray, grid: np.ndarray, s: float) -> np.ndarray:
+    """The agent's realized reward per path from the payments xi, seen from
+    time s: weight f(T - s), running cost at the lags t - s."""
     t_left = grid[:-1]
     dt = float(grid[1] - grid[0])
     cost = _cost_at_equilibrium(model, solution, t_left)
-    fT = float(prefs.discount.value(model.horizon))
-    return prefs.reward(fT, xi, prefs.running_cost(t_left, cost, dt))
+    w = float(prefs.discount.value(model.horizon - s))
+    return prefs.reward(w, xi, prefs.running_cost(t_left - s, cost, dt))
 
 
 def agent_value_mc(model: MarketModel, prefs: Preferences, solution: ContractSolution,
@@ -229,7 +230,7 @@ def agent_value_mc(model: MarketModel, prefs: Preferences, solution: ContractSol
     """Monte Carlo estimate of the agent's time-0 value under the contract."""
     _check_regime(prefs, solution)
     xi = contract_payoff(solution, ensemble)
-    return _estimate(_agent_values(model, prefs, solution, xi, ensemble.grid),
+    return _estimate(_rewards(model, prefs, solution, xi, ensemble.grid, 0.0),
                      ensemble.antithetic)
 
 
@@ -266,19 +267,15 @@ def _shift_correction(model: MarketModel, prefs: Preferences, solution: Contract
 
 
 def _delta_residuals(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                     xi: np.ndarray, grid: np.ndarray, s: float) -> np.ndarray:
+                     xi: np.ndarray, grid: np.ndarray, s: float,
+                     values: np.ndarray) -> np.ndarray:
+    """The identity's residual per path, given the payments xi and the
+    agent's time-0 rewards from them (values)."""
     f = prefs.discount
-    T = model.horizon
-    fT = float(f.value(T))
-    fTs = float(f.value(T - s))
-    t_left = grid[:-1]
-    dt = float(grid[1] - grid[0])
-    cost = _cost_at_equilibrium(model, solution, t_left)
-
-    lhs = prefs.reward(fTs, xi, prefs.running_cost(t_left - s, cost, dt))
-    rhs_mc = (fTs / fT) * prefs.reward(fT, xi, prefs.running_cost(t_left, cost, dt))
+    fTs_over_fT = float(f.value(model.horizon - s)) / float(f.value(model.horizon))
+    lhs = _rewards(model, prefs, solution, xi, grid, s)
     # the correction on the solver grid, an independent quadrature route
-    rhs = rhs_mc - float(_shift_correction(model, prefs, solution, np.array([s]))[0])
+    rhs = fTs_over_fT * values - float(_shift_correction(model, prefs, solution, np.array([s]))[0])
     return lhs - rhs
 
 
@@ -297,51 +294,50 @@ def delta_correction_check(model: MarketModel, prefs: Preferences,
     if not 0.0 <= s <= model.horizon:
         raise ValueError("s must lie in [0, T]")
     xi = contract_payoff(solution, ensemble)
-    return _estimate(_delta_residuals(model, prefs, solution, xi, ensemble.grid, s),
+    values = _rewards(model, prefs, solution, xi, ensemble.grid, 0.0)
+    return _estimate(_delta_residuals(model, prefs, solution, xi, ensemble.grid, s, values),
                      ensemble.antithetic)
 
 
-def _spike_quadrature(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                      t: float, ell: float, alt) -> McEstimate:
-    f = prefs.discount
-    T = model.horizon
-    fTt = float(f.value(T - t))
-    n_nodes = 257
-    rs = np.linspace(t, t + ell, n_nodes)
-    a_eq = solution.effort(rs)
-    a_dev = pointwise(_effort_fn(alt), rs)
-    drift_diff = model.sigma_at(rs) * (pointwise(model.drift, rs, a_dev)
-                                       - pointwise(model.drift, rs, a_eq))
-    cost_diff = pointwise(model.cost, rs, a_dev) - pointwise(model.cost, rs, a_eq)
-    vals = fTt * solution.loading(rs) * drift_diff \
-        - np.asarray(f.value_extended(rs - t)) * cost_diff
-    vals[a_dev == a_eq] = 0.0
-    gain = float(simpson(vals, rs))
-    if np.all(vals == 0.0):
-        gain = 0.0
-    return McEstimate(mean=gain, std_error=0.0, n=n_nodes)
+def spike_deviation_check(model: MarketModel, prefs: Preferences,
+                          solution: ContractSolution, t: float, ell: float, alt_effort,
+                          n_steps: int = 2000) -> McEstimate:
+    """Value gain from deviating to alt_effort on [t, t+ell), std_error 0.
 
-
-def _spike_cara(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                t: float, ell: float, alt, n_steps: int) -> McEstimate:
-    """The exact mean gain on the m-step left-point tail grid of [t, T].
-
+    alt_effort may be a constant or a callable of time.  The gain is exact
+    on the m-step left-point tail grid of [t, T] that n_steps steps on
+    [0, T] give it, from the contract part realized along the mean path up
+    to t, for the separable and the exponential-utility regimes alike.
     Seen from t, the payment is w_t + sum load sigma b(a) dt + N with
     N ~ N(0, v), v = sum load^2 sigma^2 dt, whatever the action; a CARA
     reward of that has the mean reward(w, p, k) exp((gamma_a b)^2 v / 2),
     with b the weight the payment carries inside the utility (1, or w for
     discounted income).  That is the reward at the payment less
     gamma_a b v / 2, which is how it is formed: the factor alone can
-    overflow where the product is finite.
+    overflow where the product is finite.  A risk-neutral agent has
+    gamma_a = 0, so the gain is the left-point sum of the window's drift
+    and cost differences.  Only constant and policy-valued deviations are
+    explored, so a pass is a necessary condition for equilibrium, not a
+    proof.
     """
     T = model.horizon
+    if not (math.isfinite(t) and math.isfinite(ell) and t >= 0.0 and ell > 0.0
+            and t + ell <= T + 1e-12):
+        raise ValueError("spike window [t, t+ell) must fit inside [0, T]")
+    if n_steps < 1:
+        raise ValueError("need n_steps >= 1")
+    alt = _effort_fn(alt_effort)
+    _check_actions(model, pointwise(alt, np.linspace(t, min(t + ell, T), 7)), "alt_effort")
+    if prefs.spec_tag not in SECOND_BEST_TAGS + ("first_best_separable",):
+        raise ValueError(f"no spike deviation check for spec {prefs.spec_tag!r}")
+
     m = max(2, int(round((T - t) / T * n_steps)))
     r_left = np.linspace(t, T, m + 1)[:-1]
     dt = (T - t) / m
     sig = model.sigma_at(r_left)
     load = solution.loading(r_left)
     a_eq = solution.effort(r_left)
-    a_dev = np.where(r_left < t + ell, pointwise(_effort_fn(alt), r_left), a_eq)
+    a_dev = np.where(r_left < t + ell, pointwise(alt, r_left), a_eq)
 
     # realized contract part on [0, t], taken along the mean path
     head = solution.grid[solution.grid <= t]
@@ -361,31 +357,6 @@ def _spike_cara(model: MarketModel, prefs: Preferences, solution: ContractSoluti
     return McEstimate(mean=value(a_dev) - value(a_eq), std_error=0.0, n=m)
 
 
-def spike_deviation_check(model: MarketModel, prefs: Preferences,
-                          solution: ContractSolution, t: float, ell: float, alt_effort,
-                          n_steps: int = 2000) -> McEstimate:
-    """Value gain from deviating to alt_effort on [t, t+ell), std_error 0.
-
-    alt_effort may be a constant or a callable of time.  For the separable
-    regimes both values are deterministic integrals given the loading, so
-    the gain is Simpson quadrature on the window.  For the exponential-
-    utility regimes the gain is the exact expectation over the output noise
-    after t, on the tail grid of [t, T] that n_steps steps on [0, T] give
-    it, from the contract part realized along the mean path up to t.  Only
-    constant and policy-valued deviations are explored, so a pass is a
-    necessary condition for equilibrium, not a proof.
-    """
-    if t + ell > model.horizon + 1e-12:
-        raise ValueError("spike window [t, t+ell) must fit inside [0, T]")
-    probe = pointwise(_effort_fn(alt_effort), np.linspace(t, min(t + ell, model.horizon), 7))
-    _check_actions(model, probe, "alt_effort")
-    if prefs.spec_tag in ("separable_rn", "first_best_separable"):
-        return _spike_quadrature(model, prefs, solution, t, ell, alt_effort)
-    if prefs.spec_tag in ("discounted_utility", "discounted_income"):
-        return _spike_cara(model, prefs, solution, t, ell, alt_effort, n_steps)
-    raise ValueError(f"no spike deviation check for spec {prefs.spec_tag!r}")
-
-
 def _check_estimator_units(n_paths: int, antithetic: bool):
     """Raise ValueError unless the paths give two estimator units for a
     standard error: two paths, or two antithetic pairs (an odd antithetic
@@ -402,7 +373,8 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
 
     Every regime gets participation and the principal's value; every
     second-best regime also gets eight spike deviations (t in {0, T/4, T/2,
-    3T/4}, alt in {action_lo, mid}, on the n_steps grid), and the
+    3T/4}, alt in {action_lo, mid}, each exact on the tail grid of [t, T]
+    that n_steps gives it), and the
     separable one the correction identity at s = T/4 and T/2
     (delta_correction_check and spike_deviation_check take any other s or
     spike).
@@ -449,7 +421,8 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     grid = block.grid
 
     anti = antithetic
-    agent = _estimate(_agent_values(model, prefs, solution, xi, grid), anti)
+    values = _rewards(model, prefs, solution, xi, grid, 0.0)
+    agent = _estimate(values, anti)
     principal = _estimate(_principal_values(prefs, xi, terminal), anti)
 
     report = {
@@ -470,7 +443,7 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     dt = model.horizon / n_steps
     t_left = grid[:-1]
     for s in shifts:
-        est = _estimate(_delta_residuals(model, prefs, solution, xi, grid, s), anti)
+        est = _estimate(_delta_residuals(model, prefs, solution, xi, grid, s, values), anti)
         cmax = float(np.max(np.abs(_cost_at_equilibrium(model, solution, t_left))))
         fmax = float(np.max(np.abs(prefs.discount.value_extended(t_left - s))))
         allowance = 2.0 * dt * cmax * (fmax + 1.0)

@@ -113,7 +113,7 @@ class TestDiscount:
         assert all(line.endswith(".csv") for line in out)
 
     @pytest.mark.parametrize("name", ["a/b", "../up", "/", "x\0y",
-                                      pytest.param("x" * 300, id="x*300")])
+                                      pytest.param("x" * 300, id="x*300"), "\ud800"])
     def test_a_name_that_is_no_plain_file_name_exits_1(self, tmp_path, capsys, name):
         cfg = write_config(tmp_path, {"discounts": [
             {"variant": "exponential", "gamma": 0.1},

@@ -328,6 +328,35 @@ def test_spike_deviations_lose_for_separable(separable):
             assert est.mean <= 10.0 * 0.2 ** 2
 
 
+def _window_integral(m, p, sol, t, ell, alt, n_nodes=2049):
+    """Simpson on the window of the separable spike gain's integrand,
+    f(T - t) load sigma (b(alt) - b(a)) - f(r - t) (c(alt) - c(a))."""
+    f = p.discount
+    r = np.linspace(t, t + ell, n_nodes)
+    a_eq = sol.effort(r)
+    alt = np.full_like(r, alt)
+    vals = (float(f.value(m.horizon - t)) * sol.loading(r) * m.sigma_at(r)
+            * (m.drift(r, alt) - m.drift(r, a_eq))
+            - f.value_extended(r - t) * (m.cost(r, alt) - m.cost(r, a_eq)))
+    return float(simpson(vals, r))
+
+
+@pytest.mark.parametrize("tag", ["separable_rn", "first_best_separable"])
+def test_separable_spike_gain_converges_to_the_window_integral(separable, tag):
+    # the left-point gain is first order in the step: within 2e-3 of the
+    # window integral at 2000 steps, and the gap about halves at 4000
+    m, p, _ = separable
+    p = dataclasses.replace(p, spec_tag=tag)
+    sol = solve(m, p, default_grid(2.0, 201))
+    for t in (0.0, 0.5, 1.0, 1.5):
+        for alt in (0.0, 1.0, 5.0):
+            want = _window_integral(m, p, sol, t, 0.2, alt)
+            gap = {n: abs(spike_deviation_check(m, p, sol, t, 0.2, alt, n_steps=n).mean - want)
+                   for n in (2000, 4000)}
+            assert gap[2000] <= 2e-3, (tag, t, alt)
+            assert gap[4000] <= 0.6 * gap[2000], (tag, t, alt)
+
+
 # inner paths and steps on [0, T] of the test-side nested Monte Carlo
 INNER_PATHS = 200_000
 ORACLE_STEPS = 40
@@ -419,12 +448,22 @@ def test_simulate_and_spike_check_share_the_action_interval(separable, action, i
                 run()
 
 
-def test_spike_validation(separable):
+def test_spike_validation(separable, discounted_utility):
     m, p, sol = separable
-    with pytest.raises(ValueError, match="window"):
-        spike_deviation_check(m, p, sol, 1.95, 0.2, 0.0)
     with pytest.raises(ValueError, match="action interval"):
         spike_deviation_check(m, p, sol, 0.5, 0.2, -1.0)
+    # a window off [0, T], empty, reversed or not finite, on either kind of
+    # regime; and a tail grid of no steps
+    windows = [(1.95, 0.2), (0.5, 0.0), (0.5, -0.2), (-0.5, 0.2), (math.nan, 0.2),
+               (0.5, math.nan), (math.inf, 0.2), (-math.inf, 0.2), (0.5, math.inf)]
+    for m, p, sol in (separable, discounted_utility):
+        for t, ell in windows:
+            with pytest.raises(ValueError,
+                               match=r"spike window \[t, t\+ell\) must fit inside \[0, T\]"):
+                spike_deviation_check(m, p, sol, t, ell, 0.0)
+        for n_steps in (0, -3):
+            with pytest.raises(ValueError, match="need n_steps >= 1"):
+                spike_deviation_check(m, p, sol, 0.5, 0.2, 0.0, n_steps=n_steps)
     m3 = MarketModel.hm_linear(0.2, 1.5, 1.0, 2.0)
     p3 = _cara(1.2, 0.9, -0.6, DiscountSpec.exponential(0.0),
                "first_best_nonseparable")
