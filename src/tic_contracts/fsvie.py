@@ -12,13 +12,16 @@ in one forward pass over t.  Its state holds every path's rows, paths
 along the first axis; each step evaluates its column of exposures
 Z^s_{t_j}.  On the uniform grid the weights f(t - s) depend only on the
 lag t - s, so both solvers read them from one table of 2N lags.
-The separable generator's action depends on the diagonal exposure alone,
-so one batched best response over the grid serves the whole solve; the
-exponential regimes' action reads each path's diagonal value and is
-solved per step.  The stochastic integral uses each path's own
-increments, so Volterra and Monte Carlo checks share noise.
-For a separable :class:`ProductFamily` z(s, t) = a(s) b(t), as both
-shipped families are, Y^s_T = y0(s) + a(s) sum_j b_j (dX_j - lam_j dt)
+A risk-neutral agent's action answers the diagonal exposure alone, so
+one batched best response over the grid serves the whole march, and
+h = lam z - w cost does not read Y.  An exponential agent's action
+answers the exposure over the marginal utility -gamma_a Y, so it reads
+each path's diagonal value and is solved per step; h = lam z + gamma_a w cost Y.
+The cost weight w is f(t - s), or 1 where the discount sits outside the
+utility.  The stochastic integral uses each path's own increments, so
+Volterra and Monte Carlo checks share noise.
+For a risk-neutral agent and a :class:`ProductFamily` z(s, t) = a(s) b(t),
+as both shipped families are, Y^s_T = y0(s) + a(s) sum_j b_j (dX_j - lam_j dt)
 + dt sum_j f(t_j - s) cost_j: one cumulative sum per path and one
 convolution of the cost with the lag table (its negative lags for the
 diagonal), with no step loop.
@@ -73,29 +76,27 @@ def _initial_rows(prefs: Preferences, y0_family, ensemble: PathEnsemble):
 
 
 def _lag_table(prefs: Preferences, n: int, dt: float):
-    """f(m dt) for m = n-1 down to -n (extended where m < 0; checked once)."""
-    return prefs.discount.value_extended(np.arange(n - 1, -n - 1, -1) * dt)
+    """The cost weights at the lags m dt for m = n-1 down to -n."""
+    return prefs.cost_weight(np.arange(n - 1, -n - 1, -1) * dt)
 
 
 def _lag_weights(prefs: Preferences, n: int, dt: float):
-    """(n, n+1) weights w[j, i] = f(t_j - s_i) for the n step times t_j and
-    the rows s_i; None for discounted_utility, whose cost the discount
-    does not weigh.
+    """(n, n+1) cost weights w[j, i] at the lags t_j - s_i, for the n step
+    times t_j and the rows s_i.
 
-    On the uniform grid f(t_j - s_i) depends only on the lag j - i, so the
+    On the uniform grid a weight depends only on the lag j - i, so the
     curve is evaluated once, on the lag table.  The table runs from the
     largest lag down, so every row is a window of it read forward: a view,
     no (n, n+1) array.
     """
-    if prefs.spec_tag == "discounted_utility":
-        return None
     return sliding_window_view(_lag_table(prefs, n, dt), n + 1)[::-1]
 
 
 @dataclass(frozen=True)
 class ProductFamily:
     """An exposure family z(s, t) = s_factor(s) * t_factor(t), callable as
-    z(s, t); :func:`march` sums a separable field of one in closed form."""
+    z(s, t); :func:`march` sums a risk-neutral agent's field of one in
+    closed form."""
 
     s_factor: Callable
     t_factor: Callable
@@ -105,7 +106,7 @@ class ProductFamily:
 
 
 def _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost, z_diag):
-    """The separable field of a ProductFamily: a (paths, steps) cumulative
+    """A risk-neutral agent's field of a ProductFamily: a (paths, steps) cumulative
     sum, and the cost convolved with the lag table (see the module doc)."""
     n = grid.size - 1
     a = pointwise(z_family.s_factor, grid)
@@ -120,31 +121,25 @@ def _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost, z_diag):
                          z_diag=z_diag, spec_tag=prefs.spec_tag)
 
 
-def _separable_drift(lam, cost, z, w, dt):
-    """The separable generator times the step, (lam z - w cost) dt, for
-    the rows' exposures z and weights w; lam and cost are the agent's
-    best response to the diagonal exposure, shared by every row."""
-    out = lam * z
-    out -= w * cost
-    out *= dt
-    return out
-
-
-def _generator(model: MarketModel, prefs: Preferences, t, w, z, y, z_diag, diag):
-    """Drift h of the exponential regimes' rows (weights w = f(t - s);
-    exposures z; values y) at t.
-
-    The action reads each path's diagonal value, so it is solved per step;
-    the diagonal exposure and value broadcast against t, and the row
-    arrays against the action.
-    """
+def _diagonal_stars(model: MarketModel, prefs: Preferences, t, z_diag, diag):
+    """(lam, cost) of the agent's best response at t to the diagonal
+    exposure z_diag and value diag: the exposure itself for a risk-neutral
+    agent, the exposure over the marginal utility -gamma_a diag for an
+    exponential one.  Every argument broadcasts against t."""
+    if prefs.agent_utility == "risk_neutral":
+        return stars_on_grid(model, t, z_diag)[:2]
     if np.any(diag >= 0.0):
         raise ValueError("diagonal left the exponential utility's range (Y >= 0)")
-    ga = prefs.gamma_a
-    lam, cost, _ = stars_on_grid(model, t, -z_diag / (ga * diag))
-    if prefs.spec_tag == "discounted_utility":
-        return lam * z + ga * cost * y
-    return lam * z + ga * w * cost * y
+    return stars_on_grid(model, t, -z_diag / (prefs.gamma_a * diag))[:2]
+
+
+def _generator(prefs: Preferences, lam, cost, w, z, y):
+    """The drift h of rows with cost weights w, exposures z and values y,
+    under the best response (lam, cost): lam z - w cost for a risk-neutral
+    agent, lam z + gamma_a w cost y for an exponential one."""
+    if prefs.agent_utility == "risk_neutral":
+        return lam * z - w * cost
+    return lam * z + prefs.gamma_a * w * cost * y
 
 
 def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
@@ -156,36 +151,34 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     paths along the first axis and rows s along the second.  Each step
     evaluates its column of exposures z(s, t_j) and reads the weights
     f(t_j - s) from one table of lags, so no (s, t) array is formed, and
-    does the same arithmetic as one Picard sweep's column.  The separable
-    generator does not read Y: its action depends on the diagonal
+    does the same arithmetic as one Picard sweep's column.  A risk-neutral
+    agent's generator does not read Y: its action depends on the diagonal
     exposures alone, so one batched best response serves the whole march,
     and a :class:`ProductFamily` skips the steps for one closed sum per
-    row.
+    row.  An exponential agent's action reads each path's diagonal value,
+    so the step loop solves it per step.
     """
     grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
     dx = ensemble.increments
     n = grid.size - 1
     z_diag = pointwise(z_family, grid, grid)
-    separable = prefs.spec_tag == "separable_rn"
-    if separable:
-        lam, cost, _ = stars_on_grid(model, grid[:-1], z_diag[:-1])
+    risk_neutral = prefs.agent_utility == "risk_neutral"
+    if risk_neutral:
+        lam, cost = _diagonal_stars(model, prefs, grid[:-1], z_diag[:-1], None)
         if isinstance(z_family, ProductFamily):
             return _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost, z_diag)
     weights = _lag_weights(prefs, n, dt)
     diagonal = np.empty((ensemble.n_paths, grid.size))
     # summing the increments apart from y0, as the Picard sweep does, gives
-    # its field bit for bit when the generator does not read Y (separable_rn)
+    # its field bit for bit when the generator does not read Y (risk neutral)
     acc = np.zeros((ensemble.n_paths, grid.size))
     for j in range(n):
         z = pointwise(z_family, grid, grid[j])
-        w = None if weights is None else weights[j]
         diagonal[:, j] = y0[j] + acc[:, j]
+        stars = (lam[j], cost[j]) if risk_neutral else _diagonal_stars(
+            model, prefs, grid[j], z_diag[j], diagonal[:, j:j + 1])
         step = z * dx[:, j:j + 1]
-        if separable:
-            step -= _separable_drift(lam[j], cost[j], z, w, dt)
-        else:
-            step -= _generator(model, prefs, grid[j], w, z, y0 + acc, z_diag[j],
-                               diagonal[:, j:j + 1]) * dt
+        step -= _generator(prefs, *stars, weights[j], z, y0 + acc) * dt
         acc += step
     diagonal[:, -1] = y0[-1] + acc[:, -1]
     return VolterraField(grid=grid.copy(), terminal=y0 + acc, diagonal=diagonal,
@@ -199,25 +192,24 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
         Y^{s,n+1}_t = y0(s) - sum_{r<t} h(s, r, Y^n) dt + sum_{r<t} Z^s_r dX_r,
 
     one path's (s, t) iterate at a time.  The fixed point is the field
-    :func:`march` computes; the families and the weights f(t - s) are as
-    there.
+    :func:`march` computes; the families, the weights and the generator
+    are as there.  Every sweep takes the agent's best response to its
+    iterate's diagonal; a risk-neutral agent's does not read it, so the
+    second sweep reproduces the first.
 
     Returns (VolterraField, diagnostics) where diagnostics is a list, per
     path, of successive sup-norm differences.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
     s = grid[:, None]
     zmat = pointwise(z_family, s, grid[None, :])
     z_left = zmat[:, :-1]
     z_diag = np.diagonal(zmat).copy()
-    weights = _lag_weights(prefs, grid.size - 1, dt)
-    w = None if weights is None else weights.T
-    separable = prefs.spec_tag == "separable_rn"
-    if separable:
-        lam, cost, _ = stars_on_grid(model, grid[:-1], z_diag[:-1])
-        drift_dt = _separable_drift(lam, cost, z_left, w, dt)
+    w = _lag_weights(prefs, grid.size - 1, dt).T
 
     terminal, diagonal, all_diffs = [], [], []
     for p in range(ensemble.n_paths):
@@ -225,9 +217,9 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
         y = np.tile(y0[:, None], (1, grid.size))
         diffs = []
         for _ in range(max_iter):
-            if not separable:
-                drift_dt = _generator(model, prefs, grid[:-1], w, z_left, y[:, :-1],
-                                      z_diag[:-1], np.diagonal(y)[:-1]) * dt
+            lam, cost = _diagonal_stars(model, prefs, grid[:-1], z_diag[:-1],
+                                        np.diagonal(y)[:-1])
+            drift_dt = _generator(prefs, lam, cost, w, z_left, y[:, :-1]) * dt
             y_new = np.empty_like(y)
             y_new[:, 0] = y0
             np.cumsum(mart - drift_dt, axis=1, out=y_new[:, 1:])
@@ -251,6 +243,8 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
 
 def target_constraint_residual(field: VolterraField, prefs: Preferences) -> np.ndarray:
     """Per-path spread of the decoded terminal payment across s rows."""
+    if field.spec_tag != prefs.spec_tag:
+        raise ValueError("preferences and field disagree on the spec tag")
     T = float(field.grid[-1])
     fTs = np.asarray(prefs.discount.value(T - field.grid), dtype=float)
     decoded = prefs.decode(fTs[None, :], field.terminal)
@@ -274,7 +268,6 @@ def diagonal_bsde_check(field: VolterraField, model: MarketModel, prefs: Prefere
     grid = field.grid
     T = float(grid[-1])
     dt = float(grid[1] - grid[0])
-    ga = prefs.gamma_a
     fTt = np.asarray(prefs.discount.value(T - grid), dtype=float)
     d = field.diagonal
     dx = ensemble.increments
@@ -283,10 +276,8 @@ def diagonal_bsde_check(field: VolterraField, model: MarketModel, prefs: Prefere
     for j in range(grid.size - 1):
         y_here = w[:, j] * fTt[j]
         z_here = float(field.z_diag[j])
-        if np.any(y_here >= 0.0):
-            raise ValueError("diagonal left the exponential utility's range")
-        lam, cost, _ = stars_on_grid(model, grid[j], -z_here / (ga * y_here))
-        big_h = lam * z_here + ga * cost * y_here
+        lam, cost = _diagonal_stars(model, prefs, grid[j], z_here, y_here)
+        big_h = _generator(prefs, lam, cost, 1.0, z_here, y_here)
         w[:, j + 1] = w[:, j] + (-big_h * dt + z_here * dx[:, j]) / fTt[j]
     return np.max(np.abs(w * fTt - d), axis=1)
 

@@ -300,14 +300,18 @@ class Preferences:
             out = -np.log(-g * y) / g
         return float(out) if out.ndim == 0 else out
 
+    def cost_weight(self, lags):
+        """The running cost's weight at the lags: f(lag), extended to
+        negative lags, or ones, without reading the curve, where the
+        discount sits outside the utility (discounted_utility)."""
+        if self.spec_tag == "discounted_utility":
+            return np.ones(np.shape(lags))
+        return self.discount.value_extended(lags)
+
     def running_cost(self, lags, cost, dt):
         """Left-point sum of the cost rate over steps dt, each weighed by
-        f(lag) unless the discount sits outside the utility
-        (discounted_utility); lags may be negative, on the curve's
-        extension."""
-        if self.spec_tag == "discounted_utility":
-            return float(np.sum(cost) * dt)
-        return float(np.sum(self.discount.value_extended(lags) * cost) * dt)
+        cost_weight(lags)."""
+        return float(np.sum(self.cost_weight(lags) * cost) * dt)
 
     def reward(self, weight, pay, running):
         """The agent's reward from the payment pay, net of the running

@@ -151,6 +151,12 @@ def test_picard_validation_and_nonconvergence():
     y0f, zf = _proportional_family(HYP, 2.0, 0.05, -0.5)
     with pytest.raises(ValueError, match="tol"):
         picard_solve(m, p, y0f, zf, ens, tol=0.0)
+    for tol in (-1e-10, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            picard_solve(m, p, y0f, zf, ens, tol=tol)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            picard_solve(m, p, y0f, zf, ens, max_iter=max_iter)
     for solver in (march, picard_solve):
         with pytest.raises(ValueError, match="no Volterra generator"):
             solver(m, _rn(0.05, HYP, "first_best_separable"),
@@ -300,6 +306,36 @@ def test_march_reproduces_the_picard_fixed_point(separable_setup):
         np.testing.assert_allclose(marched.diagonal, swept.diagonal, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.5, -10.0], ids=["solved", "positive", "negative"])
+def test_risk_neutral_income_agent_marches_like_the_separable_regime(separable_setup, shift):
+    # the agent's utility picks the generator, not the regime tag: a
+    # risk-neutral income agent weighs its cost by f(t - s), as the
+    # separable agent does, and its rows may take either sign
+    m, p, sol = separable_setup
+    income = dataclasses.replace(p, spec_tag="discounted_income")
+    ens = simulate(m, sol.effort, 2, 300, seed=11)
+    y0f, zf = separable_optimal_family(m, p, sol)
+
+    def y0(s):
+        return y0f(s) + shift
+
+    if shift > 0.0:
+        assert np.all(y0(ens.grid) > 0.0)
+    solved = []
+    for prefs in (p, income):
+        swept, diffs = picard_solve(m, prefs, y0, zf, ens)
+        marched = [march(m, prefs, y0, family, ens) for family in (zf, _plain(zf))]
+        solved.append((marched + [swept], diffs))
+    (want, want_diffs), (got, diffs) = solved
+    for expected, field in zip(want, got):
+        assert field.spec_tag == "discounted_income"
+        np.testing.assert_array_equal(field.terminal, expected.terminal)
+        np.testing.assert_array_equal(field.diagonal, expected.diagonal)
+        np.testing.assert_array_equal(field.z_diag, expected.z_diag)
+    assert diffs == want_diffs
+    assert all(len(per_path) == 2 for per_path in diffs)
+
+
 @pytest.mark.parametrize("disc", [
     DiscountSpec.exponential(0.3),
     HYP,
@@ -317,8 +353,8 @@ def test_lag_table_rows_match_direct_weights(disc):
     for j in range(steps):
         np.testing.assert_allclose(weights[j], disc.value_extended(grid[j] - grid),
                                    rtol=1e-14, atol=0.0)
-    assert fsvie._lag_weights(_cara(1.0, 0.5, -0.8, disc, "discounted_utility"),
-                              steps, 0.1) is None
+    assert np.all(fsvie._lag_weights(_cara(1.0, 0.5, -0.8, disc, "discounted_utility"),
+                                     steps, 0.1) == 1.0)
 
 
 def _separable_oracle(m, p, y0f, zf, ens):
@@ -495,6 +531,18 @@ def test_target_decode_for_the_utility_regimes():
             # inverting the utility, which the proportional rows do not
             # satisfy exactly; the residual just has to be finite here
             assert np.all(np.isfinite(res))
+
+
+def test_residual_refuses_a_field_of_another_regime():
+    m = MarketModel.quadratic(0.1, 2.0, 1.0)
+    ens = simulate(m, 0.6, 2, 200, seed=4)
+    y0f, zf = _proportional_family(HYP, 2.0, 0.05, -0.5)
+    utility = _cara(1.0, 0.5, -0.8, HYP, "discounted_utility")
+    income = _cara(1.0, 0.5, -0.8, HYP, "discounted_income")
+    field, _ = picard_solve(m, utility, y0f, zf, ens)
+    assert np.all(target_constraint_residual(field, utility) < 1e-12)
+    with pytest.raises(ValueError, match="disagree on the spec tag"):
+        target_constraint_residual(field, income)
 
 
 # ---------------------------------------------------------------------------

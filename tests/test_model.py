@@ -226,3 +226,36 @@ def test_first_best_rewards_have_no_decoding():
             ("first_best_nonseparable", exp_prefs(spec_tag="first_best_nonseparable"))):
         with pytest.raises(ValueError, match=f"no terminal decoding for spec '{tag}'"):
             prefs.decode(0.5, prefs.reward(0.5, 1.0, 0.0))
+
+
+def test_cost_weight_reads_no_curve_outside_the_utility():
+    # hyperbolic(1, 4) is undefined from lag -0.25 down; the discounted-utility
+    # cost weights are ones without reading it
+    curve = DiscountSpec.hyperbolic(1.0, 4.0)
+    lags = np.linspace(-2.0, 2.0, 9)
+    with pytest.raises(ValueError):
+        curve.value_extended(lags)
+    weights = exp_prefs(discount=curve).cost_weight(lags)
+    assert weights.shape == lags.shape
+    assert np.all(weights == 1.0)
+    rn = exp_prefs(agent_utility="risk_neutral", principal_utility="risk_neutral",
+                   gamma_a=0.0, gamma_p=0.0, r0=0.1, discount=curve, spec_tag="separable_rn")
+    np.testing.assert_array_equal(rn.cost_weight(lags[4:]), curve.value_extended(lags[4:]))
+
+
+def test_running_cost_keeps_the_bits_of_both_sums():
+    # the ones of discounted_utility leave its plain sum's bits, and the
+    # separable regimes sum the curve-weighted cost
+    curve = DiscountSpec.hyperbolic(1.0, 0.4)
+    utility = exp_prefs(discount=curve)
+    separable = exp_prefs(agent_utility="risk_neutral", principal_utility="risk_neutral",
+                          gamma_a=0.0, gamma_p=0.0, r0=0.1, discount=curve,
+                          spec_tag="separable_rn")
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 9, 300, 2001):
+        lags = np.linspace(-1.5, 2.0, n)
+        cost = rng.random(n)
+        for dt in (1e-3, 0.013, 0.5):
+            assert utility.running_cost(lags, cost, dt) == float(np.sum(cost) * dt)
+            assert separable.running_cost(lags, cost, dt) == float(
+                np.sum(curve.value_extended(lags) * cost) * dt)
