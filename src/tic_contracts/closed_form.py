@@ -11,10 +11,13 @@ ladder of candidates near zero resolves maxima narrower than the scan's
 cells; hamiltonian.search_max, the golden-section search with a parabolic
 polish that also finds the agent's action, finishes the point.
 
-The separable regime's search takes a stack of cost weights f(t)/f(T),
-one row per discount curve, and searches every (curve, t) row at once:
-:func:`solve` passes one row, :func:`separable_efforts` (behind the
-figure tables) one per curve, each row's result bit for bit its own.
+The three second-best regimes are one exposure problem in the curve g
+inside the agent's utility (see :func:`_exposure`).  Its search takes a
+stack of weights, one row per curve, and searches every (curve, t) row at
+once: :func:`solve` passes one row, :func:`separable_efforts` (behind the
+figure tables) one per curve with zero risk weights, each row's result
+bit for bit its own.  With builtin families and weights constant in t,
+each row is searched at its first point only.
 
 Values are integrated with composite Simpson on the solution grid; the
 default grid has 2001 points.
@@ -145,7 +148,9 @@ def z_argmax_grid(objective, n: int):
         return np.asarray(objective(zs, rows), dtype=float)
 
     def scan(zs, rows):
-        vals = evaluate(zs, rows)
+        # what overflows here is refused just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = evaluate(zs, rows)
         if not np.all(np.isfinite(vals)):
             raise ValueError("exposure objective produced non-finite values")
         return vals
@@ -271,124 +276,78 @@ def _exponential_value(gp: float, wealth: float, integral: float) -> float:
     return value
 
 
-def _discounted_utility(model: MarketModel, prefs: Preferences, grid):
-    """Exponential-utility agent with discounted terminal utility.
+def _exposure(model: MarketModel, grid, gp: float, wc, wa, gTt) -> np.ndarray:
+    """z* of the second-best exposure problem on the (curves, points) stack
+    that wc, wa and gTt broadcast to.  Each row maximizes
 
-    The exposure trade-off does not involve the discount curve, which is
-    why the principal's value factorizes into an f(T) power times an
-    f-independent exponential of the integrated trade-off.
+        lam - wc cost - wa sigma^2 z^2 - (gp / 2) sigma^2 (1 - z / gTt)^2
+
+    with the cost weight wc = g(t)/g(T), the agent's risk weight
+    wa = (gamma_a / 2) g(T)/g(T-t)^2 and gTt = g(T-t); rows do not
+    interact.  Long horizons make the maximum a narrow bump of width
+    ~ g(T)/g(t) beside the clamped-action plateau, which the search's
+    geometric ladder resolves.
+    """
+    wc, wa, gTt = np.broadcast_arrays(*(np.atleast_2d(w) for w in (wc, wa, gTt)))
+    # builtin families and their constant sigma do not depend on time
+    cols = grid.size
+    if model.families is not None and all(np.all(w == w[:, :1]) for w in (wc, wa, gTt)):
+        cols = 1
+    t_col = np.tile(grid[:cols], wc.shape[0])[:, None]
+    sig_col = model.sigma_at(t_col)
+    wc_col, wa_col, gTt_col = (w[:, :cols].reshape(-1, 1) for w in (wc, wa, gTt))
+    risky = gp > 0.0 or np.any(wa_col != 0.0)
+
+    def objective(zs, r):
+        lam, cost, _ = stars_on_grid(model, t_col[r], zs)
+        value = lam - wc_col[r] * cost
+        if risky:
+            s = sig_col[r]
+            value = (value - wa_col[r] * s * s * zs * zs
+                     - 0.5 * gp * s * s * (1.0 - zs / gTt_col[r]) ** 2)
+        return value
+
+    z_star = z_argmax_grid(objective, t_col.size)[0].reshape(-1, cols)
+    return np.broadcast_to(z_star, wc.shape).copy()
+
+
+def _second_best(model: MarketModel, prefs: Preferences, grid):
+    """separable_rn, discounted_utility and discounted_income: the exposure
+    problem in g = prefs.cost_weight, the discount or the flat curve.  Only
+    the wealth level y0 depends on the regime.  For discounted_utility the
+    trade-off does not involve the discount curve, which is why the
+    principal's value factorizes into an f(T) power times an f-independent
+    exponential of the integrated trade-off.
     """
     ga, gp = prefs.gamma_a, prefs.gamma_p
-    f = prefs.discount
     T = model.horizon
-    fT = float(f.value(T))
-
+    gT = float(prefs.cost_weight(T))
+    g_t, g_Tt = prefs.cost_weight(grid), prefs.cost_weight(T - grid)
     sig = model.sigma_at(grid)
-    # builtin families and their constant sigma do not depend on time, so
-    # the objective is the same at every t: search its first row only
-    rows = 1 if model.families is not None else grid.size
-    t_col, sig_col = grid[:rows, None], sig[:rows, None]
 
-    def objective(zs, r):
-        lam, cost, _ = stars_on_grid(model, t_col[r], zs)
-        s = sig_col[r]
-        return (lam - cost
-                - 0.5 * ga * s * s * zs * zs
-                - 0.5 * gp * s * s * (1.0 - zs) ** 2)
-
-    z_star = np.broadcast_to(z_argmax_grid(objective, rows)[0], grid.shape).copy()
-
-    lam, cost, eff = stars_on_grid(model, grid, z_star)
-    trade = lam - cost - 0.5 * ga * sig ** 2 * z_star ** 2 \
-        - 0.5 * gp * sig ** 2 * (1.0 - z_star) ** 2
-    ham = lam * z_star - cost
-
-    r0_hat = prefs.agent_u_inv(prefs.r0)
-    y0_hat = r0_hat + math.log(fT) / ga
-    const_adj = -float(simpson(ham - 0.5 * ga * sig ** 2 * z_star ** 2, grid))
-    integral = float(simpson(trade, grid))
-    if gp > 0.0:
-        value_p = _exponential_value(gp, model.x0 - y0_hat, integral)
-    else:
-        value_p = model.x0 - y0_hat + integral
-    return y0_hat, const_adj, value_p, z_star, z_star.copy(), eff
-
-
-def _separable_z(model: MarketModel, grid, weights) -> np.ndarray:
-    """z* of the separable regime, shaped like weights: a (curves, points)
-    stack of cost weights f(t)/f(T).  One z_argmax_grid searches every
-    (curve, t) row; rows do not interact.  Long horizons make the maximum
-    a narrow bump of width ~ f(T)/f(t) beside the clamped-action plateau,
-    which the search's geometric ladder resolves."""
-    t_col = np.tile(grid, weights.shape[0])[:, None]
-    w_col = weights.reshape(-1, 1)
-
-    def objective(zs, r):
-        lam, cost, _ = stars_on_grid(model, t_col[r], zs)
-        return lam - w_col[r] * cost
-
-    return z_argmax_grid(objective, w_col.size)[0].reshape(weights.shape)
-
-
-def _separable_rn(model: MarketModel, prefs: Preferences, grid):
-    """Risk-neutral agent and principal with discounted separable cost."""
-    f = prefs.discount
-    T = model.horizon
-    fT = float(f.value(T))
-    f_t = np.asarray(f.value(grid), dtype=float)
-    f_Tt = np.asarray(f.value(T - grid), dtype=float)
-
-    z_star = _separable_z(model, grid, (f_t / fT)[None, :])[0]
-    lam, cost, eff = stars_on_grid(model, grid, z_star)
-    loading = z_star / f_Tt
-    gain = lam - (f_t / fT) * cost
-    value_p = model.x0 - prefs.r0 / fT + float(simpson(gain, grid))
-    const_adj = -float(simpson(loading * lam - f_t * cost / fT, grid))
-    return prefs.r0 / fT, const_adj, value_p, z_star, loading, eff
-
-
-def _discounted_income(model: MarketModel, prefs: Preferences, grid):
-    """Exponential-utility agent with the cost discounted inside the utility.
-
-    Risk-neutral entries are the vanishing-risk-aversion limits; at
-    gamma_a = gamma_p = 0 the output agrees with the separable solver with
-    the same curve.
-    """
-    g = prefs.discount
-    ga, gp = prefs.gamma_a, prefs.gamma_p
-    T = model.horizon
-    gT = float(g.value(T))
-    g_t = np.asarray(g.value(grid), dtype=float)
-    g_Tt = np.asarray(g.value(T - grid), dtype=float)
-
-    sig = model.sigma_at(grid)
-    t_col, sig_col, gTt_col = grid[:, None], sig[:, None], g_Tt[:, None]
-    wc_col = (g_t / gT)[:, None]
-    wa_col = (0.5 * ga * gT / (g_Tt ** 2))[:, None]
-
-    def objective(zs, r):
-        lam, cost, _ = stars_on_grid(model, t_col[r], zs)
-        s = sig_col[r]
-        return (lam - wc_col[r] * cost - wa_col[r] * s * s * zs * zs
-                - 0.5 * gp * s * s * (1.0 - zs / gTt_col[r]) ** 2)
-
-    z_star, _ = z_argmax_grid(objective, grid.size)
-
+    # a risk-neutral party's risk term is not formed: on a steep curve it
+    # would be 0 / 0 or 0 * inf where it is zero
+    wa = 0.5 * ga * gT / (g_Tt ** 2) if ga else 0.0
+    z_star = _exposure(model, grid, gp, g_t / gT, wa, g_Tt)[0]
     lam, cost, eff = stars_on_grid(model, grid, z_star)
     loading = z_star / g_Tt
     z0 = gT * loading
-    big_g = (lam - (g_t / gT) * cost
-             - 0.5 * ga * gT * sig ** 2 * z_star ** 2 / g_Tt ** 2
-             - 0.5 * gp * sig ** 2 * (1.0 - z_star / g_Tt) ** 2)
+    big_g = lam - (g_t / gT) * cost
+    if ga:
+        big_g = big_g - 0.5 * ga * gT * sig ** 2 * z_star ** 2 / g_Tt ** 2
+    if gp:
+        big_g = big_g - 0.5 * gp * sig ** 2 * (1.0 - z_star / g_Tt) ** 2
 
     r0_hat = prefs.agent_u_inv(prefs.r0)
+    y0 = (r0_hat + math.log(float(prefs.discount.value(T))) / ga
+          if prefs.spec_tag == "discounted_utility" else r0_hat / gT)
     const_adj = -float(simpson(lam * z0 - g_t * cost - 0.5 * ga * sig ** 2 * z0 ** 2, grid)) / gT
     integral = float(simpson(big_g, grid))
     if gp > 0.0:
-        value_p = _exponential_value(gp, model.x0 - r0_hat / gT, integral)
+        value_p = _exponential_value(gp, model.x0 - y0, integral)
     else:
-        value_p = model.x0 - r0_hat / gT + integral
-    return r0_hat / gT, const_adj, value_p, z_star, loading, eff
+        value_p = model.x0 - y0 + integral
+    return y0, const_adj, value_p, z_star, loading, eff
 
 
 def _first_best_separable(model: MarketModel, prefs: Preferences, grid):
@@ -464,9 +423,9 @@ def _first_best_nonseparable(model: MarketModel, prefs: Preferences, grid):
 # each regime maps (model, prefs, checked grid) to its constant's reservation
 # and adjustment parts, the principal's value, z*, the loading and the effort
 _SOLVERS = {
-    "discounted_utility": _discounted_utility,
-    "separable_rn": _separable_rn,
-    "discounted_income": _discounted_income,
+    "discounted_utility": _second_best,
+    "separable_rn": _second_best,
+    "discounted_income": _second_best,
     "first_best_separable": _first_best_separable,
     "first_best_nonseparable": _first_best_nonseparable,
 }
@@ -518,8 +477,7 @@ def separable_efforts(model: MarketModel, prefs, grid=None) -> np.ndarray:
         if problems:
             raise ValueError("; ".join(problems))
     grid = _solution_grid(model, grid)
-    weights = np.array([np.asarray(p.discount.value(grid), dtype=float)
-                        / float(p.discount.value(model.horizon)) for p in prefs])
-    z_star = _separable_z(model, grid, weights)
+    weights = np.array([p.cost_weight(grid) / float(p.cost_weight(model.horizon)) for p in prefs])
+    z_star = _exposure(model, grid, 0.0, weights, 0.0, 1.0)
     _, _, effort = stars_on_grid(model, np.tile(grid, len(prefs)), z_star.ravel())
     return effort.reshape(z_star.shape)

@@ -346,7 +346,7 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
     w_t = solution.constant_term + (float(simpson(lam_head, head)) if head.size >= 3 else 0.0)
 
     w = float(prefs.discount.value(T - t))
-    b = 1.0 if prefs.spec_tag == "discounted_utility" else w
+    b = float(prefs.cost_weight(T - t))
     risk = 0.5 * prefs.gamma_a * b * float(np.sum(load * load * sig * sig) * dt)
 
     def value(actions):

@@ -303,7 +303,9 @@ class Preferences:
     def cost_weight(self, lags):
         """The running cost's weight at the lags: f(lag), extended to
         negative lags, or ones, without reading the curve, where the
-        discount sits outside the utility (discounted_utility)."""
+        discount sits outside the utility (discounted_utility).  It is
+        also the curve inside the utility: the payment's weight g(T - s)
+        seen from s, and the g of the second-best exposure problem."""
         if self.spec_tag == "discounted_utility":
             return np.ones(np.shape(lags))
         return self.discount.value_extended(lags)

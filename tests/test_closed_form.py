@@ -9,6 +9,7 @@ benchmark.  Tolerances reflect how each number was obtained.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,9 +33,10 @@ from tic_contracts.cli import (
     FIGURE2_LAMBDA,
     FIGURE2_LAMBDAS,
 )
+from tic_contracts import closed_form
 from tic_contracts.closed_form import (
     DEFAULT_GRID_POINTS,
-    _separable_z,
+    _exposure,
     separable_efforts,
     z_argmax,
     z_argmax_grid,
@@ -184,7 +186,7 @@ def _assert_stack_equals_each_solve(m, curves, grid):
     prefs = [_rn(0.0, f, "separable_rn") for f in curves]
     weights = np.array([np.asarray(f.value(grid), dtype=float) / float(f.value(m.horizon))
                         for f in curves])
-    z_rows = _separable_z(m, grid, weights)
+    z_rows = _exposure(m, grid, 0.0, weights, 0.0, 1.0)
     effort_rows = separable_efforts(m, prefs, grid)
     assert z_rows.shape == effort_rows.shape == (len(curves), grid.size)
     for p, z, effort in zip(prefs, z_rows, effort_rows):
@@ -217,7 +219,7 @@ def test_stacked_search_keeps_the_long_horizon_bump():
     _assert_stack_equals_each_solve(m, curves, grid)
     ref = float(f.value(50.0)) / np.asarray(f.value(grid), dtype=float)
     weights = np.array([np.asarray(c.value(grid)) / float(c.value(50.0)) for c in curves])
-    assert np.max(np.abs(_separable_z(m, grid, weights)[1] - ref)) < 1e-9
+    assert np.max(np.abs(_exposure(m, grid, 0.0, weights, 0.0, 1.0)[1] - ref)) < 1e-9
 
 
 def test_stacked_efforts_refuse_what_solve_refuses():
@@ -267,6 +269,22 @@ def test_income_risk_neutral_limit_matches_separable():
     np.testing.assert_allclose(inc.loading_values, sep.loading_values,
                                atol=1e-8)
     assert inc.constant_term == pytest.approx(sep.constant_term, abs=1e-8)
+
+
+@pytest.mark.parametrize("disc", [
+    DiscountSpec.hyperbolic(1.0, 0.4),
+    DiscountSpec.exponential(0.3),
+    DiscountSpec.quasi_hyperbolic(0.5, 0.3, 2.0),
+    # f(T)^2 underflows: a risk term formed at zero aversion would be 0 / 0
+    DiscountSpec.exponential(200.0),
+])
+def test_risk_neutral_income_is_the_separable_solve(disc):
+    m = MarketModel.quadratic(0.1, 2.0, 1.0)
+    grid = default_grid(2.0, 501)
+    inc = solve(m, _rn(0.05, disc, "discounted_income"), grid).to_json()
+    sep = solve(m, _rn(0.05, disc, "separable_rn"), grid).to_json()
+    assert (inc.pop("spec"), sep.pop("spec")) == ("discounted_income", "separable_rn")
+    assert json.dumps(inc) == json.dumps(sep)
 
 
 def test_income_reference_values():
@@ -358,6 +376,57 @@ def test_first_best_dominates_income_second_best():
 
 # ---------------------------------------------------------------------------
 # error paths and plumbing
+
+
+def _searched_rows(monkeypatch, run):
+    rows = []
+
+    def recording(objective, n):
+        rows.append(n)
+        return z_argmax_grid(objective, n)
+
+    monkeypatch.setattr(closed_form, "z_argmax_grid", recording)
+    run()
+    return rows
+
+
+FLAT = DiscountSpec.exponential(0.0)
+HYP = DiscountSpec.hyperbolic(1.0, 0.4)
+
+
+@pytest.mark.parametrize("prefs, builtin, rows", [
+    (_cara(1.5, 0.7, -0.8, HYP, "discounted_utility"), True, 1),
+    (_rn(0.05, FLAT, "separable_rn"), True, 1),
+    (_cara(1.5, 0.7, -0.8, FLAT, "discounted_income"), True, 1),
+    (_rn(0.05, FLAT, "discounted_income"), True, 1),
+    (_rn(0.05, HYP, "separable_rn"), True, 41),
+    (_cara(1.5, 0.7, -0.8, HYP, "discounted_income"), True, 41),
+    (_cara(1.5, 0.7, -0.8, HYP, "discounted_utility"), False, 41),
+    (_rn(0.05, FLAT, "separable_rn"), False, 41),
+])
+def test_time_free_objectives_search_one_row(monkeypatch, prefs, builtin, rows):
+    m = MarketModel.quadratic(0.1, 2.0, 1.0)
+    if not builtin:
+        m = replace(m, families=None)
+    grid = default_grid(2.0, 41)
+    assert _searched_rows(monkeypatch, lambda: solve(m, prefs, grid)) == [rows]
+
+
+def test_stacked_search_covers_every_curve_and_point(monkeypatch):
+    m = MarketModel.quadratic(0.0, 50.0, 1.0)
+    prefs = [_rn(0.0, f, "separable_rn") for f in FIGURE_CURVES]
+    grid = default_grid(50.0, 41)
+    searched = _searched_rows(monkeypatch, lambda: separable_efforts(m, prefs, grid))
+    assert searched == [len(FIGURE_CURVES) * grid.size]
+
+
+def test_exposure_overflow_is_refused_without_a_warning():
+    # sigma^2 z^2 overflows in the scan; the scan's finiteness check
+    # refuses it, so the overflow warns nothing of its own
+    m = MarketModel.hm_linear(0.3, 2.0, 1e154, 1.0)
+    p = _cara(0.5, 0.5, -0.8, HYP, "discounted_income")
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(m, p)
 
 
 def test_unbounded_exposure_raises():
