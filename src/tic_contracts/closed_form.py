@@ -326,8 +326,10 @@ def _second_best(model: MarketModel, prefs: Preferences, grid):
     sig = model.sigma_at(grid)
 
     # a risk-neutral party's risk term is not formed: on a steep curve it
-    # would be 0 / 0 or 0 * inf where it is zero
-    wa = 0.5 * ga * gT / (g_Tt ** 2) if ga else 0.0
+    # would be 0 / 0 or 0 * inf where it is zero; the search refuses a
+    # weight that is not finite, as where g(T-t)^2 underflows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        wa = 0.5 * ga * gT / (g_Tt ** 2) if ga else 0.0
     z_star = _exposure(model, grid, gp, g_t / gT, wa, g_Tt)[0]
     lam, cost, eff = stars_on_grid(model, grid, z_star)
     loading = z_star / g_Tt

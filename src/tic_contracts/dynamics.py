@@ -7,14 +7,15 @@ with the drift implied by the equilibrium effort policy,
 
 Randomness comes from counter-based Philox streams keyed by (seed, path),
 so any blocking or thread schedule reproduces the same ensemble bit for
-bit; the seed is a signed 64-bit integer.  The payoff's matrix-vector
-product runs over fixed groups of paths and the estimator reductions go
-through numpy's pairwise summation over per-path vectors, so they are
-likewise schedule-independent.
+bit; the seed is a signed 64-bit integer.  An ensemble keeps the unit
+normals and derives the increments on access.  One product of fixed
+groups of paths with two weight columns gives the payment and X_T, and
+the estimators sum per-path vectors pairwise, so both are
+schedule-independent.
 
 verify_contract streams: it keeps two numbers per path (the payment and
 X_T) and drops each block of paths, so its memory is O(block x steps +
-paths), not O(paths x steps).
+paths), not O(paths x steps), and it never forms the increments.
 
 The checkers cover: participation (agent Monte Carlo value vs the
 reservation level), the principal's value, the s-shift correction identity
@@ -39,7 +40,7 @@ from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
 # paths per simulated block in verify_contract (rounded up to whole payoff
 # groups); 256 x 2000 steps is a 4 MB block
 BLOCK_PATHS = 256
-# rows per matrix-vector product in contract_payoff
+# rows per grouped product of the normals in _outcomes
 PAYOFF_ROWS = 8
 # values of s per block of the s-shift correction's (s, solver grid) arrays
 SHIFT_ROWS = 32
@@ -54,31 +55,40 @@ class McEstimate:
 
 @dataclass
 class PathEnsemble:
-    """Simulated output increments on a uniform grid.
+    """Simulated output paths on a uniform grid, as their unit normals.
 
-    increments[p][i] covers [grid[i], grid[i+1]); the verification
-    estimators only ever need the increments and X_T.
+    The increment on [grid[i], grid[i+1]) is normals[p][i] * scale[i] +
+    shift[i] (sigma sqrt(dt) and sigma b dt), formed anew on each access.
     """
 
     n_paths: int
     grid: np.ndarray
-    increments: np.ndarray
+    normals: np.ndarray
+    scale: np.ndarray
+    shift: np.ndarray
     x0: float
     antithetic: bool = False
 
     @property
+    def increments(self) -> np.ndarray:
+        return self.normals * self.scale + self.shift
+
+    @property
     def terminal(self) -> np.ndarray:
-        return self.x0 + np.sum(self.increments, axis=1)
+        return _outcomes(self, np.zeros_like(self.scale))[:, 1]
 
 
 def _thread_count(threads: Optional[int]) -> int:
     """Worker threads for the RNG fill: the flag, else one; never more
-    than the machine's CPUs (asked only for a count above one).  A count
-    below one raises ValueError."""
+    than the CPUs this process may run on (asked only for a count above
+    one).  A count below one raises ValueError."""
     count = 1 if threads is None else int(threads)
     if count < 1:
         raise ValueError("threads must be positive")
-    return 1 if count == 1 else min(count, os.cpu_count() or 1)
+    if count == 1:
+        return 1
+    usable = getattr(os, "sched_getaffinity", None)
+    return min(count, len(usable(0)) if usable else os.cpu_count() or 1)
 
 
 def _check_actions(model: MarketModel, actions, what: str):
@@ -121,6 +131,9 @@ def _normal_rows(out: np.ndarray, seed: int, first_key: int, threads: int):
         bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         gen = np.random.Generator(bits)
         state = bits.state  # counter 0, empty buffer, no spare 32-bit word
+        # the setter reads plain ints faster than the getter's arrays
+        state["state"] = {name: v.tolist() for name, v in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
         key = state["state"]["key"]
         key[0] = seed_word
         for p in range(lo, hi):
@@ -177,10 +190,8 @@ def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
     else:
         _normal_rows(z, seed, path_offset, threads)
 
-    z *= sig * math.sqrt(dt)
-    z += drift * dt
-    return PathEnsemble(n_paths=n_paths, grid=grid, increments=z, x0=model.x0,
-                        antithetic=antithetic)
+    return PathEnsemble(n_paths=n_paths, grid=grid, normals=z, scale=sig * math.sqrt(dt),
+                        shift=drift * dt, x0=model.x0, antithetic=antithetic)
 
 
 def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:
@@ -194,20 +205,25 @@ def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:
     return McEstimate(mean=mean, std_error=se, n=n)
 
 
-def contract_payoff(solution: ContractSolution, ensemble: PathEnsemble) -> np.ndarray:
-    """Per-path terminal payment: constant term plus the loading integral.
+def _outcomes(ensemble: PathEnsemble, load: np.ndarray) -> np.ndarray:
+    """Per-path columns (sum_i load_i dX_i, X_T): one product of each fixed
+    group of PAYOFF_ROWS normals with [scale load, scale], plus the shift's
+    share.  A BLAS kernel's summation order for one row depends on the rows
+    around it (their count and the thread split), so fixed groups make a
+    path's numbers independent of how the ensemble was blocked."""
+    z = ensemble.normals
+    weights = np.stack([ensemble.scale * load, ensemble.scale]).T  # Fortran order reads faster
+    out = np.empty((z.shape[0], 2))
+    for lo in range(0, z.shape[0], PAYOFF_ROWS):
+        np.matmul(z[lo:lo + PAYOFF_ROWS], weights, out=out[lo:lo + PAYOFF_ROWS])
+    out += [np.sum(ensemble.shift * load), ensemble.x0 + np.sum(ensemble.shift)]
+    return out
 
-    The matrix-vector product runs over fixed groups of PAYOFF_ROWS paths.
-    A BLAS kernel's summation order for one row depends on the rows around
-    it (their count and the thread split), so fixed groups make a path's
-    payment independent of how the ensemble was blocked.
-    """
+
+def contract_payoff(solution: ContractSolution, ensemble: PathEnsemble) -> np.ndarray:
+    """Per-path terminal payment: constant term plus the loading integral."""
     load = solution.loading(ensemble.grid[:-1])
-    inc = ensemble.increments
-    out = np.empty(inc.shape[0])
-    for lo in range(0, inc.shape[0], PAYOFF_ROWS):
-        np.matmul(inc[lo:lo + PAYOFF_ROWS], load, out=out[lo:lo + PAYOFF_ROWS])
-    return solution.constant_term + out
+    return solution.constant_term + _outcomes(ensemble, load)[:, 0]
 
 
 def _cost_at_equilibrium(model: MarketModel, solution: ContractSolution, t_left):
@@ -379,17 +395,17 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     (delta_correction_check and spike_deviation_check take any other s or
     spike).
 
-    Paths are simulated in blocks of BLOCK_PATHS, rounded up to whole
-    groups of PAYOFF_ROWS.  Each block is reduced to its payments and
-    terminal outputs, then dropped, so memory stays O(block x steps +
-    paths).  Stream keys depend only on the global path index and the
-    payoff groups line up with the blocks, so blocking and threads never
+    Paths are simulated in blocks of BLOCK_PATHS, rounded up to whole groups
+    of PAYOFF_ROWS; one grouped product reduces a block's normals to
+    payments and X_T, and the block is dropped, so memory stays O(block x
+    steps + paths).  Stream keys depend only on the global path index and
+    the payoff groups line up with the blocks, so blocking and threads never
     change the numbers: the estimates equal agent_value_mc and
     principal_value_mc on one simulate of all paths, bit for bit.  An
-    antithetic run with odd n_paths simulates one more path.  Checks pass
-    at 3 standard errors; the correction-identity check adds an explicit
-    O(dt) discretization allowance on top.  A standard error needs two
-    estimator units (paths, or antithetic pairs); fewer raise ValueError.
+    antithetic run with odd n_paths simulates one more path.  Checks pass at
+    3 standard errors; the correction-identity check adds an explicit O(dt)
+    discretization allowance on top.  A standard error needs two estimator
+    units (paths, or antithetic pairs); fewer raise ValueError.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
@@ -411,14 +427,14 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     threads = _thread_count(threads)  # once per run, not once per block
     block_paths = -(-BLOCK_PATHS // PAYOFF_ROWS) * PAYOFF_ROWS
     total = n_paths + n_paths % 2 if antithetic else n_paths
-    xi = np.empty(total)
-    terminal = np.empty(total)
+    load = solution.loading(np.linspace(0.0, model.horizon, n_steps + 1)[:-1])
+    outcomes = np.empty((total, 2))
     for done in range(0, total, block_paths):
         block = simulate(model, solution.effort, min(block_paths, total - done), n_steps,
                          seed, antithetic=antithetic, threads=threads, path_offset=done)
-        xi[done:done + block.n_paths] = contract_payoff(solution, block)
-        terminal[done:done + block.n_paths] = block.terminal
+        outcomes[done:done + block.n_paths] = _outcomes(block, load)
     grid = block.grid
+    xi, terminal = solution.constant_term + outcomes[:, 0], outcomes[:, 1]
 
     anti = antithetic
     values = _rewards(model, prefs, solution, xi, grid, 0.0)

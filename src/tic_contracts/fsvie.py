@@ -210,10 +210,11 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
     z_left = zmat[:, :-1]
     z_diag = np.diagonal(zmat).copy()
     w = _lag_weights(prefs, grid.size - 1, dt).T
+    dx = ensemble.increments
 
     terminal, diagonal, all_diffs = [], [], []
     for p in range(ensemble.n_paths):
-        mart = z_left * ensemble.increments[p][None, :]
+        mart = z_left * dx[p][None, :]
         y = np.tile(y0[:, None], (1, grid.size))
         diffs = []
         for _ in range(max_iter):

@@ -335,6 +335,23 @@ class TestVerify:
         # the gains are exact: no stream feeds them
         assert json.loads(run("seed", "--seed", "8")[2])["spike_tests"] == rows
 
+    def test_report_bytes_do_not_depend_on_blas_or_fill_threads(self, tmp_path):
+        # a fresh interpreter per BLAS thread count: OpenBLAS reads it at load
+        cfg = os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")
+        reports = set()
+        for blas in ("1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"blas{blas}_threads{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                           PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+                subprocess.run([sys.executable, "-m", "tic_contracts.cli", "verify",
+                                "--config", cfg, "--out", str(out), "--paths", "600",
+                                "--steps", "200", "--seed", "7", "--threads", threads],
+                               env=env, capture_output=True, check=True)
+                reports.add((out / "report.json").read_bytes())
+        assert len(reports) == 1
+
     def test_antithetic_run_with_a_risk_neutral_party_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SEPARABLE_CONFIG, antithetic=True))
         out = tmp_path / "out"
@@ -673,6 +690,16 @@ class TestBadNumbers:
         bad = json.loads(json.dumps(HM_DU_CONFIG))
         bad["model"]["sigma"] = 1e200
         cfg = write_config(tmp_path, bad)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "non-finite values" in _error_of(capsys)
+
+    def test_underflowing_risk_weight_exits_2_without_a_warning(self, tmp_path, capsys):
+        # on a steep exponential curve g(T - t)^2 underflows to zero, so the
+        # agent's risk weight g(T) / g(T - t)^2 is not finite; the suite
+        # turns any warning into an error
+        with open(os.path.join(ROOT, "perfbench", "configs", "discounted_income.json")) as fh:
+            config = with_discount(json.load(fh), {"variant": "exponential", "gamma": 200.0})
+        cfg = write_config(tmp_path, config)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "non-finite values" in _error_of(capsys)
 

@@ -125,12 +125,52 @@ def test_simulate_validates_inputs():
         with pytest.raises(ValueError, match="signed 64-bit"):
             simulate(m, 0.5, 4, 8, seed=seed)
     ens = simulate(m, 0.5, 4, 8, seed=1)
-    np.testing.assert_array_equal(ens.terminal, ens.x0 + ens.increments.sum(axis=1))
+    # X_T is the verifier's own, bit for bit, and the sum of the increments
+    # up to rounding
+    load = np.linspace(0.5, 1.5, 8)
+    np.testing.assert_array_equal(ens.terminal, dynamics._outcomes(ens, load)[:, 1])
+    np.testing.assert_allclose(ens.terminal, ens.x0 + ens.increments.sum(axis=1),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_increments_are_the_scaled_and_shifted_normals():
+    # the Volterra march reads these bytes
+    m = MarketModel.quadratic(0.1, 2.0, 1.0)
+    effort = lambda t: 0.5 + 0.2 * t  # noqa: E731
+    ens = simulate(m, effort, 6, 40, seed=3)
+    t_left = ens.grid[:-1]
+    dt = 2.0 / 40
+    sig = m.sigma_at(t_left)
+    drift = sig * m.drift(t_left, effort(t_left))
+    np.testing.assert_array_equal(ens.increments,
+                                  ens.normals * (sig * math.sqrt(dt)) + drift * dt)
+
+
+def test_verify_contract_forms_no_increments(separable, discounted_income, monkeypatch):
+    # each block's normals reduce straight to the payments and X_T, and
+    # that X_T is the ensemble's terminal, bit for bit
+    def no_increments(self):
+        raise AssertionError("formed the increments")
+
+    seen = []
+    principal_values = dynamics._principal_values
+
+    def recording(prefs, xi, terminal):
+        seen.append(terminal.copy())
+        return principal_values(prefs, xi, terminal)
+
+    monkeypatch.setattr(dynamics.PathEnsemble, "increments", property(no_increments))
+    monkeypatch.setattr(dynamics, "_principal_values", recording)
+    for (m, p, sol), antithetic in ((separable, False), (discounted_income, True)):
+        verify_contract(m, p, sol, n_paths=300, n_steps=30, seed=5, antithetic=antithetic)
+        ens = simulate(m, sol.effort, 300, 30, seed=5, antithetic=antithetic)
+        np.testing.assert_array_equal(seen.pop(), ens.terminal)
 
 
 def test_thread_count_is_capped_at_the_cpu_count():
     # only the count is computed; no worker is started
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
     before = threading.active_count()
     assert _thread_count(10**9) == cpus
     assert _thread_count(1) == 1
@@ -542,11 +582,12 @@ def test_one_thread_verify_never_asks_for_the_cpu_count(separable, monkeypatch):
     m, p, sol = separable
     asked = []
 
-    def cpu_count():
+    def cpus(*_args):
         asked.append(1)
-        return 2
+        return {0, 1}
 
-    monkeypatch.setattr(dynamics.os, "cpu_count", cpu_count)
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", cpus, raising=False)
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: len(cpus()))
     n_paths = 3 * dynamics.BLOCK_PATHS  # three blocks
     one = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, seed=5)
     assert asked == []
