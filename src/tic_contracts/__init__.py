@@ -22,9 +22,8 @@ _EXPORTS = {
     "dynamics": ("McEstimate", "PathEnsemble", "agent_value_mc", "contract_payoff",
                  "delta_correction_check", "principal_value_mc", "simulate",
                  "spike_deviation_check", "verify_contract"),
-    "fsvie": ("ConvergenceError", "VolterraField", "diagonal_bsde_check", "march",
-              "picard_solve", "s_constant_family", "separable_optimal_family",
-              "target_constraint_residual"),
+    "fsvie": ("ConvergenceError", "VolterraField", "march", "picard_solve",
+              "s_constant_family", "separable_optimal_family", "target_constraint_residual"),
     "hamiltonian": ("HamiltonianResult", "maximize", "search_max"),
     "model": ("InfeasibleError", "MarketModel", "Preferences", "UnboundedLoadingError",
               "validate"),

@@ -343,7 +343,10 @@ def _second_best(model: MarketModel, prefs: Preferences, grid):
     r0_hat = prefs.agent_u_inv(prefs.r0)
     y0 = (r0_hat + math.log(float(prefs.discount.value(T))) / ga
           if prefs.spec_tag == "discounted_utility" else r0_hat / gT)
-    const_adj = -float(simpson(lam * z0 - g_t * cost - 0.5 * ga * sig ** 2 * z0 ** 2, grid)) / gT
+    running = lam * z0 - g_t * cost
+    if ga:
+        running = running - 0.5 * ga * sig ** 2 * z0 ** 2
+    const_adj = -float(simpson(running, grid)) / gT
     integral = float(simpson(big_g, grid))
     if gp > 0.0:
         value_p = _exponential_value(gp, model.x0 - y0, integral)

@@ -3,7 +3,10 @@
 A restricted contract is carried by a family of processes Y^s indexed by
 the evaluation time s, coupled through the diagonal (s = t): the action
 entering every row's generator is the one optimal for the diagonal
-exposure.  With left-endpoint time stepping on a square (s, t) grid,
+exposure.  A solved field is its terminal rows Y^s_T, the values that must
+all decode to one payment; the diagonal is only read on the way, as the
+input of the agent's best response.  With left-endpoint time stepping on
+a square (s, t) grid,
 
     Y^s_{t_{j+1}} = Y^s_{t_j} - h(s, t_j, Y^s_{t_j}, Y^{t_j}_{t_j}) dt + Z^s_{t_j} dX_j,
 
@@ -23,8 +26,7 @@ Volterra and Monte Carlo checks share noise.
 For a risk-neutral agent and a :class:`ProductFamily` z(s, t) = a(s) b(t),
 as both shipped families are, Y^s_T = y0(s) + a(s) sum_j b_j (dX_j - lam_j dt)
 + dt sum_j f(t_j - s) cost_j: one cumulative sum per path and one
-convolution of the cost with the lag table (its negative lags for the
-diagonal), with no step loop.
+convolution of the cost with the lag table, with no step loop.
 :func:`picard_solve` iterates the same scheme to its fixed point: the
 contraction diagnostic, and the reference the march is tested against.
 
@@ -57,13 +59,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class VolterraField:
-    """Solved field per path: terminal[p, i] = Y^{s_i}_T,
-    diagonal[p, j] = Y^{t_j}_{t_j} and z_diag[j] = Z^{t_j}_{t_j}."""
+    """Solved field per path: terminal[p, i] = Y^{s_i}_T, the row values
+    the stochastic target constraint decodes."""
 
     grid: np.ndarray
     terminal: np.ndarray
-    diagonal: np.ndarray
-    z_diag: np.ndarray
     spec_tag: str
 
 
@@ -105,20 +105,15 @@ class ProductFamily:
         return self.s_factor(s) * self.t_factor(t)
 
 
-def _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost, z_diag):
-    """A risk-neutral agent's field of a ProductFamily: a (paths, steps) cumulative
-    sum, and the cost convolved with the lag table (see the module doc)."""
-    n = grid.size - 1
+def _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost):
+    """A risk-neutral agent's field of a ProductFamily: each path's sum,
+    and the cost convolved with the lag table (see the module doc)."""
     a = pointwise(z_family.s_factor, grid)
-    path = np.cumsum(pointwise(z_family.t_factor, grid[:-1]) * (dx - lam * dt), axis=1)
-    table = _lag_table(prefs, n, dt)
-    terminal = y0 + a * path[:, -1:] + dt * np.convolve(table, cost, "valid")
-    diagonal = np.empty_like(terminal)
-    diagonal[:, 0] = y0[0]
-    diagonal[:, 1:] = y0[1:] + a[1:] * path + dt * np.convolve(cost, table[n:])[:n]
-    diagonal[:, -1] = terminal[:, -1]
-    return VolterraField(grid=grid.copy(), terminal=terminal, diagonal=diagonal,
-                         z_diag=z_diag, spec_tag=prefs.spec_tag)
+    # the last cumulative sum, not np.sum, whose pairwise order differs
+    path = np.cumsum(pointwise(z_family.t_factor, grid[:-1]) * (dx - lam * dt), axis=1)[:, -1:]
+    table = _lag_table(prefs, grid.size - 1, dt)
+    terminal = y0 + a * path + dt * np.convolve(table, cost, "valid")
+    return VolterraField(grid=grid.copy(), terminal=terminal, spec_tag=prefs.spec_tag)
 
 
 def _diagonal_stars(model: MarketModel, prefs: Preferences, t, z_diag, diag):
@@ -144,7 +139,7 @@ def _generator(prefs: Preferences, lam, cost, w, z, y):
 
 def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
           ensemble: PathEnsemble) -> VolterraField:
-    """Solve the field for every path in the ensemble, marching t forward.
+    """Solve every path's terminal rows Y^s_T, marching t forward.
 
     y0_family maps s to the initial row value; z_family maps (s, t) to the
     row's exposure (vectorized over arrays when possible).  The state holds
@@ -155,8 +150,9 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     agent's generator does not read Y: its action depends on the diagonal
     exposures alone, so one batched best response serves the whole march,
     and a :class:`ProductFamily` skips the steps for one closed sum per
-    row.  An exponential agent's action reads each path's diagonal value,
-    so the step loop solves it per step.
+    row.  An exponential agent's action reads each path's diagonal value
+    Y^{t_j}_{t_j}, which the state holds at step j, so the step loop
+    solves it per step.
     """
     grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
     dx = ensemble.increments
@@ -166,23 +162,19 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     if risk_neutral:
         lam, cost = _diagonal_stars(model, prefs, grid[:-1], z_diag[:-1], None)
         if isinstance(z_family, ProductFamily):
-            return _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost, z_diag)
+            return _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost)
     weights = _lag_weights(prefs, n, dt)
-    diagonal = np.empty((ensemble.n_paths, grid.size))
     # summing the increments apart from y0, as the Picard sweep does, gives
     # its field bit for bit when the generator does not read Y (risk neutral)
     acc = np.zeros((ensemble.n_paths, grid.size))
     for j in range(n):
         z = pointwise(z_family, grid, grid[j])
-        diagonal[:, j] = y0[j] + acc[:, j]
         stars = (lam[j], cost[j]) if risk_neutral else _diagonal_stars(
-            model, prefs, grid[j], z_diag[j], diagonal[:, j:j + 1])
+            model, prefs, grid[j], z_diag[j], y0[j] + acc[:, j:j + 1])
         step = z * dx[:, j:j + 1]
         step -= _generator(prefs, *stars, weights[j], z, y0 + acc) * dt
         acc += step
-    diagonal[:, -1] = y0[-1] + acc[:, -1]
-    return VolterraField(grid=grid.copy(), terminal=y0 + acc, diagonal=diagonal,
-                         z_diag=z_diag, spec_tag=prefs.spec_tag)
+    return VolterraField(grid=grid.copy(), terminal=y0 + acc, spec_tag=prefs.spec_tag)
 
 
 def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
@@ -208,11 +200,11 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
     s = grid[:, None]
     zmat = pointwise(z_family, s, grid[None, :])
     z_left = zmat[:, :-1]
-    z_diag = np.diagonal(zmat).copy()
+    z_diag = np.diagonal(zmat)
     w = _lag_weights(prefs, grid.size - 1, dt).T
     dx = ensemble.increments
 
-    terminal, diagonal, all_diffs = [], [], []
+    terminal, all_diffs = [], []
     for p in range(ensemble.n_paths):
         mart = z_left * dx[p][None, :]
         y = np.tile(y0[:, None], (1, grid.size))
@@ -234,11 +226,10 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
                 f"Picard iteration did not reach tol={tol:g} in {max_iter} sweeps "
                 f"(last diff {diffs[-1]:.3e})", diffs)
         terminal.append(y[:, -1].copy())
-        diagonal.append(np.diagonal(y).copy())
         all_diffs.append(diffs)
 
     field = VolterraField(grid=grid.copy(), terminal=np.array(terminal),
-                          diagonal=np.array(diagonal), z_diag=z_diag, spec_tag=prefs.spec_tag)
+                          spec_tag=prefs.spec_tag)
     return field, all_diffs
 
 
@@ -250,37 +241,6 @@ def target_constraint_residual(field: VolterraField, prefs: Preferences) -> np.n
     fTs = np.asarray(prefs.discount.value(T - field.grid), dtype=float)
     decoded = prefs.decode(fTs[None, :], field.terminal)
     return np.max(decoded, axis=1) - np.min(decoded, axis=1)
-
-
-def diagonal_bsde_check(field: VolterraField, model: MarketModel, prefs: Preferences,
-                        ensemble: PathEnsemble) -> np.ndarray:
-    """Per-path sup distance between the field diagonal and the scalar
-    recursion it should satisfy.
-
-    The diagonal of an admissible discounted-utility field follows a
-    scalar equation whose drift is the effort trade-off plus a discounting
-    tilt (f'(T-t)/f(T-t)) Y.  The tilt is removed exactly with the
-    integrating factor f(T-t), so the reported residual is purely the
-    discretization error of the trade-off term.  The recursion runs on all
-    paths at once.
-    """
-    if prefs.spec_tag != "discounted_utility" or field.spec_tag != "discounted_utility":
-        raise ValueError("the diagonal recursion check covers the discounted-utility spec")
-    grid = field.grid
-    T = float(grid[-1])
-    dt = float(grid[1] - grid[0])
-    fTt = np.asarray(prefs.discount.value(T - grid), dtype=float)
-    d = field.diagonal
-    dx = ensemble.increments
-    w = np.empty_like(d)
-    w[:, 0] = d[:, 0] / fTt[0]
-    for j in range(grid.size - 1):
-        y_here = w[:, j] * fTt[j]
-        z_here = float(field.z_diag[j])
-        lam, cost = _diagonal_stars(model, prefs, grid[j], z_here, y_here)
-        big_h = _generator(prefs, lam, cost, 1.0, z_here, y_here)
-        w[:, j + 1] = w[:, j] + (-big_h * dt + z_here * dx[:, j]) / fTt[j]
-    return np.max(np.abs(w * fTt - d), axis=1)
 
 
 def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):

@@ -703,6 +703,22 @@ class TestBadNumbers:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "non-finite values" in _error_of(capsys)
 
+    def test_risk_neutral_agent_forms_no_overflowing_risk_term(self, tmp_path, capsys):
+        # sigma^2 overflows; a risk-neutral agent's risk term has a zero
+        # coefficient, so it is not formed (0 * inf would make the constant
+        # nan); the suite turns any warning into an error
+        with open(os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")) as fh:
+            config = json.load(fh)
+        config["model"]["sigma"] = 1e200
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "solution.json") as fh:
+            assert math.isfinite(json.load(fh)["constant_term"])
+        # the rows reach about 1e195, so their rounding alone (about 1e180)
+        # exceeds the absolute threshold: exit 3
+        assert main(["check-constraint", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
     def test_diverging_principal_value_exits_2(self, tmp_path, capsys):
         bad = json.loads(json.dumps(HM_DU_CONFIG))
         bad["model"]["sigma"] = 1e150

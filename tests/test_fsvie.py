@@ -3,8 +3,11 @@
 Grid-refinement oracles drive the admissibility checks: an admissible
 exposure family must show a target residual that at least halves when the
 step count doubles, while an inadmissible family's residual stays O(1).
-The diagonal recursion check uses families whose rows are proportional,
-for which the reconstruction is exact up to rounding.
+A field is its terminal rows, so every oracle reads those: the Picard
+fixed point for the march, and for the exponential agents' step loop two
+exact solutions, rows proportional to the remaining discount (which decode
+to one payment up to rounding) and rows with no exposure (which stay at
+their initial values).
 """
 
 import dataclasses
@@ -19,7 +22,6 @@ from tic_contracts import (
     MarketModel,
     Preferences,
     default_grid,
-    diagonal_bsde_check,
     march,
     picard_solve,
     s_constant_family,
@@ -88,7 +90,7 @@ def test_separable_generator_converges_in_one_extra_sweep(separable_setup):
         assert len(per_path) == 2
         # the drift never reads Y, so sweep two reproduces sweep one
         assert per_path[1] < 1e-14
-    assert field.terminal.shape == field.diagonal.shape == (2, 301)
+    assert field.terminal.shape == (2, 301)
 
 
 def test_zero_exposure_zero_generator_keeps_the_field_flat():
@@ -99,18 +101,7 @@ def test_zero_exposure_zero_generator_keeps_the_field_flat():
                                 _zeros, ens)
     expected_rows = np.broadcast_to((0.3 + 0.1 * field.grid)[None, :], (2, 121))
     np.testing.assert_allclose(field.terminal, expected_rows, atol=0.0)
-    np.testing.assert_allclose(field.diagonal, expected_rows, atol=0.0)
     assert all(len(d) == 1 for d in diffs)
-
-
-def test_initial_column_and_diagonal_invariants(separable_setup):
-    m, p, sol = separable_setup
-    ens = simulate(m, sol.effort, 3, 100, seed=11)
-    y0f, zf = separable_optimal_family(m, p, sol)
-    field, _ = picard_solve(m, p, y0f, zf, ens)
-    # Y^0_0 = y0(0) and Y^T_T is both the last diagonal and the last terminal value
-    np.testing.assert_allclose(field.diagonal[:, 0], y0f(field.grid)[0], atol=1e-14)
-    np.testing.assert_array_equal(field.diagonal[:, -1], field.terminal[:, -1])
 
 
 def test_exponential_utility_generators_contract_geometrically():
@@ -237,7 +228,6 @@ def test_scalar_only_families_fall_back_and_array_bugs_propagate(case):
         want = solver(m, p, y0_vec, z_vec, ens)
         got = solver(m, p, y0_scalar, z_scalar, ens)
         np.testing.assert_array_equal(got.terminal, want.terminal)
-        np.testing.assert_array_equal(got.diagonal, want.diagonal)
         with pytest.raises(RuntimeError, match="array path"):
             solver(m, p, y0_vec, z_array_bug, ens)
         with pytest.raises(RuntimeError, match="array path"):
@@ -296,14 +286,11 @@ def test_march_reproduces_the_picard_fixed_point(separable_setup):
         swept, _ = picard_solve(m, prefs, y0f, zf, ens)
         assert marched.spec_tag == prefs.spec_tag
         np.testing.assert_array_equal(marched.grid, swept.grid)
-        np.testing.assert_array_equal(marched.z_diag, swept.z_diag)
         if prefs.spec_tag == "separable_rn" and not isinstance(zf, fsvie.ProductFamily):
             # the drift does not read Y: the step loop sums the sweep's
             # increments in the sweep's order
             np.testing.assert_array_equal(marched.terminal, swept.terminal)
-            np.testing.assert_array_equal(marched.diagonal, swept.diagonal)
         np.testing.assert_allclose(marched.terminal, swept.terminal, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(marched.diagonal, swept.diagonal, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.5, -10.0], ids=["solved", "positive", "negative"])
@@ -330,8 +317,6 @@ def test_risk_neutral_income_agent_marches_like_the_separable_regime(separable_s
     for expected, field in zip(want, got):
         assert field.spec_tag == "discounted_income"
         np.testing.assert_array_equal(field.terminal, expected.terminal)
-        np.testing.assert_array_equal(field.diagonal, expected.diagonal)
-        np.testing.assert_array_equal(field.z_diag, expected.z_diag)
     assert diffs == want_diffs
     assert all(len(per_path) == 2 for per_path in diffs)
 
@@ -358,7 +343,7 @@ def test_lag_table_rows_match_direct_weights(disc):
 
 
 def _separable_oracle(m, p, y0f, zf, ens):
-    """(terminal, diagonal) as y0 + cumsum over t of z dX - (lam z - f(t - s) cost) dt,
+    """Terminal rows as y0 + sum over t of z dX - (lam z - f(t - s) cost) dt,
     every weight evaluated directly."""
     grid = ens.grid
     dt = float(grid[1] - grid[0])
@@ -368,14 +353,13 @@ def _separable_oracle(m, p, y0f, zf, ens):
     lam, cost, _ = stars_on_grid(m, t, z_diag[:-1])
     w = p.discount.value_extended(t[None, :] - grid[:, None])
     y0 = pointwise(y0f, grid)
-    terminal, diagonal = [], []
+    terminal = []
     for dx in ens.increments:
         field = np.zeros((grid.size, grid.size))
         field[:, 1:] = np.cumsum(z * dx - (lam * z - w * cost) * dt, axis=1)
         field += y0[:, None]
         terminal.append(field[:, -1])
-        diagonal.append(np.diagonal(field))
-    return np.array(terminal), np.array(diagonal)
+    return np.array(terminal)
 
 
 def test_march_matches_a_directly_weighted_field(separable_setup):
@@ -383,9 +367,8 @@ def test_march_matches_a_directly_weighted_field(separable_setup):
     ens = simulate(m, sol.effort, 2, 300, seed=11)
     for y0f, zf in (separable_optimal_family(m, p, sol), s_constant_family(m, p, sol)):
         field = march(m, p, y0f, zf, ens)
-        terminal, diagonal = _separable_oracle(m, p, y0f, zf, ens)
+        terminal = _separable_oracle(m, p, y0f, zf, ens)
         np.testing.assert_allclose(field.terminal, terminal, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(field.diagonal, diagonal, rtol=0.0, atol=1e-12)
 
 
 def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
@@ -393,8 +376,8 @@ def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
     ens = simulate(m, sol.effort, 2, 300, seed=11)
     y0f, zf = separable_optimal_family(m, p, sol)
     y0_values = y0f(ens.grid)  # the profile evaluates the curve in blocks of rows
-    calls = {"stars_on_grid": 0, "value_extended": 0}
-    stars, extended = fsvie.stars_on_grid, DiscountSpec.value_extended
+    calls = {"stars_on_grid": 0, "value_extended": 0, "convolve": 0}
+    stars, extended, convolve = fsvie.stars_on_grid, DiscountSpec.value_extended, np.convolve
 
     def counted_stars(*args):
         calls["stars_on_grid"] += 1
@@ -404,13 +387,20 @@ def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
         calls["value_extended"] += 1
         return extended(self, t)
 
+    def counted_convolve(*args):
+        calls["convolve"] += 1
+        return convolve(*args)
+
     monkeypatch.setattr(fsvie, "stars_on_grid", counted_stars)
     monkeypatch.setattr(DiscountSpec, "value_extended", counted_extended)
+    monkeypatch.setattr(np, "convolve", counted_convolve)
     fields = []
-    for family in (zf, _plain(zf)):
+    # the product route convolves the cost with the lag table once, for the
+    # terminal rows; the step loop does not convolve
+    for family, convolutions in ((zf, 1), (_plain(zf), 0)):
         fields.append(march(m, p, lambda s: y0_values, family, ens))
-        assert calls == {"stars_on_grid": 1, "value_extended": 1}
-        calls.update(stars_on_grid=0, value_extended=0)
+        assert calls == {"stars_on_grid": 1, "value_extended": 1, "convolve": convolutions}
+        calls.update(stars_on_grid=0, value_extended=0, convolve=0)
     monkeypatch.undo()
     np.testing.assert_array_equal(fields[0].terminal, march(m, p, y0f, zf, ens).terminal)
     np.testing.assert_array_equal(fields[1].terminal,
@@ -431,10 +421,8 @@ def test_batched_best_response_on_custom_callables(separable_setup):
     marched = march(custom, p, y0f, _plain(zf), ens)
     swept, _ = picard_solve(custom, p, y0f, zf, ens)
     np.testing.assert_array_equal(marched.terminal, swept.terminal)
-    np.testing.assert_array_equal(marched.diagonal, swept.diagonal)
     summed = march(custom, p, y0f, zf, ens)
     np.testing.assert_allclose(summed.terminal, swept.terminal, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(summed.diagonal, swept.diagonal, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 300])
@@ -446,11 +434,7 @@ def test_product_route_matches_the_tiled_march(separable_setup, steps):
         summed = march(m, p, y0f, zf, ens)
         tiled = march(m, p, y0f, _plain(zf), ens)
         np.testing.assert_array_equal(summed.grid, tiled.grid)
-        np.testing.assert_array_equal(summed.z_diag, tiled.z_diag)
         np.testing.assert_allclose(summed.terminal, tiled.terminal, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(summed.diagonal, tiled.diagonal, rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(summed.diagonal[:, 0], tiled.diagonal[:, 0])
-        np.testing.assert_array_equal(summed.diagonal[:, -1], summed.terminal[:, -1])
 
 
 def test_product_families_keep_the_closure_formulas(separable_setup):
@@ -516,21 +500,39 @@ def test_exponential_discount_family_is_exactly_admissible():
 
 def test_target_decode_for_the_utility_regimes():
     # rows proportional to the remaining discount decode to the same
-    # terminal certainty equivalent for every s
+    # terminal certainty equivalent for every s: an exact solution the
+    # exponential agents' step loop is checked against
     m = MarketModel.quadratic(0.1, 2.0, 1.0)
-    ens = simulate(m, 0.6, 2, 200, seed=4)
     y0f, zf = _proportional_family(HYP, 2.0, 0.05, -0.5)
-    for prefs in (_cara(1.0, 0.5, -0.8, HYP, "discounted_utility"),
-                  _cara(0.5, 0.5, -0.8, HYP, "discounted_income")):
-        field, _ = picard_solve(m, prefs, y0f, zf, ens)
-        res = target_constraint_residual(field, prefs)
-        if prefs.spec_tag == "discounted_utility":
-            assert np.all(res < 1e-12)
-        else:
-            # the income decode divides by the remaining discount after
-            # inverting the utility, which the proportional rows do not
-            # satisfy exactly; the residual just has to be finite here
-            assert np.all(np.isfinite(res))
+    regimes = (_cara(1.0, 0.5, -0.8, HYP, "discounted_utility"),
+               _cara(0.5, 0.5, -0.8, HYP, "discounted_income"))
+    for steps in (200, 2000):
+        ens = simulate(m, 0.6, 2, steps, seed=4)
+        for prefs in regimes:
+            for field in (march(m, prefs, y0f, zf, ens),
+                          picard_solve(m, prefs, y0f, zf, ens)[0]):
+                res = target_constraint_residual(field, prefs)
+                if prefs.spec_tag == "discounted_utility":
+                    assert np.all(res < 1e-12)
+                else:
+                    # the income decode divides by the remaining discount
+                    # after inverting the utility, which the proportional
+                    # rows do not satisfy exactly; the residual just has to
+                    # be finite here
+                    assert np.all(np.isfinite(res))
+
+
+def test_zero_exposure_rows_keep_their_initial_values():
+    # with no exposure the agent's optimum costs nothing, so every row
+    # keeps its initial value: the terminal rows solve the ODE
+    # y(s) = c f(T - s) on both solvers
+    m = MarketModel.quadratic(0.1, 2.0, 1.0)
+    p = _cara(1.0, 0.5, -0.8, HYP, "discounted_utility")
+    ens = simulate(m, 0.6, 2, 200, seed=4)
+    y0f, _ = _proportional_family(HYP, 2.0, 0.0, -0.5)
+    for field in (march(m, p, y0f, _zeros, ens), picard_solve(m, p, y0f, _zeros, ens)[0]):
+        ref = -0.5 * np.asarray(HYP.value(2.0 - field.grid))
+        assert float(np.max(np.abs(field.terminal - ref[None, :]))) < 1e-8
 
 
 def test_residual_refuses_a_field_of_another_regime():
@@ -543,58 +545,3 @@ def test_residual_refuses_a_field_of_another_regime():
     assert np.all(target_constraint_residual(field, utility) < 1e-12)
     with pytest.raises(ValueError, match="disagree on the spec tag"):
         target_constraint_residual(field, income)
-
-
-# ---------------------------------------------------------------------------
-# diagonal recursion check
-
-
-def test_diagonal_check_flat_discount_is_pure_hamiltonian():
-    m = MarketModel.quadratic(0.1, 2.0, 1.0)
-    p = _cara(1.0, 0.5, -0.8, DiscountSpec.exponential(0.0),
-              "discounted_utility")
-    ens = simulate(m, 0.6, 2, 200, seed=4)
-    field, _ = picard_solve(m, p, lambda s: -0.5 + 0.0 * np.asarray(s),
-                            lambda s, t: np.full(
-                                np.broadcast(np.asarray(s), np.asarray(t)).shape,
-                                0.05),
-                            ens)
-    res = diagonal_bsde_check(field, m, p, ens)
-    assert np.all(np.asarray(res) < 1e-10)
-
-
-def test_diagonal_check_exponential_discount():
-    m = MarketModel.quadratic(0.1, 2.0, 1.0)
-    disc = DiscountSpec.exponential(0.3)
-    p = _cara(1.0, 0.5, -0.8, disc, "discounted_utility")
-    y0f, zf = _proportional_family(disc, 2.0, 0.05, -0.5)
-    for steps in (200, 400):
-        ens = simulate(m, 0.6, 2, steps, seed=4)
-        field, _ = picard_solve(m, p, y0f, zf, ens)
-        res = np.asarray(diagonal_bsde_check(field, m, p, ens))
-        # the integrating-factor recursion reproduces proportional rows
-        # exactly, far inside any O(dt) budget
-        assert np.all(res < 1e-10)
-
-
-def test_diagonal_check_zero_exposure_ode():
-    m = MarketModel.quadratic(0.1, 2.0, 1.0)
-    p = _cara(1.0, 0.5, -0.8, HYP, "discounted_utility")
-    ens = simulate(m, 0.6, 2, 200, seed=4)
-    y0f, _ = _proportional_family(HYP, 2.0, 0.0, -0.5)
-    field, _ = picard_solve(m, p, y0f, _zeros, ens)
-    # with no exposure and zero-cost optimum the diagonal must follow the
-    # solved ODE y(t) = c * f(T - t)
-    ref = -0.5 * np.asarray(HYP.value(2.0 - field.grid))
-    assert float(np.max(np.abs(field.diagonal - ref[None, :]))) < 1e-8
-    res = np.asarray(diagonal_bsde_check(field, m, p, ens))
-    assert np.all(res < 1e-8)
-
-
-def test_diagonal_check_rejects_other_specs(separable_setup):
-    m, p, sol = separable_setup
-    ens = simulate(m, sol.effort, 2, 100, seed=11)
-    y0f, zf = separable_optimal_family(m, p, sol)
-    field, _ = picard_solve(m, p, y0f, zf, ens)
-    with pytest.raises(ValueError, match="discounted-utility"):
-        diagonal_bsde_check(field, m, p, ens)
