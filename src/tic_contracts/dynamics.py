@@ -13,9 +13,10 @@ groups of paths with two weight columns gives the payment and X_T, and
 the estimators sum per-path vectors pairwise, so both are
 schedule-independent.
 
-verify_contract streams: it keeps two numbers per path (the payment and
-X_T) and drops each block of paths, so its memory is O(block x steps +
-paths), not O(paths x steps), and it never forms the increments.
+verify_contract streams, and is the only layer that threads: its workers
+take whole blocks of paths, keep two numbers per path (the payment and
+X_T) and drop each block, so memory is O(threads x block x steps +
+paths), not O(paths x steps), and the increments are never formed.
 
 The checkers cover: participation (agent Monte Carlo value vs the
 reservation level), the principal's value, the s-shift correction identity
@@ -79,7 +80,7 @@ class PathEnsemble:
 
 
 def _thread_count(threads: Optional[int]) -> int:
-    """Worker threads for the RNG fill: the flag, else one; never more
+    """Worker threads for verify_contract: the flag, else one; never more
     than the CPUs this process may run on (asked only for a count above
     one).  A count below one raises ValueError."""
     count = 1 if threads is None else int(threads)
@@ -113,50 +114,32 @@ def _effort_fn(effort) -> Callable[[float], float]:
     return lambda t: np.full(np.shape(t), a)
 
 
-def _normal_rows(out: np.ndarray, seed: int, first_key: int, threads: int):
+def _normal_rows(out: np.ndarray, seed: int, first_key: int):
     """Fill each row p of out from the Philox stream keyed (seed, first_key+p).
 
     Philox is counter-based (Salmon et al., SC'11): a stream is its key and
-    a counter.  Each worker builds one generator and re-keys it for every
-    row (key (seed, first_key + p), counter 0, empty buffer), which draws
-    the same numbers as a new Generator(Philox(key=[seed, first_key + p]))
-    without building one per row.  The seed keys as Philox's constructor
-    reads it: modulo 2**64, so -1 keys as 2**64 - 1.  The thread pool is
-    imported here, and only when more than one thread fills, so a
-    one-thread run never loads concurrent.futures.
+    a counter.  One generator is re-keyed for every row (key (seed,
+    first_key + p), counter 0, empty buffer), which draws the same numbers
+    as a new Generator(Philox(key=[seed, first_key + p])) without building
+    one per row.  The seed keys as Philox's constructor reads it: modulo
+    2**64, so -1 keys as 2**64 - 1.
     """
-    seed_word = int(seed) % 2**64
-
-    def fill(lo, hi):
-        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        gen = np.random.Generator(bits)
-        state = bits.state  # counter 0, empty buffer, no spare 32-bit word
-        # the setter reads plain ints faster than the getter's arrays
-        state["state"] = {name: v.tolist() for name, v in state["state"].items()}
-        state["buffer"] = state["buffer"].tolist()
-        key = state["state"]["key"]
-        key[0] = seed_word
-        for p in range(lo, hi):
-            key[1] = first_key + p
-            bits.state = state
-            gen.standard_normal(out=out[p])
-
-    n = out.shape[0]
-    if threads <= 1 or n < 2 * threads:
-        fill(0, n)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fill, bounds[i], bounds[i + 1]) for i in range(threads)]
-        for f in futures:
-            f.result()
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state  # counter 0, empty buffer, no spare 32-bit word
+    # the setter reads plain ints faster than the getter's arrays
+    state["state"] = {name: v.tolist() for name, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    key = state["state"]["key"]
+    key[0] = int(seed) % 2**64
+    for p in range(out.shape[0]):
+        key[1] = first_key + p
+        bits.state = state
+        gen.standard_normal(out=out[p])
 
 
 def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
-             antithetic: bool = False, threads: Optional[int] = None,
-             path_offset: int = 0) -> PathEnsemble:
+             antithetic: bool = False, path_offset: int = 0) -> PathEnsemble:
     """Simulate n_paths output paths under the given effort policy.
 
     effort is a callable of time or a constant action.  path_offset shifts
@@ -179,16 +162,15 @@ def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
     sig = model.sigma_at(t_left)
     drift = sig * pointwise(model.drift, t_left, actions)
 
-    threads = _thread_count(threads)
     z = np.empty((n_paths, n_steps), dtype=np.float64)
     if antithetic:
         half = np.empty((n_paths // 2, n_steps), dtype=np.float64)
-        _normal_rows(half, seed, path_offset // 2, threads)
+        _normal_rows(half, seed, path_offset // 2)
         z[0::2] = half
         z[1::2] = -half
         del half
     else:
-        _normal_rows(z, seed, path_offset, threads)
+        _normal_rows(z, seed, path_offset)
 
     return PathEnsemble(n_paths=n_paths, grid=grid, normals=z, scale=sig * math.sqrt(dt),
                         shift=drift * dt, x0=model.x0, antithetic=antithetic)
@@ -201,7 +183,11 @@ def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:
         units = values
     n = units.size
     mean = float(np.mean(units))
-    se = float(np.std(units, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    # the squared deviations overflow past about 1e154; scaling the units by
+    # a power of two is exact, and the result is scaled back
+    _, scale = np.frexp(np.max(np.abs(units)))
+    std = np.ldexp(np.std(np.ldexp(units, -scale), ddof=1), scale) if n > 1 else 0.0
+    se = float(std / math.sqrt(n))
     return McEstimate(mean=mean, std_error=se, n=n)
 
 
@@ -397,15 +383,16 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
 
     Paths are simulated in blocks of BLOCK_PATHS, rounded up to whole groups
     of PAYOFF_ROWS; one grouped product reduces a block's normals to
-    payments and X_T, and the block is dropped, so memory stays O(block x
-    steps + paths).  Stream keys depend only on the global path index and
-    the payoff groups line up with the blocks, so blocking and threads never
-    change the numbers: the estimates equal agent_value_mc and
-    principal_value_mc on one simulate of all paths, bit for bit.  An
-    antithetic run with odd n_paths simulates one more path.  Checks pass at
-    3 standard errors; the correction-identity check adds an explicit O(dt)
-    discretization allowance on top.  A standard error needs two estimator
-    units (paths, or antithetic pairs); fewer raise ValueError.
+    payments and X_T, and the block is dropped.  Worker k of one pool per
+    run (none for one thread) takes blocks k, k + threads, and so on.
+    Stream keys depend only on the global path index and the payoff groups
+    line up with the blocks, so blocking and threads never change the
+    numbers: the estimates equal agent_value_mc and principal_value_mc on
+    one simulate of all paths, bit for bit.  An antithetic run with odd
+    n_paths simulates one more path.  Checks pass at 3 standard errors; the
+    correction-identity check adds an explicit O(dt) discretization
+    allowance on top.  A standard error needs two estimator units (paths,
+    or antithetic pairs); fewer raise ValueError.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
@@ -424,16 +411,27 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
         # undefined there raises ValueError before any path is simulated
         prefs.discount.value_extended(-s)
 
-    threads = _thread_count(threads)  # once per run, not once per block
+    threads = _thread_count(threads)
     block_paths = -(-BLOCK_PATHS // PAYOFF_ROWS) * PAYOFF_ROWS
     total = n_paths + n_paths % 2 if antithetic else n_paths
-    load = solution.loading(np.linspace(0.0, model.horizon, n_steps + 1)[:-1])
+    grid = np.linspace(0.0, model.horizon, n_steps + 1)
+    load = solution.loading(grid[:-1])
     outcomes = np.empty((total, 2))
-    for done in range(0, total, block_paths):
-        block = simulate(model, solution.effort, min(block_paths, total - done), n_steps,
-                         seed, antithetic=antithetic, threads=threads, path_offset=done)
-        outcomes[done:done + block.n_paths] = _outcomes(block, load)
-    grid = block.grid
+
+    def run(first):
+        for done in range(first, total, threads * block_paths):
+            block = simulate(model, solution.effort, min(block_paths, total - done), n_steps,
+                             seed, antithetic=antithetic, path_offset=done)
+            outcomes[done:done + block.n_paths] = _outcomes(block, load)
+
+    if threads == 1:
+        run(0)  # no pool, so a one-thread run never loads concurrent.futures
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for f in [pool.submit(run, k * block_paths) for k in range(threads)]:
+                f.result()
     xi, terminal = solution.constant_term + outcomes[:, 0], outcomes[:, 1]
 
     anti = antithetic

@@ -719,6 +719,26 @@ class TestBadNumbers:
         assert main(["check-constraint", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "RuntimeWarning" not in capsys.readouterr().err
 
+    def test_huge_sigma_verify_writes_a_strict_report(self, tmp_path, capsys):
+        # the payments reach about 1e154, where the estimator's squared
+        # deviations overflow; the standard error is finite, the suite turns
+        # any warning into an error, and participation fails at 3.7 se: exit 3
+        with open(os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")) as fh:
+            config = json.load(fh)
+        config["model"]["sigma"] = 1e154
+        cfg = write_config(tmp_path, config)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--paths", "2000", "--steps", "100"]) == 3
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+        def refuse(name):
+            raise ValueError(f"report.json holds {name}")
+
+        with open(tmp_path / "report.json") as fh:
+            report = json.load(fh, parse_constant=refuse)
+        assert math.isfinite(report["participation"]["se"])
+        assert not report["participation"]["pass"]
+
     def test_diverging_principal_value_exits_2(self, tmp_path, capsys):
         bad = json.loads(json.dumps(HM_DU_CONFIG))
         bad["model"]["sigma"] = 1e150

@@ -4,12 +4,14 @@ The estimator checks run at reduced scale (tens of thousands of paths)
 and assert agreement within three standard errors, the same rule the
 verification report applies.  Determinism checks compare arrays exactly:
 stream keys depend only on (seed, global path index), so chunking and
-thread counts must not change a single bit.
+verify_contract's thread count must not change a single bit.
 """
 
+import concurrent.futures
 import dataclasses
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -73,7 +75,7 @@ def discounted_income():
 # path generation
 
 
-def test_simulate_deterministic_chunkable_and_thread_invariant():
+def test_simulate_is_deterministic_and_chunkable():
     m = MarketModel.quadratic(0.0, 2.0, 1.0)
     full = simulate(m, 0.7, 10, 16, seed=3)
     again = simulate(m, 0.7, 10, 16, seed=3)
@@ -83,19 +85,20 @@ def test_simulate_deterministic_chunkable_and_thread_invariant():
         simulate(m, 0.7, 4, 16, seed=3, path_offset=6).increments,
     ])
     np.testing.assert_array_equal(full.increments, part)
-    threaded = simulate(m, 0.7, 10, 16, seed=3, threads=3)
-    np.testing.assert_array_equal(full.increments, threaded.increments)
     other_seed = simulate(m, 0.7, 10, 16, seed=4)
     assert not np.array_equal(full.increments, other_seed.increments)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("calls", [1, 2])
 @pytest.mark.parametrize("first_key", [0, 5, 2**40])
 @pytest.mark.parametrize("seed", [0, 7, -1, -2**63, 2**63 - 1])
-def test_normal_rows_are_the_per_path_philox_streams(seed, first_key, threads):
-    # the definition: row p is a new generator keyed (seed, first_key + p)
+def test_normal_rows_are_the_per_path_philox_streams(seed, first_key, calls):
+    # the definition: row p is a new generator keyed (seed, first_key + p),
+    # whether the rows are filled in one call or split across two
     out = np.empty((5, 33))
-    _normal_rows(out, seed, first_key, threads)
+    split = 5 if calls == 1 else 2
+    _normal_rows(out[:split], seed, first_key)
+    _normal_rows(out[split:], seed, first_key + split)
     for p in range(5):
         want = np.random.Generator(
             np.random.Philox(key=[seed, first_key + p])).standard_normal(33)
@@ -185,9 +188,22 @@ def test_thread_count_is_capped_at_the_cpu_count():
 def test_nonpositive_thread_counts_are_refused(separable, threads):
     m, p, sol = separable
     with pytest.raises(ValueError, match="threads must be positive"):
-        simulate(m, 0.5, 4, 8, seed=1, threads=threads)
-    with pytest.raises(ValueError, match="threads must be positive"):
         verify_contract(m, p, sol, n_paths=8, n_steps=8, seed=1, threads=threads)
+
+
+def test_standard_error_of_huge_units_is_finite():
+    # the squared deviations of units near 1e154 overflow, and the suite
+    # turns the overflow warning into an error
+    units = np.array([1.0, -1.0, 2.0, 0.5, -0.25, 1.5]) * 1e154
+    for antithetic in (False, True):
+        huge = dynamics._estimate(units, antithetic)
+        unit = dynamics._estimate(units / 1e154, antithetic)
+        assert math.isfinite(huge.std_error)
+        assert huge.std_error == pytest.approx(unit.std_error * 1e154, rel=1e-15)
+    # the power-of-two scaling is exact: ordinary units keep their bits
+    values = np.random.default_rng(3).normal(2.0, 3.0, 1001)
+    assert dynamics._estimate(values, False).std_error == \
+        float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def test_terminal_moments_match_the_gaussian_law():
@@ -593,6 +609,69 @@ def test_one_thread_verify_never_asks_for_the_cpu_count(separable, monkeypatch):
     assert asked == []
     two = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, seed=5, threads=2)
     assert asked and two == one
+
+
+def test_verify_workers_take_whole_blocks_from_one_pool(discounted_income, monkeypatch):
+    # two CPUs are faked, so a one-core host splits the work too
+    m, p, sol = discounted_income
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 2)
+    calls, pools = [], []
+    real_simulate = dynamics.simulate
+
+    def recording(*args, path_offset=0, **kwargs):
+        ens = real_simulate(*args, path_offset=path_offset, **kwargs)
+        calls.append((path_offset, ens.n_paths, threading.get_ident()))
+        return ens
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "simulate", recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    block = dynamics.BLOCK_PATHS
+    n_paths = 2 * block + 101  # odd: the antithetic run simulates 2 * block + 102
+    total = n_paths + 1
+    reports = {}
+    for threads in (2, 1):  # one thread second, as in the test below
+        calls.clear()
+        pools.clear()
+        reports[threads] = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, seed=5,
+                                           antithetic=True, threads=threads)
+        offsets = sorted(calls)
+        # whole blocks cover [0, total) once; only the last is partial
+        assert [(lo, n) for lo, n, _ in offsets] == [(0, block), (block, block),
+                                                     (2 * block, total - 2 * block)]
+        idents = [ident for _, _, ident in offsets]
+        if threads == 1:
+            assert pools == [] and set(idents) == {threading.get_ident()}
+        else:
+            # worker k simulates blocks k, k + 2, ... off the calling thread
+            assert pools == [1]
+            assert idents[0] == idents[2] and threading.get_ident() not in idents
+    assert reports[1] == reports[2]
+
+
+def test_verify_workers_under_fast_thread_switching(discounted_income, monkeypatch):
+    # more workers than cores, 51 small blocks and a short switch interval:
+    # a lost or misplaced block would change the report
+    m, p, sol = discounted_income
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda _pid: set(range(8)),
+                        raising=False)
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "BLOCK_PATHS", 8)
+    kwargs = dict(n_paths=403, n_steps=20, seed=9, antithetic=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = verify_contract(m, p, sol, threads=8, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    # the one-thread run goes second: np.empty could hand the threaded run
+    # an earlier run's rows, which would hide a block it never wrote
+    assert many == verify_contract(m, p, sol, **kwargs)
 
 
 def test_verify_contract_refuses_antithetic_sampling_of_a_linear_reward(separable,
