@@ -2,22 +2,21 @@
 
 Every solver reduces to a family of pointwise scalar maximizations plus
 quadrature.  The agent-side action maximization is delegated to
-:mod:`tic_contracts.hamiltonian`; the outer exposure search (over z, which
-ranges over all reals) runs on every grid point at once, as array
-operations over the grid (:func:`z_argmax_grid`).  Per point, a bracket
-doubles outward from [-1, 1] until the maximum is interior, with a hard
-cap that flags runaway models instead of silently clamping; a geometric
-ladder of candidates near zero resolves maxima narrower than the scan's
-cells; hamiltonian.search_max, the golden-section search with a parabolic
-polish that also finds the agent's action, finishes the point.
+:mod:`tic_contracts.hamiltonian`.
 
 The three second-best regimes are one exposure problem in the curve g
-inside the agent's utility (see :func:`_exposure`).  Its search takes a
-stack of weights, one row per curve, and searches every (curve, t) row at
-once: :func:`solve` passes one row, :func:`separable_efforts` (behind the
-figure tables) one per curve with zero risk weights, each row's result
-bit for bit its own.  With builtin families and weights constant in t,
-each row is searched at its first point only.
+inside the agent's utility.  With a risk-neutral agent and principal it
+has a closed form (Cvitanic, Possamai & Touzi's pointwise maximizer): the
+maximizer of lam(z) - wc cost(z), wc = g(t)/g(T), is the agent's best
+response at z* = g(T)/g(t), which is also the effort behind the figure
+tables (:func:`separable_efforts`).  The CARA regimes search the relative
+exposure u = wc z (see :func:`_exposure`) on every grid point at once, as
+array operations over the grid (:func:`z_argmax_grid`).  Per point, a
+bracket doubles outward from [-1, 1] until the maximum is interior, with
+a hard cap that flags runaway models instead of silently clamping;
+hamiltonian.search_max, the golden-section search with a parabolic polish
+that also finds the agent's action, finishes the point.  With builtin
+families and weights constant in t, only the first point is searched.
 
 Values are integrated with composite Simpson on the solution grid; the
 default grid has 2001 points.
@@ -38,7 +37,6 @@ Z_CAP = 1e3
 
 _SCAN = 64
 _REFINE_SCAN = 8
-_LADDER = np.concatenate([-np.logspace(0.0, -9.0, 10), [0.0], np.logspace(-9.0, 0.0, 10)])
 
 
 def default_grid(horizon: float, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -126,19 +124,13 @@ def z_argmax_grid(objective, n: int):
     * a 64-point scan of the start bracket [-1, 1] that doubles outward
       only while an edge strictly dominates every interior sample; an edge
       that merely ties the interior is a plateau (clamped action), not
-      growth, and growth past |z| <= Z_CAP raises UnboundedLoadingError;
+      growth, and growth past |z| <= Z_CAP raises UnboundedLoadingError
+      (the solvers search the relative exposure u = wc z, so Z_CAP bounds u);
     * a zoom scan of the two cells around the best sample;
     * hamiltonian.search_max on the zoom's best cell pair: an 8-point scan,
       golden-section search to 1e-10, then two centered parabolic steps
       that polish the point below the flat-top noise floor of the
       comparisons.
-
-    Narrow maxima, such as the bump of width f(T)/f(t) that long horizons
-    put next to the plateau of clamped actions, fall between the linear
-    scan's samples.  The first scan therefore also samples a signed
-    geometric ladder +-10**-j (j = 0..9) plus zero; when the ladder's best
-    interior point beats every linear sample, the zoom brackets on the
-    ladder's neighbours of that point instead.
 
     Returns (argmax, value) arrays of length n.
     """
@@ -158,8 +150,7 @@ def z_argmax_grid(objective, n: int):
     lo = np.full(n, -1.0)
     hi = np.full(n, 1.0)
     xs = np.linspace(lo, hi, _SCAN, axis=1)
-    vals = scan(np.concatenate([xs, np.tile(_LADDER, (n, 1))], axis=1), every)
-    vals, ladder_vals = vals[:, :_SCAN], vals[:, _SCAN:]
+    vals = scan(xs, every)
     while True:
         best = np.argmax(vals, axis=1)
         inner = 1 + np.argmax(vals[:, 1:-1], axis=1)
@@ -181,16 +172,8 @@ def z_argmax_grid(objective, n: int):
         vals[grow] = scan(xs[grow], grow)
     best = np.where(edge, inner, best)
 
-    rung = np.argmax(ladder_vals, axis=1)
-    v_lin = np.max(vals, axis=1)
-    on_ladder = ((rung > 0) & (rung < _LADDER.size - 1)
-                 & (ladder_vals[every, rung] > v_lin + 1e-12 * (1.0 + np.abs(v_lin))))
-    rung = np.clip(rung, 1, _LADDER.size - 2)
-    a = np.where(on_ladder, _LADDER[rung - 1], xs[every, best - 1])
-    b = np.where(on_ladder, _LADDER[rung + 1], xs[every, best + 1])
-
     # zoom once into the bracketing cells before the golden-section search
-    xs = np.linspace(a, b, _SCAN, axis=1)
+    xs = np.linspace(xs[every, best - 1], xs[every, best + 1], _SCAN, axis=1)
     best = np.argmax(scan(xs, every), axis=1)
     a = xs[every, np.maximum(best - 1, 0)]
     b = xs[every, np.minimum(best + 1, _SCAN - 1)]
@@ -277,38 +260,36 @@ def _exponential_value(gp: float, wealth: float, integral: float) -> float:
 
 
 def _exposure(model: MarketModel, grid, gp: float, wc, wa, gTt) -> np.ndarray:
-    """z* of the second-best exposure problem on the (curves, points) stack
-    that wc, wa and gTt broadcast to.  Each row maximizes
+    """z* of the exposure problem with a risk-averse (CARA) party at every
+    grid point, the maximizer of
 
         lam - wc cost - wa sigma^2 z^2 - (gp / 2) sigma^2 (1 - z / gTt)^2
 
     with the cost weight wc = g(t)/g(T), the agent's risk weight
-    wa = (gamma_a / 2) g(T)/g(T-t)^2 and gTt = g(T-t); rows do not
-    interact.  Long horizons make the maximum a narrow bump of width
-    ~ g(T)/g(t) beside the clamped-action plateau, which the search's
-    geometric ladder resolves.
+    wa = (gamma_a / 2) g(T)/g(T-t)^2 and gTt = g(T-t), one array each over
+    the grid.  The search runs in u = wc z on the objective times wc and
+    returns u* / wc.  Without the risk terms the maximizer is u = 1 on any
+    curve, so in u a steep curve, where z* is as small as g(T)/g(t), puts
+    the maximum neither in a narrow bump beside the clamped-action plateau
+    nor below the search's absolute tolerances.
     """
-    wc, wa, gTt = np.broadcast_arrays(*(np.atleast_2d(w) for w in (wc, wa, gTt)))
-    # builtin families and their constant sigma do not depend on time
     cols = grid.size
-    if model.families is not None and all(np.all(w == w[:, :1]) for w in (wc, wa, gTt)):
+    # builtin families and their constant sigma do not depend on time
+    if model.families is not None and all(np.all(w == w[0]) for w in (wc, wa, gTt)):
         cols = 1
-    t_col = np.tile(grid[:cols], wc.shape[0])[:, None]
+    t_col = grid[:cols, None]
     sig_col = model.sigma_at(t_col)
-    wc_col, wa_col, gTt_col = (w[:, :cols].reshape(-1, 1) for w in (wc, wa, gTt))
-    risky = gp > 0.0 or np.any(wa_col != 0.0)
+    wc_col, wa_col, gTt_col = (w[:cols, None] for w in (wc, wa, gTt))
 
-    def objective(zs, r):
+    def objective(us, r):
+        w, s = wc_col[r], sig_col[r]
+        zs = us / w
         lam, cost, _ = stars_on_grid(model, t_col[r], zs)
-        value = lam - wc_col[r] * cost
-        if risky:
-            s = sig_col[r]
-            value = (value - wa_col[r] * s * s * zs * zs
-                     - 0.5 * gp * s * s * (1.0 - zs / gTt_col[r]) ** 2)
-        return value
+        return w * (lam - w * cost - wa_col[r] * s * s * zs * zs
+                    - 0.5 * gp * s * s * (1.0 - zs / gTt_col[r]) ** 2)
 
-    z_star = z_argmax_grid(objective, t_col.size)[0].reshape(-1, cols)
-    return np.broadcast_to(z_star, wc.shape).copy()
+    u_star = z_argmax_grid(objective, cols)[0]
+    return np.broadcast_to(u_star / wc_col[:, 0], grid.shape).copy()
 
 
 def _second_best(model: MarketModel, prefs: Preferences, grid):
@@ -325,12 +306,18 @@ def _second_best(model: MarketModel, prefs: Preferences, grid):
     g_t, g_Tt = prefs.cost_weight(grid), prefs.cost_weight(T - grid)
     sig = model.sigma_at(grid)
 
-    # a risk-neutral party's risk term is not formed: on a steep curve it
-    # would be 0 / 0 or 0 * inf where it is zero; the search refuses a
-    # weight that is not finite, as where g(T-t)^2 underflows
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        wa = 0.5 * ga * gT / (g_Tt ** 2) if ga else 0.0
-    z_star = _exposure(model, grid, gp, g_t / gT, wa, g_Tt)[0]
+    if ga or gp:
+        # a risk-neutral agent's risk term is not formed: on a steep curve
+        # it would be 0 / 0 or 0 * inf where it is zero; the search refuses
+        # a weight that is not finite, as where g(T-t)^2 underflows
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            wa = 0.5 * ga * gT / (g_Tt ** 2) if ga else np.zeros_like(grid)
+        z_star = _exposure(model, grid, gp, g_t / gT, wa, g_Tt)
+    else:
+        # the maximizer of lam - wc cost is the agent's best response at
+        # 1/wc, on a plateau of clamped actions too; the expression is
+        # _first_best_separable's, so the two efforts agree bit for bit
+        z_star = 1.0 / (g_t / gT)
     lam, cost, eff = stars_on_grid(model, grid, z_star)
     loading = z_star / g_Tt
     z0 = gT * loading
@@ -472,8 +459,8 @@ def separable_efforts(model: MarketModel, prefs, grid=None) -> np.ndarray:
     prefs is a sequence of separable_rn Preferences on the one model.  Row
     k of the returned (len(prefs), points) array equals
     solve(model, prefs[k], grid).effort_values bit for bit, but all rows
-    come from one exposure search.  Raises as solve does, before any
-    search, for the first curve that fails validation.
+    come from one best response at the exposures g(T)/g(t).  Raises as
+    solve does, before any work, for the first curve that fails validation.
     """
     for p in prefs:
         if p.spec_tag != "separable_rn":
@@ -483,6 +470,5 @@ def separable_efforts(model: MarketModel, prefs, grid=None) -> np.ndarray:
             raise ValueError("; ".join(problems))
     grid = _solution_grid(model, grid)
     weights = np.array([p.cost_weight(grid) / float(p.cost_weight(model.horizon)) for p in prefs])
-    z_star = _exposure(model, grid, 0.0, weights, 0.0, 1.0)
-    _, _, effort = stars_on_grid(model, np.tile(grid, len(prefs)), z_star.ravel())
-    return effort.reshape(z_star.shape)
+    _, _, effort = stars_on_grid(model, np.tile(grid, len(prefs)), (1.0 / weights).ravel())
+    return effort.reshape(weights.shape)

@@ -349,7 +349,10 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
 
     w = float(prefs.discount.value(T - t))
     b = float(prefs.cost_weight(T - t))
-    risk = 0.5 * prefs.gamma_a * b * float(np.sum(load * load * sig * sig) * dt)
+    # a risk-neutral agent's risk term is not formed: load^2 sigma^2 may
+    # overflow where its coefficient is zero
+    risk = (0.5 * prefs.gamma_a * b * float(np.sum(load * load * sig * sig) * dt)
+            if prefs.gamma_a else 0.0)
 
     def value(actions):
         pay = w_t - risk + float(np.sum(load * (sig * pointwise(model.drift, r_left, actions))) * dt)

@@ -722,13 +722,14 @@ class TestBadNumbers:
     def test_huge_sigma_verify_writes_a_strict_report(self, tmp_path, capsys):
         # the payments reach about 1e154, where the estimator's squared
         # deviations overflow; the standard error is finite, the suite turns
-        # any warning into an error, and participation fails at 3.7 se: exit 3
+        # any warning into an error, and the exact loading (one at t = 0)
+        # passes every check: exit 0
         with open(os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")) as fh:
             config = json.load(fh)
         config["model"]["sigma"] = 1e154
         cfg = write_config(tmp_path, config)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path),
-                     "--paths", "2000", "--steps", "100"]) == 3
+                     "--paths", "2000", "--steps", "100"]) == 0
         assert "RuntimeWarning" not in capsys.readouterr().err
 
         def refuse(name):
@@ -737,7 +738,19 @@ class TestBadNumbers:
         with open(tmp_path / "report.json") as fh:
             report = json.load(fh, parse_constant=refuse)
         assert math.isfinite(report["participation"]["se"])
-        assert not report["participation"]["pass"]
+        assert report["participation"]["pass"]
+
+    def test_risk_neutral_spike_check_forms_no_overflowing_risk_term(self, tmp_path, capsys):
+        # load^2 sigma^2 overflows; a risk-neutral agent's risk term has a
+        # zero coefficient, so the spike check does not form it and the
+        # report stays finite; the suite turns any warning into an error
+        with open(os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")) as fh:
+            config = json.load(fh)
+        config["model"]["sigma"] = 1e200
+        cfg = write_config(tmp_path, config)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--paths", "2000", "--steps", "100"]) == 0
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     def test_diverging_principal_value_exits_2(self, tmp_path, capsys):
         bad = json.loads(json.dumps(HM_DU_CONFIG))

@@ -9,6 +9,7 @@ benchmark.  Tolerances reflect how each number was obtained.
 
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,6 @@ from tic_contracts.cli import (
 from tic_contracts import closed_form
 from tic_contracts.closed_form import (
     DEFAULT_GRID_POINTS,
-    _exposure,
     separable_efforts,
     z_argmax,
     z_argmax_grid,
@@ -182,17 +182,55 @@ def test_separable_survives_a_long_horizon_plateau():
     assert np.max(np.abs(sol.z_star - ref)) < 1e-9
 
 
+RN_MODELS = {
+    "quadratic": MarketModel.quadratic(0.1, 2.0, 1.0),
+    "hm_linear": MarketModel.hm_linear(0.1, 2.0, 0.7, 1.5),
+    "power": MarketModel.power(0.1, 2.0, 0.7, 3.0),
+    "custom": replace(MarketModel.quadratic(0.1, 2.0, 1.0), families=None),
+}
+# exponential(20) puts f(T)/f(0) at 4.2e-18 and hyperbolic(200, 1) at 3.8e-96
+STEEP_CURVES = [DiscountSpec.exponential(20.0), DiscountSpec.hyperbolic(200.0, 1.0),
+                DiscountSpec.hyperbolic(1.0, 0.4)]
+
+
+@pytest.mark.parametrize("curve", STEEP_CURVES)
+@pytest.mark.parametrize("family", sorted(RN_MODELS))
+def test_separable_exposure_is_the_exact_discount_ratio(family, curve):
+    m = RN_MODELS[family]
+    grid = default_grid(2.0, 501)
+    sol = solve(m, _rn(0.05, curve, "separable_rn"), grid)
+    ref = float(curve.value(2.0)) / np.asarray(curve.value(grid), dtype=float)
+    assert np.max(np.abs(sol.z_star / ref - 1.0)) < 1e-12
+    if curve == STEEP_CURVES[0]:
+        # an exponential curve's loading f(T) / (f(t) f(T - t)) is one
+        assert np.max(np.abs(sol.loading_values - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("curve", STEEP_CURVES)
+@pytest.mark.parametrize("family", sorted(RN_MODELS))
+def test_first_best_and_second_best_separable_efforts_are_identical(family, curve):
+    m = RN_MODELS[family]
+    grid = default_grid(2.0, 201)
+    first = solve(m, _rn(0.05, curve, "first_best_separable"), grid)
+    second = solve(m, _rn(0.05, curve, "separable_rn"), grid)
+    assert first.effort_values.tobytes() == second.effort_values.tobytes()
+
+
+def test_custom_separable_solve_at_2001_points_takes_under_half_a_second():
+    m = RN_MODELS["custom"]
+    p = _rn(0.05, DiscountSpec.hyperbolic(1.0, 0.4), "separable_rn")
+    start = time.perf_counter()
+    solve(m, p, default_grid(2.0, 2001))
+    assert time.perf_counter() - start < 0.5
+
+
 def _assert_stack_equals_each_solve(m, curves, grid):
     prefs = [_rn(0.0, f, "separable_rn") for f in curves]
-    weights = np.array([np.asarray(f.value(grid), dtype=float) / float(f.value(m.horizon))
-                        for f in curves])
-    z_rows = _exposure(m, grid, 0.0, weights, 0.0, 1.0)
     effort_rows = separable_efforts(m, prefs, grid)
-    assert z_rows.shape == effort_rows.shape == (len(curves), grid.size)
-    for p, z, effort in zip(prefs, z_rows, effort_rows):
-        sol = solve(m, p, grid)
-        assert z.tobytes() == sol.z_star.tobytes()
-        assert effort.tobytes() == sol.effort_values.tobytes()
+    assert effort_rows.shape == (len(curves), grid.size)
+    for p, effort in zip(prefs, effort_rows):
+        assert effort.tobytes() == solve(m, p, grid).effort_values.tobytes()
+    return effort_rows
 
 
 FIGURE_CURVES = (
@@ -216,10 +254,10 @@ def test_stacked_search_keeps_the_long_horizon_bump():
     m = MarketModel.quadratic(0.0, 50.0, 1.0)
     grid = default_grid(50.0, 201)
     curves = [DiscountSpec.exponential(0.0575), f, DiscountSpec.hyperbolic(1.0, 4.0)]
-    _assert_stack_equals_each_solve(m, curves, grid)
+    efforts = _assert_stack_equals_each_solve(m, curves, grid)
+    # the quadratic family at sigma = 1 makes the effort the exposure
     ref = float(f.value(50.0)) / np.asarray(f.value(grid), dtype=float)
-    weights = np.array([np.asarray(c.value(grid)) / float(c.value(50.0)) for c in curves])
-    assert np.max(np.abs(_exposure(m, grid, 0.0, weights, 0.0, 1.0)[1] - ref)) < 1e-9
+    assert np.max(np.abs(efforts[1] - ref)) < 1e-9
 
 
 def test_stacked_efforts_refuse_what_solve_refuses():
@@ -285,6 +323,27 @@ def test_risk_neutral_income_is_the_separable_solve(disc):
     sep = solve(m, _rn(0.05, disc, "separable_rn"), grid).to_json()
     assert (inc.pop("spec"), sep.pop("spec")) == ("discounted_income", "separable_rn")
     assert json.dumps(inc) == json.dumps(sep)
+
+
+@pytest.mark.parametrize("disc", [
+    DiscountSpec.exponential(8.0),
+    DiscountSpec.exponential(20.0),
+    DiscountSpec.hyperbolic(20.0, 0.4),
+    DiscountSpec.quasi_hyperbolic(10.0, 0.5, 2.0),
+])
+def test_cara_income_exposure_on_steep_curves(disc):
+    # quadratic cost at sigma = 1 and a risk-neutral principal: the
+    # stationary point of z - wc z^2 / 2 - wa z^2, where z* is as small as
+    # g(T) / (2 g(0)) = 2.1e-18 on exponential(20)
+    T = 2.0
+    m = MarketModel.quadratic(0.1, T, 1.0)
+    p = _prefs("exponential", "risk_neutral", 1.0, 0.0, -0.8, disc, "discounted_income")
+    sol = solve(m, p, default_grid(T, 501))
+    g_T = float(disc.value(T))
+    wc = np.asarray(disc.value(sol.grid), dtype=float) / g_T
+    wa = 0.5 * g_T / np.asarray(disc.value(T - sol.grid), dtype=float) ** 2
+    ref = 1.0 / (wc + 2.0 * wa)
+    assert np.max(np.abs(sol.z_star / ref - 1.0)) < 1e-9
 
 
 def test_income_reference_values():
@@ -405,11 +464,14 @@ HYP = DiscountSpec.hyperbolic(1.0, 0.4)
     (_rn(0.05, FLAT, "separable_rn"), False, 41),
 ])
 def test_time_free_objectives_search_one_row(monkeypatch, prefs, builtin, rows):
+    # rows is what a CARA objective searches; risk-neutral exposures are
+    # g(T)/g(t) in closed form and search nothing
     m = MarketModel.quadratic(0.1, 2.0, 1.0)
     if not builtin:
         m = replace(m, families=None)
     grid = default_grid(2.0, 41)
-    assert _searched_rows(monkeypatch, lambda: solve(m, prefs, grid)) == [rows]
+    searched = [rows] if prefs.gamma_a or prefs.gamma_p else []
+    assert _searched_rows(monkeypatch, lambda: solve(m, prefs, grid)) == searched
 
 
 def test_stacked_search_covers_every_curve_and_point(monkeypatch):
@@ -417,7 +479,8 @@ def test_stacked_search_covers_every_curve_and_point(monkeypatch):
     prefs = [_rn(0.0, f, "separable_rn") for f in FIGURE_CURVES]
     grid = default_grid(50.0, 41)
     searched = _searched_rows(monkeypatch, lambda: separable_efforts(m, prefs, grid))
-    assert searched == [len(FIGURE_CURVES) * grid.size]
+    # every curve and point takes the closed-form exposure: no search
+    assert searched == []
 
 
 def test_exposure_overflow_is_refused_without_a_warning():
@@ -447,10 +510,10 @@ def test_z_argmax_quadratic():
 
 def test_z_argmax_grid_matches_one_row_searches():
     # rows: smooth maxima inside, below and above the first bracket, and
-    # clamped-action rows whose narrow bump at 1/k sits beside a plateau
-    peaks = np.array([0.37, -2.5, 7.0, 0.0, 0.0, 0.0])
-    curv = np.array([1.0, 3.0, 0.5, 130.0, 1e4, 0.5])
-    clamped = np.array([False, False, False, True, True, True])
+    # a clamped-action row whose bump at 1/k sits beside a plateau
+    peaks = np.array([0.37, -2.5, 7.0, 0.0])
+    curv = np.array([1.0, 3.0, 0.5, 0.5])
+    clamped = np.array([False, False, False, True])
 
     def objective(zs, rows):
         k = curv[rows, None]

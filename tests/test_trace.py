@@ -9,10 +9,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_trace_hooks_see_the_solve_layers(tmp_path):
+    # a separable solve takes its exposure in closed form; the CARA one
+    # still searches it
     trace = tmp_path / "trace.json"
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "trace.py"), str(trace), "solve",
-         "--config", str(ROOT / "perfbench" / "configs" / "separable_hyp04.json"),
+         "--config", str(ROOT / "perfbench" / "configs" / "discounted_income.json"),
          "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
