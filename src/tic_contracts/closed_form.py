@@ -166,7 +166,7 @@ def z_argmax_grid(objective, n: int):
         hi[grow] += np.where(down, 0.0, width)
         if np.any(np.maximum(np.abs(lo[grow]), np.abs(hi[grow])) > Z_CAP):
             raise UnboundedLoadingError(
-                f"unbounded loading: exposure search escaped |z| <= {Z_CAP:g}"
+                f"unbounded loading: relative exposure search escaped |u| <= {Z_CAP:g}"
             )
         xs[grow] = np.linspace(lo[grow], hi[grow], _SCAN, axis=1)
         vals[grow] = scan(xs[grow], grow)

@@ -7,16 +7,15 @@ with the drift implied by the equilibrium effort policy,
 
 Randomness comes from counter-based Philox streams keyed by (seed, path),
 so any blocking or thread schedule reproduces the same ensemble bit for
-bit; the seed is a signed 64-bit integer.  An ensemble keeps the unit
-normals and derives the increments on access.  One product of fixed
-groups of paths with two weight columns gives the payment and X_T, and
-the estimators sum per-path vectors pairwise, so both are
-schedule-independent.
+bit; the seed is a signed 64-bit integer.  An ensemble is a recipe that
+draws no normal until read.  One product of fixed groups of paths with
+two weight columns gives the payment and X_T, and the estimators sum
+per-path vectors pairwise, so both are schedule-independent.
 
-verify_contract streams, and is the only layer that threads: its workers
-take whole blocks of paths, keep two numbers per path (the payment and
-X_T) and drop each block, so memory is O(threads x block x steps +
-paths), not O(paths x steps), and the increments are never formed.
+_outcomes streams, and is the only layer that threads: it fills whole
+blocks of paths, keeps two numbers per path (the payment and X_T) and
+drops each block, so memory is O(threads x block x steps + paths), not
+O(paths x steps), and the increments are never formed.
 
 The checkers cover: participation (agent Monte Carlo value vs the
 reservation level), the principal's value, the s-shift correction identity
@@ -30,7 +29,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,8 +38,8 @@ import numpy as np
 from .closed_form import ContractSolution, simpson
 from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
 
-# paths per simulated block in verify_contract (rounded up to whole payoff
-# groups); 256 x 2000 steps is a 4 MB block
+# paths per block filled in _outcomes (rounded up to whole payoff groups);
+# 256 x 2000 steps is a 4 MB block
 BLOCK_PATHS = 256
 # rows per grouped product of the normals in _outcomes
 PAYOFF_ROWS = 8
@@ -56,19 +56,37 @@ class McEstimate:
 
 @dataclass
 class PathEnsemble:
-    """Simulated output paths on a uniform grid, as their unit normals.
+    """Output paths on a uniform grid, as the recipe of their unit normals.
 
-    The increment on [grid[i], grid[i+1]) is normals[p][i] * scale[i] +
-    shift[i] (sigma sqrt(dt) and sigma b dt), formed anew on each access.
+    Row p is path q = path_offset + p, the Philox stream keyed (seed, q);
+    antithetic paths 2j and 2j + 1 are the stream keyed (seed, j) and its
+    negative.  The increment on [grid[i], grid[i+1]) is normals[p][i] *
+    scale[i] + shift[i] (sigma sqrt(dt) and sigma b dt).  normals is filled
+    on first access; _outcomes streams, and keeps its last (load, result).
     """
 
     n_paths: int
     grid: np.ndarray
-    normals: np.ndarray
     scale: np.ndarray
     shift: np.ndarray
     x0: float
+    seed: int
+    path_offset: int
     antithetic: bool = False
+    reduced: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _fill(self, out: np.ndarray, lo: int) -> np.ndarray:
+        """Fill out with the normals of rows lo, lo + 1, ... (lo even if antithetic)."""
+        if self.antithetic:
+            _normal_rows(out[0::2], self.seed, (self.path_offset + lo) // 2)
+            np.negative(out[0::2], out=out[1::2])
+        else:
+            _normal_rows(out, self.seed, self.path_offset + lo)
+        return out
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        return self._fill(np.empty((self.n_paths, self.scale.size)), 0)
 
     @property
     def increments(self) -> np.ndarray:
@@ -76,7 +94,10 @@ class PathEnsemble:
 
     @property
     def terminal(self) -> np.ndarray:
-        return _outcomes(self, np.zeros_like(self.scale))[:, 1]
+        # X_T is column 1 of a reduction, whatever its load
+        if self.reduced is None:
+            _outcomes(self, np.zeros_like(self.scale))
+        return self.reduced[1][:, 1]
 
 
 def _thread_count(threads: Optional[int]) -> int:
@@ -140,11 +161,11 @@ def _normal_rows(out: np.ndarray, seed: int, first_key: int):
 
 def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
              antithetic: bool = False, path_offset: int = 0) -> PathEnsemble:
-    """Simulate n_paths output paths under the given effort policy.
+    """The recipe of n_paths output paths under the given effort policy.
 
-    effort is a callable of time or a constant action.  path_offset shifts
-    the per-path stream keys so that chunked generation concatenates to
-    the same ensemble as a single call.
+    effort is a callable of time or a constant action, evaluated and checked
+    here; no normal is drawn.  path_offset shifts the per-path stream keys
+    so that chunked ensembles concatenate to the same paths as one call.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
@@ -152,28 +173,15 @@ def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
         raise ValueError("seed must be a signed 64-bit integer")
     if antithetic and (n_paths % 2 or path_offset % 2):
         raise ValueError("antithetic sampling needs even n_paths and even path_offset")
-    eff = _effort_fn(effort)
-    T = model.horizon
-    grid = np.linspace(0.0, T, n_steps + 1)
-    dt = T / n_steps
+    grid = np.linspace(0.0, model.horizon, n_steps + 1)
+    dt = model.horizon / n_steps
     t_left = grid[:-1]
-    actions = pointwise(eff, t_left)
+    actions = pointwise(_effort_fn(effort), t_left)
     _check_actions(model, actions, "effort policy")
     sig = model.sigma_at(t_left)
     drift = sig * pointwise(model.drift, t_left, actions)
-
-    z = np.empty((n_paths, n_steps), dtype=np.float64)
-    if antithetic:
-        half = np.empty((n_paths // 2, n_steps), dtype=np.float64)
-        _normal_rows(half, seed, path_offset // 2)
-        z[0::2] = half
-        z[1::2] = -half
-        del half
-    else:
-        _normal_rows(z, seed, path_offset)
-
-    return PathEnsemble(n_paths=n_paths, grid=grid, normals=z, scale=sig * math.sqrt(dt),
-                        shift=drift * dt, x0=model.x0, antithetic=antithetic)
+    return PathEnsemble(n_paths=n_paths, grid=grid, scale=sig * math.sqrt(dt), shift=drift * dt,
+                        x0=model.x0, seed=seed, path_offset=path_offset, antithetic=antithetic)
 
 
 def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:
@@ -191,18 +199,38 @@ def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:
     return McEstimate(mean=mean, std_error=se, n=n)
 
 
-def _outcomes(ensemble: PathEnsemble, load: np.ndarray) -> np.ndarray:
-    """Per-path columns (sum_i load_i dX_i, X_T): one product of each fixed
-    group of PAYOFF_ROWS normals with [scale load, scale], plus the shift's
-    share.  A BLAS kernel's summation order for one row depends on the rows
-    around it (their count and the thread split), so fixed groups make a
-    path's numbers independent of how the ensemble was blocked."""
-    z = ensemble.normals
+def _outcomes(ensemble: PathEnsemble, load: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Per-path columns (sum_i load_i dX_i, X_T), kept on the ensemble for a
+    repeat of the load: blocks of BLOCK_PATHS, rounded up to whole groups of
+    PAYOFF_ROWS, each group one product with [scale load, scale], plus the
+    shift's share.  A BLAS row's summation order depends on the rows around
+    it, so fixed groups keep a path's numbers free of the blocking.  Worker
+    k of one pool (none for one thread) takes blocks k, k + threads, etc."""
+    if ensemble.reduced is not None and np.array_equal(ensemble.reduced[0], load):
+        return ensemble.reduced[1]
+    n = ensemble.n_paths
+    block = -(-BLOCK_PATHS // PAYOFF_ROWS) * PAYOFF_ROWS
     weights = np.stack([ensemble.scale * load, ensemble.scale]).T  # Fortran order reads faster
-    out = np.empty((z.shape[0], 2))
-    for lo in range(0, z.shape[0], PAYOFF_ROWS):
-        np.matmul(z[lo:lo + PAYOFF_ROWS], weights, out=out[lo:lo + PAYOFF_ROWS])
+    out = np.empty((n, 2))
+
+    def run(first):
+        z = np.empty((min(block, n), ensemble.scale.size))
+        for lo in range(first, n, threads * block):
+            rows = ensemble._fill(z[:min(block, n - lo)], lo)
+            for g in range(0, rows.shape[0], PAYOFF_ROWS):
+                np.matmul(rows[g:g + PAYOFF_ROWS], weights, out=out[lo + g:lo + g + PAYOFF_ROWS])
+
+    if threads == 1:
+        run(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for f in [pool.submit(run, k * block) for k in range(threads)]:
+                f.result()
     out += [np.sum(ensemble.shift * load), ensemble.x0 + np.sum(ensemble.shift)]
+    out.flags.writeable = False  # shared by every later reader of the ensemble
+    ensemble.reduced = (np.array(load), out)
     return out
 
 
@@ -379,23 +407,20 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     Every regime gets participation and the principal's value; every
     second-best regime also gets eight spike deviations (t in {0, T/4, T/2,
     3T/4}, alt in {action_lo, mid}, each exact on the tail grid of [t, T]
-    that n_steps gives it), and the
-    separable one the correction identity at s = T/4 and T/2
-    (delta_correction_check and spike_deviation_check take any other s or
-    spike).
+    that n_steps gives it), and the separable one the correction identity
+    at s = T/4 and T/2 (delta_correction_check and spike_deviation_check
+    take any other s or spike).
 
-    Paths are simulated in blocks of BLOCK_PATHS, rounded up to whole groups
-    of PAYOFF_ROWS; one grouped product reduces a block's normals to
-    payments and X_T, and the block is dropped.  Worker k of one pool per
-    run (none for one thread) takes blocks k, k + threads, and so on.
-    Stream keys depend only on the global path index and the payoff groups
-    line up with the blocks, so blocking and threads never change the
-    numbers: the estimates equal agent_value_mc and principal_value_mc on
-    one simulate of all paths, bit for bit.  An antithetic run with odd
-    n_paths simulates one more path.  Checks pass at 3 standard errors; the
-    correction-identity check adds an explicit O(dt) discretization
-    allowance on top.  A standard error needs two estimator units (paths,
-    or antithetic pairs); fewer raise ValueError.
+    One simulate gives the recipe of all paths, and one _outcomes call
+    streams it, on the given threads, to the payments and X_T.  Stream keys
+    depend only on the global path index and the payoff groups line up
+    with the blocks, so blocking and threads never change the numbers: the
+    estimates equal agent_value_mc and principal_value_mc on the same
+    ensemble, bit for bit.  An antithetic run with odd n_paths simulates
+    one more path.  Checks pass at 3 standard errors; the correction-identity
+    check adds an explicit O(dt) discretization allowance on top.  A
+    standard error needs two estimator units (paths, or antithetic pairs);
+    fewer raise ValueError.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
@@ -415,52 +440,28 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
         prefs.discount.value_extended(-s)
 
     threads = _thread_count(threads)
-    block_paths = -(-BLOCK_PATHS // PAYOFF_ROWS) * PAYOFF_ROWS
     total = n_paths + n_paths % 2 if antithetic else n_paths
-    grid = np.linspace(0.0, model.horizon, n_steps + 1)
-    load = solution.loading(grid[:-1])
-    outcomes = np.empty((total, 2))
-
-    def run(first):
-        for done in range(first, total, threads * block_paths):
-            block = simulate(model, solution.effort, min(block_paths, total - done), n_steps,
-                             seed, antithetic=antithetic, path_offset=done)
-            outcomes[done:done + block.n_paths] = _outcomes(block, load)
-
-    if threads == 1:
-        run(0)  # no pool, so a one-thread run never loads concurrent.futures
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for f in [pool.submit(run, k * block_paths) for k in range(threads)]:
-                f.result()
+    ensemble = simulate(model, solution.effort, total, n_steps, seed, antithetic=antithetic)
+    grid = ensemble.grid
+    outcomes = _outcomes(ensemble, solution.loading(grid[:-1]), threads)
     xi, terminal = solution.constant_term + outcomes[:, 0], outcomes[:, 1]
-
-    anti = antithetic
     values = _rewards(model, prefs, solution, xi, grid, 0.0)
-    agent = _estimate(values, anti)
-    principal = _estimate(_principal_values(prefs, xi, terminal), anti)
+
+    def estimated(est, target):
+        return {"mean": est.mean, "se": est.std_error, "target": target,
+                "pass": abs(est.mean - target) <= 3.0 * est.std_error}
 
     report = {
-        "participation": {
-            "mean": agent.mean, "se": agent.std_error, "target": prefs.r0,
-            "pass": abs(agent.mean - prefs.r0) <= 3.0 * agent.std_error,
-        },
-        "principal_value": {
-            "mean": principal.mean, "se": principal.std_error,
-            "target": solution.value_principal,
-            "pass": abs(principal.mean - solution.value_principal)
-                    <= 3.0 * principal.std_error,
-        },
-        "spike_tests": [],
-        "delta_residuals": [],
+        "participation": estimated(_estimate(values, antithetic), prefs.r0),
+        "principal_value": estimated(_estimate(_principal_values(prefs, xi, terminal), antithetic),
+                                     solution.value_principal),
+        "spike_tests": [], "delta_residuals": [],
     }
 
     dt = model.horizon / n_steps
     t_left = grid[:-1]
     for s in shifts:
-        est = _estimate(_delta_residuals(model, prefs, solution, xi, grid, s, values), anti)
+        est = _estimate(_delta_residuals(model, prefs, solution, xi, grid, s, values), antithetic)
         cmax = float(np.max(np.abs(_cost_at_equilibrium(model, solution, t_left))))
         fmax = float(np.max(np.abs(prefs.discount.value_extended(t_left - s))))
         allowance = 2.0 * dt * cmax * (fmax + 1.0)
@@ -483,8 +484,7 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
             "pass": est.mean <= bound,
         })
 
-    checks = [report["participation"]["pass"], report["principal_value"]["pass"]]
-    checks += [r["pass"] for r in report["delta_residuals"]]
-    checks += [r["pass"] for r in report["spike_tests"]]
-    report["pass"] = bool(all(checks))
+    rows = [report["participation"], report["principal_value"],
+            *report["delta_residuals"], *report["spike_tests"]]
+    report["pass"] = bool(all(row["pass"] for row in rows))
     return report

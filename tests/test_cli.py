@@ -228,6 +228,11 @@ class TestImportGraph:
 
 def peak_rss_kb(cli_args):
     """Run the CLI in a fresh interpreter: (exit code, peak RSS in kB, stderr)."""
+    return python_peak_rss_kb("-m", "tic_contracts.cli", *cli_args)
+
+
+def python_peak_rss_kb(*args):
+    """Run python with args in a fresh interpreter: (exit code, peak RSS in kB, stderr)."""
     # a child started from this test process counts the test process's
     # own peak in its ru_maxrss, so a small interpreter starts the command
     # and reports the command's peak
@@ -235,7 +240,7 @@ def peak_rss_kb(cli_args):
               "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
               "_, status, usage = os.wait4(p.pid, 0); "
               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-    run = _fresh_python("-c", reaper, sys.executable, "-m", "tic_contracts.cli", *cli_args)
+    run = _fresh_python("-c", reaper, sys.executable, *args)
     code, max_rss_kb = (int(v) for v in run.stdout.split())
     return code, max_rss_kb, run.stderr
 
@@ -381,6 +386,24 @@ class TestVerify:
         code, max_rss_kb, stderr = peak_rss_kb(
             ["verify", "--config", cfg, "--out", str(tmp_path), "--paths", "20000",
              "--steps", "2000"])
+        assert code == 0, stderr
+        assert max_rss_kb < 150 * 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads ru_maxrss in kilobytes, as Linux reports it")
+    def test_estimators_stream_the_paths(self):
+        # agent_value_mc and principal_value_mc at 20000 paths x 2000 steps:
+        # the normals as one array are 320 MB
+        script = (
+            "from tic_contracts import *\n"
+            "m = MarketModel.quadratic(0.1, 2.0, 1.0)\n"
+            "p = Preferences(agent_utility='risk_neutral', principal_utility='risk_neutral',\n"
+            "                gamma_a=0.0, gamma_p=0.0, r0=0.05,\n"
+            "                discount=DiscountSpec.hyperbolic(1.0, 0.4), spec_tag='separable_rn')\n"
+            "sol = solve(m, p, default_grid(2.0, 201))\n"
+            "ens = simulate(m, sol.effort, 20000, 2000, seed=7)\n"
+            "agent_value_mc(m, p, sol, ens), principal_value_mc(m, p, sol, ens)\n")
+        code, max_rss_kb, stderr = python_peak_rss_kb("-c", script)
         assert code == 0, stderr
         assert max_rss_kb < 150 * 1024
 

@@ -531,7 +531,8 @@ def test_z_argmax_grid_matches_one_row_searches():
 
 
 def test_z_argmax_grid_raises_when_any_row_runs_away():
-    with pytest.raises(UnboundedLoadingError, match="unbounded loading"):
+    with pytest.raises(UnboundedLoadingError,
+                       match=r"^unbounded loading: relative exposure search escaped \|u\| <= 1000$"):
         z_argmax_grid(lambda zs, rows: np.where(rows[:, None] == 1, zs, -zs * zs), 3)
 
 

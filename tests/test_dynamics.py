@@ -244,6 +244,40 @@ def test_contract_payoff_does_not_depend_on_the_blocking(separable):
         np.testing.assert_array_equal(got, want)
 
 
+def test_an_ensemble_fills_each_path_once(separable, discounted_income, monkeypatch):
+    # simulate only checks the recipe; the estimators, the payments and X_T
+    # then share one streamed reduction, in whole blocks
+    fills = []
+
+    def recording(out, seed, first_key):
+        fills.append((first_key, out.shape[0]))
+        _normal_rows(out, seed, first_key)
+
+    monkeypatch.setattr(dynamics, "_normal_rows", recording)
+    block = -(-dynamics.BLOCK_PATHS // dynamics.PAYOFF_ROWS) * dynamics.PAYOFF_ROWS
+    total = 2 * block + 102
+    for (m, p, sol), antithetic in ((separable, False), (discounted_income, True)):
+        fills.clear()
+        ens = simulate(m, sol.effort, total, 20, seed=5, antithetic=antithetic)
+        assert fills == []
+        agent = agent_value_mc(m, p, sol, ens)
+        principal = principal_value_mc(m, p, sol, ens)
+        pay, terminal = contract_payoff(sol, ens), ens.terminal
+        # an antithetic pair of paths is one stream
+        streams = total // 2 if antithetic else total
+        keys = [key for first, rows in sorted(fills) for key in range(first, first + rows)]
+        assert keys == list(range(streams))
+        assert max(rows for _, rows in fills) <= (block // 2 if antithetic else block)
+        np.testing.assert_array_equal(pay, contract_payoff(sol, dataclasses.replace(ens)))
+        np.testing.assert_array_equal(terminal, dataclasses.replace(ens).terminal)
+        rep = verify_contract(m, p, sol, n_paths=total, n_steps=20, seed=5,
+                              antithetic=antithetic)
+        assert (rep["participation"]["mean"], rep["participation"]["se"]) == \
+            (agent.mean, agent.std_error)
+        assert (rep["principal_value"]["mean"], rep["principal_value"]["se"]) == \
+            (principal.mean, principal.std_error)
+
+
 # ---------------------------------------------------------------------------
 # participation and principal value, three second-best regimes
 
@@ -620,19 +654,18 @@ def test_verify_workers_take_whole_blocks_from_one_pool(discounted_income, monke
     monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 2)
     calls, pools = [], []
-    real_simulate = dynamics.simulate
 
-    def recording(*args, path_offset=0, **kwargs):
-        ens = real_simulate(*args, path_offset=path_offset, **kwargs)
-        calls.append((path_offset, ens.n_paths, threading.get_ident()))
-        return ens
+    def recording(out, seed, first_key):
+        # an antithetic block fills one stream per pair of paths
+        calls.append((2 * first_key, 2 * out.shape[0], threading.get_ident()))
+        _normal_rows(out, seed, first_key)
 
     class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "simulate", recording)
+    monkeypatch.setattr(dynamics, "_normal_rows", recording)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     block = dynamics.BLOCK_PATHS
     n_paths = 2 * block + 101  # odd: the antithetic run simulates 2 * block + 102
@@ -651,7 +684,7 @@ def test_verify_workers_take_whole_blocks_from_one_pool(discounted_income, monke
         if threads == 1:
             assert pools == [] and set(idents) == {threading.get_ident()}
         else:
-            # worker k simulates blocks k, k + 2, ... off the calling thread
+            # worker k fills blocks k, k + 2, ... off the calling thread
             assert pools == [1]
             assert idents[0] == idents[2] and threading.get_ident() not in idents
     assert reports[1] == reports[2]
