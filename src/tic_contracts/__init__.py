@@ -25,8 +25,7 @@ _EXPORTS = {
     "fsvie": ("ConvergenceError", "VolterraField", "march", "picard_solve",
               "s_constant_family", "separable_optimal_family", "target_constraint_residual"),
     "hamiltonian": ("HamiltonianResult", "maximize", "search_max"),
-    "model": ("InfeasibleError", "MarketModel", "Preferences", "UnboundedLoadingError",
-              "validate"),
+    "model": ("InfeasibleError", "MarketModel", "Preferences", "validate"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -23,7 +23,7 @@ import numpy as np
 # closed-form jobs pay no import for the Monte Carlo or Volterra code
 from . import closed_form
 from .discounting import DiscountSpec, _number
-from .model import MarketModel, Preferences, UnboundedLoadingError, validate
+from .model import MarketModel, Preferences, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -473,11 +473,11 @@ def main(argv=None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
-    except (ValueError, UnboundedLoadingError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         # the one place where solver errors become exit codes: infeasible
-        # models (InfeasibleError is a ValueError), runaway loadings, curves
-        # undefined where a check needs them, objectives without a finite
-        # maximum and sizes too large for memory all exit 2
+        # models (InfeasibleError is a ValueError), curves undefined where a
+        # check needs them, exposure objectives that are not finite and
+        # sizes too large for memory all exit 2
         return _report_infeasible(str(exc))
 
 

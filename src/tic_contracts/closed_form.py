@@ -10,13 +10,12 @@ has a closed form (Cvitanic, Possamai & Touzi's pointwise maximizer): the
 maximizer of lam(z) - wc cost(z), wc = g(t)/g(T), is the agent's best
 response at z* = g(T)/g(t), which is also the effort behind the figure
 tables (:func:`separable_efforts`).  The CARA regimes search the relative
-exposure u = wc z (see :func:`_exposure`) on every grid point at once, as
-array operations over the grid (:func:`z_argmax_grid`).  Per point, a
-bracket doubles outward from [-1, 1] until the maximum is interior, with
-a hard cap that flags runaway models instead of silently clamping;
-hamiltonian.search_max, the golden-section search with a parabolic polish
-that also finds the agent's action, finishes the point.  With builtin
-families and weights constant in t, only the first point is searched.
+exposure u = wc z on every grid point at once, as array operations over
+the grid (:func:`z_argmax_grid`).  Their maximizer lies in u in [0, 1]
+(proved at :func:`_exposure`), so every point is one bounded
+hamiltonian.search_max, the golden-section search with a parabolic
+polish that also finds the agent's action.  With builtin families and
+weights constant in t, only the first point is searched.
 
 Values are integrated with composite Simpson on the solution grid; the
 default grid has 2001 points.
@@ -30,13 +29,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import search_max, stars_on_grid
-from .model import MarketModel, Preferences, UnboundedLoadingError, InfeasibleError, validate
+from .model import MarketModel, Preferences, InfeasibleError, validate
 
 DEFAULT_GRID_POINTS = 2001
-Z_CAP = 1e3
 
+# the exposure search scans [0, 1] and one step beyond either end: 64
+# points 1/61 apart, with 0 and 1 among them
 _SCAN = 64
-_REFINE_SCAN = 8
+_STEP = 1.0 / (_SCAN - 3)
 
 
 def default_grid(horizon: float, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -114,77 +114,36 @@ def _solution_grid(model: MarketModel, grid) -> np.ndarray:
 
 
 def z_argmax_grid(objective, n: int):
-    """Maximize n scalar objectives over all reals at once, one per grid row.
+    """Maximize n scalar objectives on [-1/61, 62/61] at once, one per row.
 
-    objective(zs, rows) receives an (m, k) array of candidate exposures for
-    the grid rows ``rows`` (an integer index array of length m) and returns
-    their values as an (m, k) array.  Each row runs the same steps, as array
-    operations over the rows that still need them:
-
-    * a 64-point scan of the start bracket [-1, 1] that doubles outward
-      only while an edge strictly dominates every interior sample; an edge
-      that merely ties the interior is a plateau (clamped action), not
-      growth, and growth past |z| <= Z_CAP raises UnboundedLoadingError
-      (the solvers search the relative exposure u = wc z, so Z_CAP bounds u);
-    * a zoom scan of the two cells around the best sample;
-    * hamiltonian.search_max on the zoom's best cell pair: an 8-point scan,
-      golden-section search to 1e-10, then two centered parabolic steps
-      that polish the point below the flat-top noise floor of the
-      comparisons.
+    objective(us, rows) receives an (m, k) array of candidate relative
+    exposures for the grid rows ``rows`` (an integer index array of length
+    m) and returns their values as an (m, k) array.  One
+    hamiltonian.search_max runs every row: a 64-point scan, golden section
+    to 1e-10 and two parabolic polish steps.  The solvers' maximizer lies
+    in [0, 1] (see _exposure); the step beyond either end leaves the polish
+    room.  The scan is no global guarantee: a row may keep the lower of two
+    peaks when the higher is narrower than a scan step.  A value that is
+    not finite raises ValueError.
 
     Returns (argmax, value) arrays of length n.
     """
-    every = np.arange(n)
-
-    def evaluate(zs, rows):
-        return np.asarray(objective(zs, rows), dtype=float)
-
-    def scan(zs, rows):
+    def evaluate(us, rows):
         # what overflows here is refused just below
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = evaluate(zs, rows)
+            vals = np.asarray(objective(us, rows), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("exposure objective produced non-finite values")
         return vals
 
-    lo = np.full(n, -1.0)
-    hi = np.full(n, 1.0)
-    xs = np.linspace(lo, hi, _SCAN, axis=1)
-    vals = scan(xs, every)
-    while True:
-        best = np.argmax(vals, axis=1)
-        inner = 1 + np.argmax(vals[:, 1:-1], axis=1)
-        v_inner = vals[every, inner]
-        edge = (best == 0) | (best == _SCAN - 1)
-        grow = np.flatnonzero(
-            edge & (vals[every, best] > v_inner + 1e-12 * (1.0 + np.abs(v_inner))))
-        if grow.size == 0:
-            break
-        width = hi[grow] - lo[grow]
-        down = best[grow] == 0
-        lo[grow] -= np.where(down, width, 0.0)
-        hi[grow] += np.where(down, 0.0, width)
-        if np.any(np.maximum(np.abs(lo[grow]), np.abs(hi[grow])) > Z_CAP):
-            raise UnboundedLoadingError(
-                f"unbounded loading: relative exposure search escaped |u| <= {Z_CAP:g}"
-            )
-        xs[grow] = np.linspace(lo[grow], hi[grow], _SCAN, axis=1)
-        vals[grow] = scan(xs[grow], grow)
-    best = np.where(edge, inner, best)
-
-    # zoom once into the bracketing cells before the golden-section search
-    xs = np.linspace(xs[every, best - 1], xs[every, best + 1], _SCAN, axis=1)
-    best = np.argmax(scan(xs, every), axis=1)
-    a = xs[every, np.maximum(best - 1, 0)]
-    b = xs[every, np.minimum(best + 1, _SCAN - 1)]
-    return search_max(evaluate, a, b, _REFINE_SCAN)
+    return search_max(evaluate, np.full(n, -_STEP), np.full(n, 1.0 + _STEP), _SCAN)
 
 
 def z_argmax(objective):
-    """Maximize a scalar objective over all reals: the one-row z_argmax_grid.
+    """Maximize a scalar objective on [-1/61, 62/61]: the one-row z_argmax_grid.
 
-    objective must accept a numpy array of candidate exposures and return
-    an array of values.  See z_argmax_grid for the search's steps.
+    objective must accept a numpy array of candidates and return an array
+    of values.
 
     Returns (argmax, value).
     """
@@ -263,15 +222,34 @@ def _exposure(model: MarketModel, grid, gp: float, wc, wa, gTt) -> np.ndarray:
     """z* of the exposure problem with a risk-averse (CARA) party at every
     grid point, the maximizer of
 
-        lam - wc cost - wa sigma^2 z^2 - (gp / 2) sigma^2 (1 - z / gTt)^2
+        O(z) = lam - wc cost - wa sigma^2 z^2 - (gp / 2) sigma^2 (1 - z / gTt)^2
 
     with the cost weight wc = g(t)/g(T), the agent's risk weight
     wa = (gamma_a / 2) g(T)/g(T-t)^2 and gTt = g(T-t), one array each over
     the grid.  The search runs in u = wc z on the objective times wc and
-    returns u* / wc.  Without the risk terms the maximizer is u = 1 on any
-    curve, so in u a steep curve, where z* is as small as g(T)/g(t), puts
-    the maximum neither in a narrow bump beside the clamped-action plateau
-    nor below the search's absolute tolerances.
+    returns u* / wc.  The maximizer lies in u in [0, 1], on every drift and
+    cost family and every shipped curve:
+
+    1. The agent's value V(z) = max_a [sigma b(a) z - c(a)] is a maximum of
+       lines in z, so it is convex, and lam = sigma b(a*(z)) is its
+       subgradient: V(z2) - V(z1) >= lam1 (z2 - z1), and lam rises with z.
+    2. cost = lam z - V, so lam - wc cost = lam (1 - wc z) + wc V, and for
+       z1 < z2 step 1 gives (lam - wc cost)(z2) - (lam - wc cost)(z1)
+       >= (lam2 - lam1)(1 - wc z2) >= 0 while z2 <= 1/wc.  The mirror
+       bound V(z2) - V(z1) <= lam2 (z2 - z1) gives a difference
+       <= (lam2 - lam1)(1 - wc z1) <= 0 once z1 >= 1/wc.
+    3. The risk terms (wa, gp >= 0, gTt > 0) rise for z <= 0 and fall for
+       z >= gTt.  So O rises up to z = 0 and falls beyond
+       max(1/wc, gTt); in u, beyond max(1, g(t) g(T-t)/g(T)).
+    4. Every shipped curve has g(0) = 1 and is log-convex (exponential,
+       hyperbolic, a mixture of exponentials, or flat), so log g(t) +
+       log g(T-t) <= log g(0) + log g(T), that is g(t) g(T-t) <= g(T),
+       and u* lies in [0, 1].
+
+    z_argmax_grid searches [0, 1] and a step beyond either end.  In u a
+    steep curve, where z* is as small as g(T)/g(t), puts the maximum
+    neither in a narrow bump beside the clamped-action plateau nor below
+    the search's absolute tolerances.
     """
     cols = grid.size
     # builtin families and their constant sigma do not depend on time
@@ -427,10 +405,10 @@ def solve(model: MarketModel, prefs: Preferences, grid=None) -> ContractSolution
     """Solve the contract of the regime prefs.spec_tag on grid (default:
     DEFAULT_GRID_POINTS points on [0, T]).
 
-    Raises ValueError when validate() finds a problem or the grid is not
-    an increasing cover of [0, T], InfeasibleError when no admissible
-    contract attains the reservation level, and UnboundedLoadingError when
-    the exposure search runs away.
+    Raises ValueError when validate() finds a problem, the grid is not an
+    increasing cover of [0, T] or the exposure objective is not finite, and
+    InfeasibleError when no admissible contract attains the reservation
+    level.
     """
     problems = validate(model, prefs)
     if problems:

@@ -264,16 +264,12 @@ def agent_value_mc(model: MarketModel, prefs: Preferences, solution: ContractSol
                      ensemble.antithetic)
 
 
-def _principal_values(prefs: Preferences, xi: np.ndarray, terminal: np.ndarray) -> np.ndarray:
-    return prefs.principal_u(terminal - xi)
-
-
 def principal_value_mc(model: MarketModel, prefs: Preferences, solution: ContractSolution,
                        ensemble: PathEnsemble) -> McEstimate:
     """Monte Carlo estimate of the principal's value under the contract."""
     _check_regime(prefs, solution)
     xi = contract_payoff(solution, ensemble)
-    return _estimate(_principal_values(prefs, xi, ensemble.terminal), ensemble.antithetic)
+    return _estimate(prefs.principal_u(ensemble.terminal - xi), ensemble.antithetic)
 
 
 def _shift_correction(model: MarketModel, prefs: Preferences, solution: ContractSolution,
@@ -296,19 +292,6 @@ def _shift_correction(model: MarketModel, prefs: Preferences, solution: Contract
     return out
 
 
-def _delta_residuals(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                     xi: np.ndarray, grid: np.ndarray, s: float,
-                     values: np.ndarray) -> np.ndarray:
-    """The identity's residual per path, given the payments xi and the
-    agent's time-0 rewards from them (values)."""
-    f = prefs.discount
-    fTs_over_fT = float(f.value(model.horizon - s)) / float(f.value(model.horizon))
-    lhs = _rewards(model, prefs, solution, xi, grid, s)
-    # the correction on the solver grid, an independent quadrature route
-    rhs = fTs_over_fT * values - float(_shift_correction(model, prefs, solution, np.array([s]))[0])
-    return lhs - rhs
-
-
 def delta_correction_check(model: MarketModel, prefs: Preferences,
                            solution: ContractSolution, ensemble: PathEnsemble,
                            s: float) -> McEstimate:
@@ -324,9 +307,13 @@ def delta_correction_check(model: MarketModel, prefs: Preferences,
     if not 0.0 <= s <= model.horizon:
         raise ValueError("s must lie in [0, T]")
     xi = contract_payoff(solution, ensemble)
-    values = _rewards(model, prefs, solution, xi, ensemble.grid, 0.0)
-    return _estimate(_delta_residuals(model, prefs, solution, xi, ensemble.grid, s, values),
-                     ensemble.antithetic)
+    f = prefs.discount
+    fTs_over_fT = float(f.value(model.horizon - s)) / float(f.value(model.horizon))
+    lhs = _rewards(model, prefs, solution, xi, ensemble.grid, s)
+    # the correction on the solver grid, an independent quadrature route
+    rhs = (fTs_over_fT * _rewards(model, prefs, solution, xi, ensemble.grid, 0.0)
+           - float(_shift_correction(model, prefs, solution, np.array([s]))[0]))
+    return _estimate(lhs - rhs, ensemble.antithetic)
 
 
 def spike_deviation_check(model: MarketModel, prefs: Preferences,
@@ -412,12 +399,12 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     take any other s or spike).
 
     One simulate gives the recipe of all paths, and one _outcomes call
-    streams it, on the given threads, to the payments and X_T.  Stream keys
-    depend only on the global path index and the payoff groups line up
-    with the blocks, so blocking and threads never change the numbers: the
-    estimates equal agent_value_mc and principal_value_mc on the same
-    ensemble, bit for bit.  An antithetic run with odd n_paths simulates
-    one more path.  Checks pass at 3 standard errors; the correction-identity
+    streams it, on the given threads, to the payments and X_T, which
+    agent_value_mc, principal_value_mc and delta_correction_check then read
+    off the ensemble.  Stream keys depend only on the global path index and
+    the payoff groups line up with the blocks, so blocking and threads never
+    change the numbers.  An antithetic run with odd n_paths simulates one
+    more path.  Checks pass at 3 standard errors; the correction-identity
     check adds an explicit O(dt) discretization allowance on top.  A
     standard error needs two estimator units (paths, or antithetic pairs);
     fewer raise ValueError.
@@ -442,26 +429,24 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     threads = _thread_count(threads)
     total = n_paths + n_paths % 2 if antithetic else n_paths
     ensemble = simulate(model, solution.effort, total, n_steps, seed, antithetic=antithetic)
-    grid = ensemble.grid
-    outcomes = _outcomes(ensemble, solution.loading(grid[:-1]), threads)
-    xi, terminal = solution.constant_term + outcomes[:, 0], outcomes[:, 1]
-    values = _rewards(model, prefs, solution, xi, grid, 0.0)
+    t_left = ensemble.grid[:-1]
+    # the one threaded fill; the estimators read its outcomes off the ensemble
+    _outcomes(ensemble, solution.loading(t_left), threads)
 
     def estimated(est, target):
         return {"mean": est.mean, "se": est.std_error, "target": target,
                 "pass": abs(est.mean - target) <= 3.0 * est.std_error}
 
     report = {
-        "participation": estimated(_estimate(values, antithetic), prefs.r0),
-        "principal_value": estimated(_estimate(_principal_values(prefs, xi, terminal), antithetic),
+        "participation": estimated(agent_value_mc(model, prefs, solution, ensemble), prefs.r0),
+        "principal_value": estimated(principal_value_mc(model, prefs, solution, ensemble),
                                      solution.value_principal),
         "spike_tests": [], "delta_residuals": [],
     }
 
     dt = model.horizon / n_steps
-    t_left = grid[:-1]
     for s in shifts:
-        est = _estimate(_delta_residuals(model, prefs, solution, xi, grid, s, values), antithetic)
+        est = delta_correction_check(model, prefs, solution, ensemble, s)
         cmax = float(np.max(np.abs(_cost_at_equilibrium(model, solution, t_left))))
         fmax = float(np.max(np.abs(prefs.discount.value_extended(t_left - s))))
         allowance = 2.0 * dt * cmax * (fmax + 1.0)

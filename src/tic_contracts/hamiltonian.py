@@ -6,8 +6,8 @@ sigma(t) * b(t, a) * z - cost(t, a) over the compact action interval.
 families have an explicit stationary point that only needs clamping
 (``MarketModel.closed_response``); anything custom goes through
 :func:`search_max`, one batched bounded search over every point at once.
-The principal's exposure search in :mod:`tic_contracts.closed_form`
-finishes with the same :func:`search_max`.
+The principal's exposure search in :mod:`tic_contracts.closed_form` is
+the same :func:`search_max`, on a fixed bracket of the relative exposure.
 """
 
 from __future__ import annotations

@@ -40,10 +40,6 @@ class InfeasibleError(ValueError):
     """Raised when no admissible contract attains the reservation level."""
 
 
-class UnboundedLoadingError(RuntimeError):
-    """Raised when the optimal volatility loading runs away past the cap."""
-
-
 # what a scalar-only callable raises on arrays: float() of an array or a
 # math function (TypeError), or an ambiguous truth value (ValueError)
 _SCALAR_ONLY = (TypeError, ValueError)

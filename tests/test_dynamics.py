@@ -156,14 +156,14 @@ def test_verify_contract_forms_no_increments(separable, discounted_income, monke
         raise AssertionError("formed the increments")
 
     seen = []
-    principal_values = dynamics._principal_values
+    principal_value_mc = dynamics.principal_value_mc
 
-    def recording(prefs, xi, terminal):
-        seen.append(terminal.copy())
-        return principal_values(prefs, xi, terminal)
+    def recording(model, prefs, solution, ensemble):
+        seen.append(ensemble.terminal.copy())
+        return principal_value_mc(model, prefs, solution, ensemble)
 
     monkeypatch.setattr(dynamics.PathEnsemble, "increments", property(no_increments))
-    monkeypatch.setattr(dynamics, "_principal_values", recording)
+    monkeypatch.setattr(dynamics, "principal_value_mc", recording)
     for (m, p, sol), antithetic in ((separable, False), (discounted_income, True)):
         verify_contract(m, p, sol, n_paths=300, n_steps=30, seed=5, antithetic=antithetic)
         ens = simulate(m, sol.effort, 300, 30, seed=5, antithetic=antithetic)
