@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -101,38 +100,9 @@ def _ensure_outdir(path):
     return path
 
 
-def _json_text(obj, indent=""):
-    """The text of json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
-    default=_plain) at the given indent.  json indents in pure Python; here
-    a list of floats is one join, and scalars and empty containers, which
-    the compact C encoder spells alike, go through it."""
-    if isinstance(obj, np.ndarray):
-        obj = _plain(obj)
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        return json.dumps(obj, allow_nan=False, default=_plain)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        items = []
-        for key, value in sorted(obj.items()):
-            if not (key is None or isinstance(key, (str, int, float))):
-                raise TypeError("keys must be str, int, float, bool or None, "
-                                f"not {type(key).__name__}")
-            name = key if isinstance(key, str) else json.dumps(key, allow_nan=False)
-            items.append(encode_basestring_ascii(name) + ": " + _json_text(value, inner))
-        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
-    try:  # the repr of a finite float has no "n"
-        text = sep.join(map(float.__repr__, obj))
-    except TypeError:  # not all floats
-        text = "n"
-    if "n" in text:
-        text = sep.join(_json_text(value, inner) for value in obj)
-    return "[\n" + inner + text + "\n" + indent + "]"
-
-
 def _write_json(path, payload):
     # strict JSON: a NaN or infinity raises ValueError before the file opens
-    text = _json_text(payload)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_plain)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -306,6 +276,8 @@ def cmd_discount(args) -> int:
                 plain = False
             if not plain:
                 _fail_usage(f"bad discount entry: name {name!r} is not a plain file name")
+            if any(name == seen for seen, _ in named):
+                _fail_usage(f"bad discount entry: two entries write discount_{name}.csv")
             named.append((name, spec))
     outdir = _ensure_outdir(args.out)
     t = np.linspace(0.0, s["horizon"], s["points"])
@@ -383,15 +355,21 @@ def cmd_figures(args) -> int:
         "right": [base] + [(f"lambda_{l:g}", DiscountSpec.quasi_hyperbolic(gamma, s["beta"], l))
                            for l in s["lambdas"]],
     }
+    for panel, specs in panels.items():
+        labels = [label for label, _ in specs]
+        clash = next((label for label in labels if labels.count(label) > 1), None)
+        if clash:
+            _fail_usage(f"two curves of the {panel} panel share the label {clash}")
     # every curve is solved, once (the exponential base curve sits in every
-    # panel), in one batched search before any file is written
-    curves = list(dict.fromkeys(spec for specs in panels.values() for _, spec in specs))
+    # panel), before any file is written
     model = MarketModel.quadratic(0.0, horizon, 1.0, action=(0.0, 10.0))
-    prefs = [Preferences(agent_utility="risk_neutral", principal_utility="risk_neutral",
-                         gamma_a=0.0, gamma_p=0.0, r0=0.0, discount=spec,
-                         spec_tag="separable_rn") for spec in curves]
     t = closed_form.default_grid(horizon, s["points"])
-    efforts = dict(zip(curves, closed_form.separable_efforts(model, prefs, t)))
+    efforts = {}
+    for spec in dict.fromkeys(spec for specs in panels.values() for _, spec in specs):
+        prefs = Preferences(agent_utility="risk_neutral", principal_utility="risk_neutral",
+                            gamma_a=0.0, gamma_p=0.0, r0=0.0, discount=spec,
+                            spec_tag="separable_rn")
+        efforts[spec] = closed_form.solve(model, prefs, t).effort_values
     tables = {}
     for panel, specs in panels.items():
         header, columns = ["t"], [t]
@@ -433,8 +411,7 @@ def cmd_check_constraint(args) -> int:
     ok = worst < s["threshold"]
     report = {"family": family_name, "residual": worst, "per_path": [float(r) for r in residuals],
               "threshold": s["threshold"], "pass": ok}
-    if args.out:
-        _write_json(os.path.join(_ensure_outdir(args.out), "constraint.json"), report)
+    _write_json(os.path.join(_ensure_outdir(args.out), "constraint.json"), report)
     print(f"target constraint residual {worst:.3e} "
           f"(threshold {s['threshold']:g}): {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY

@@ -8,8 +8,8 @@ The three second-best regimes are one exposure problem in the curve g
 inside the agent's utility.  With a risk-neutral agent and principal it
 has a closed form (Cvitanic, Possamai & Touzi's pointwise maximizer): the
 maximizer of lam(z) - wc cost(z), wc = g(t)/g(T), is the agent's best
-response at z* = g(T)/g(t), which is also the effort behind the figure
-tables (:func:`separable_efforts`).  The CARA regimes search the relative
+response at z* = g(T)/g(t), one best response over the whole grid; the
+figure tables are such solves.  The CARA regimes search the relative
 exposure u = wc z on every grid point at once, as array operations over
 the grid (:func:`z_argmax_grid`).  Their maximizer lies in u in [0, 1]
 (proved at :func:`_exposure`), so every point is one bounded
@@ -429,24 +429,3 @@ def solve(model: MarketModel, prefs: Preferences, grid=None) -> ContractSolution
         loading_values=loading,
         effort_values=effort,
     )
-
-
-def separable_efforts(model: MarketModel, prefs, grid=None) -> np.ndarray:
-    """Equilibrium effort of the separable regime for several discount curves.
-
-    prefs is a sequence of separable_rn Preferences on the one model.  Row
-    k of the returned (len(prefs), points) array equals
-    solve(model, prefs[k], grid).effort_values bit for bit, but all rows
-    come from one best response at the exposures g(T)/g(t).  Raises as
-    solve does, before any work, for the first curve that fails validation.
-    """
-    for p in prefs:
-        if p.spec_tag != "separable_rn":
-            raise ValueError(f"separable_efforts solves separable_rn, not {p.spec_tag}")
-        problems = validate(model, p)
-        if problems:
-            raise ValueError("; ".join(problems))
-    grid = _solution_grid(model, grid)
-    weights = np.array([p.cost_weight(grid) / float(p.cost_weight(model.horizon)) for p in prefs])
-    _, _, effort = stars_on_grid(model, np.tile(grid, len(prefs)), (1.0 / weights).ravel())
-    return effort.reshape(weights.shape)

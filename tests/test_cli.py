@@ -124,6 +124,24 @@ class TestDiscount:
             f"error: bad discount entry: name {name!r} is not a plain file name\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("second,name", [
+        ({"variant": "exponential", "gamma": 0.5, "name": "a"}, "a"),
+        ({"variant": "exponential", "gamma": 0.5}, "exponential"),
+    ], ids=["named", "unnamed"])
+    def test_two_entries_for_one_file_exit_1(self, tmp_path, capsys, second, name):
+        # the second table would overwrite the first
+        first = {"variant": "exponential", "gamma": 0.1}
+        if "name" in second:
+            first["name"] = second["name"]
+        cfg = write_config(tmp_path, {"discounts": [first, second]})
+        out = tmp_path / "out"
+        assert main(["discount", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: bad discount entry: two entries write discount_{name}.csv\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_an_overflowing_quasi_hyperbolic_rate_exits_1(self, tmp_path, capsys):
         # f(0) would be exp(0 * inf) = nan
         cfg = write_config(tmp_path, {"points": 5, "discounts": [
@@ -434,29 +452,24 @@ class TestFigures:
 
     def test_each_curve_is_solved_once(self, tmp_path, monkeypatch):
         # the exponential base curve sits in all three panels: 13 distinct
-        # curves, all solved in one batched call and none through solve
+        # curves, each solved once
         calls = []
-        efforts = cli.closed_form.separable_efforts
+        solve = cli.closed_form.solve
 
         def counted(model, prefs, grid=None):
-            calls.append([p.discount for p in prefs])
-            return efforts(model, prefs, grid)
+            calls.append(prefs.discount)
+            return solve(model, prefs, grid)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("figures called closed_form.solve")
-
-        monkeypatch.setattr(cli.closed_form, "separable_efforts", counted)
-        monkeypatch.setattr(cli.closed_form, "solve", refuse)
+        monkeypatch.setattr(cli.closed_form, "solve", counted)
         assert main(["figures", "--out", str(tmp_path), "--steps", "41"]) == 0
-        assert len(calls) == 1
-        assert len(calls[0]) == len(set(calls[0])) == 13
+        assert len(calls) == len(set(calls)) == 13
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_fewer_than_three_points_exit_1(self, tmp_path, capsys, monkeypatch, how):
         def refuse(*args, **kwargs):
             raise AssertionError("figures solved with too few points")
 
-        monkeypatch.setattr(cli.closed_form, "separable_efforts", refuse)
+        monkeypatch.setattr(cli.closed_form, "solve", refuse)
         out = tmp_path / "out"
         if how == "flag":
             argv = ["figures", "--out", str(out), "--steps", "2"]
@@ -466,6 +479,24 @@ class TestFigures:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: points must be at least 3\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ({"alphas": [4.0, 4.0000001]}, "left panel share the label alpha_4"),
+        ({"betas": [0.1, 0.1]}, "center panel share the label beta_0.1"),
+    ], ids=["alphas", "betas"])
+    def test_colliding_column_labels_exit_1_before_solving(self, tmp_path, capsys,
+                                                            monkeypatch, config, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("figures solved a panel with colliding labels")
+
+        monkeypatch.setattr(cli.closed_form, "solve", refuse)
+        out = tmp_path / "out"
+        assert main(["figures", "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: two curves of the {message}\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -525,9 +556,17 @@ class TestCheckConstraint:
     def test_exponential_discount_is_exact_at_tight_tolerance(self, tmp_path):
         cfg = write_config(tmp_path, with_discount(
             SEPARABLE_CONFIG, {"variant": "exponential", "gamma": 0.3}))
-        rc = main(["check-constraint", "--config", cfg, "--steps", "300",
-                   "--tol", "1e-8"])
+        rc = main(["check-constraint", "--config", cfg, "--out", str(tmp_path),
+                   "--steps", "300", "--tol", "1e-8"])
         assert rc == 0
+
+    def test_without_out_writes_the_report_to_the_current_directory(self, tmp_path,
+                                                                    monkeypatch):
+        cfg = write_config(tmp_path, SEPARABLE_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        assert main(["check-constraint", "--config", cfg, "--steps", "200"]) == 0
+        report = json.loads((tmp_path / "constraint.json").read_text())
+        assert report["pass"] is True and len(report["per_path"]) == 3
 
     def test_rejects_non_separable_specs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HM_DU_CONFIG)
@@ -977,7 +1016,6 @@ class TestParseErrors:
             raise AssertionError(f"{command} started work")
 
         monkeypatch.setattr(cli.closed_form, "solve", no_work)
-        monkeypatch.setattr(cli.closed_form, "separable_efforts", no_work)
         with open(os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")) as fh:
             config = dict(json.load(fh), **extra)
         out = tmp_path / "out"

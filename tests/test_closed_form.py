@@ -37,7 +37,6 @@ from tic_contracts.cli import (
 from tic_contracts import closed_form
 from tic_contracts.closed_form import (
     DEFAULT_GRID_POINTS,
-    separable_efforts,
     z_argmax,
     z_argmax_grid,
 )
@@ -183,6 +182,8 @@ def test_separable_survives_a_long_horizon_plateau():
     sol = solve(m, _rn(0.0, f, "separable_rn"), default_grid(50.0, 201))
     ref = float(f.value(50.0)) / np.asarray(f.value(sol.grid), dtype=float)
     assert np.max(np.abs(sol.z_star - ref)) < 1e-9
+    # the quadratic family at sigma = 1 makes the effort the exposure
+    assert np.max(np.abs(sol.effort_values - ref)) < 1e-9
 
 
 RN_MODELS = {
@@ -227,54 +228,12 @@ def test_custom_separable_solve_at_2001_points_takes_under_half_a_second():
     assert time.perf_counter() - start < 0.5
 
 
-def _assert_stack_equals_each_solve(m, curves, grid):
-    prefs = [_rn(0.0, f, "separable_rn") for f in curves]
-    effort_rows = separable_efforts(m, prefs, grid)
-    assert effort_rows.shape == (len(curves), grid.size)
-    for p, effort in zip(prefs, effort_rows):
-        assert effort.tobytes() == solve(m, p, grid).effort_values.tobytes()
-    return effort_rows
-
-
 FIGURE_CURVES = (
     [DiscountSpec.exponential(FIGURE2_GAMMA)]
     + [DiscountSpec.hyperbolic(FIGURE2_GAMMA, a) for a in FIGURE2_ALPHAS]
     + [DiscountSpec.quasi_hyperbolic(FIGURE2_GAMMA, b, FIGURE2_LAMBDA) for b in FIGURE2_BETAS]
     + [DiscountSpec.quasi_hyperbolic(FIGURE2_GAMMA, FIGURE2_BETA_RIGHT, lam)
        for lam in FIGURE2_LAMBDAS])
-
-
-@pytest.mark.parametrize("points", [41, 151])
-def test_stacked_search_equals_each_figure_solve(points):
-    assert len(set(FIGURE_CURVES)) == 13
-    m = MarketModel.quadratic(0.0, 50.0, 1.0, action=(0.0, 10.0))
-    _assert_stack_equals_each_solve(m, FIGURE_CURVES, default_grid(50.0, points))
-
-
-def test_stacked_search_keeps_the_long_horizon_bump():
-    # the plateau setup above, stacked between curves without the bump
-    f = DiscountSpec.quasi_hyperbolic(0.0575, 0.1, 0.439)
-    m = MarketModel.quadratic(0.0, 50.0, 1.0)
-    grid = default_grid(50.0, 201)
-    curves = [DiscountSpec.exponential(0.0575), f, DiscountSpec.hyperbolic(1.0, 4.0)]
-    efforts = _assert_stack_equals_each_solve(m, curves, grid)
-    # the quadratic family at sigma = 1 makes the effort the exposure
-    ref = float(f.value(50.0)) / np.asarray(f.value(grid), dtype=float)
-    assert np.max(np.abs(efforts[1] - ref)) < 1e-9
-
-
-def test_stacked_efforts_refuse_what_solve_refuses():
-    m = MarketModel.quadratic(0.0, 50.0, 1.0)
-    ok = _rn(0.0, DiscountSpec.exponential(0.1), "separable_rn")
-    underflow = _rn(0.0, DiscountSpec.quasi_hyperbolic(0.0575, 0.0, 800.0), "separable_rn")
-    with pytest.raises(ValueError, match="underflows to zero") as caught:
-        separable_efforts(m, [ok, underflow])
-    with pytest.raises(ValueError) as alone:
-        solve(m, underflow)
-    assert str(caught.value) == str(alone.value)
-    with pytest.raises(ValueError, match="separable_rn"):
-        separable_efforts(m, [ok, _rn(0.0, DiscountSpec.exponential(0.1),
-                                      "first_best_separable")])
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -477,13 +436,17 @@ def test_time_free_objectives_search_one_row(monkeypatch, prefs, builtin, rows):
     assert _searched_rows(monkeypatch, lambda: solve(m, prefs, grid)) == searched
 
 
-def test_stacked_search_covers_every_curve_and_point(monkeypatch):
+def test_figure_curves_search_nothing(monkeypatch):
+    assert len(set(FIGURE_CURVES)) == 13
     m = MarketModel.quadratic(0.0, 50.0, 1.0)
-    prefs = [_rn(0.0, f, "separable_rn") for f in FIGURE_CURVES]
     grid = default_grid(50.0, 41)
-    searched = _searched_rows(monkeypatch, lambda: separable_efforts(m, prefs, grid))
+
+    def run():
+        for f in FIGURE_CURVES:
+            solve(m, _rn(0.0, f, "separable_rn"), grid)
+
     # every curve and point takes the closed-form exposure: no search
-    assert searched == []
+    assert _searched_rows(monkeypatch, run) == []
 
 
 def test_exposure_overflow_is_refused_without_a_warning():
