@@ -182,8 +182,6 @@ def test_separable_survives_a_long_horizon_plateau():
     sol = solve(m, _rn(0.0, f, "separable_rn"), default_grid(50.0, 201))
     ref = float(f.value(50.0)) / np.asarray(f.value(sol.grid), dtype=float)
     assert np.max(np.abs(sol.z_star - ref)) < 1e-9
-    # the quadratic family at sigma = 1 makes the effort the exposure
-    assert np.max(np.abs(sol.effort_values - ref)) < 1e-9
 
 
 RN_MODELS = {
@@ -234,6 +232,23 @@ FIGURE_CURVES = (
     + [DiscountSpec.quasi_hyperbolic(FIGURE2_GAMMA, b, FIGURE2_LAMBDA) for b in FIGURE2_BETAS]
     + [DiscountSpec.quasi_hyperbolic(FIGURE2_GAMMA, FIGURE2_BETA_RIGHT, lam)
        for lam in FIGURE2_LAMBDAS])
+
+
+def test_stacked_search_keeps_the_long_horizon_bump():
+    # the plateau setup above, solved between curves without the bump as the
+    # figures command solves its curves: one solve per curve on one grid
+    f = DiscountSpec.quasi_hyperbolic(0.0575, 0.1, 0.439)
+    m = MarketModel.quadratic(0.0, 50.0, 1.0)
+    grid = default_grid(50.0, 201)
+    curves = [DiscountSpec.exponential(0.0575), f, DiscountSpec.hyperbolic(1.0, 4.0)]
+    efforts = [solve(m, _rn(0.0, c, "separable_rn"), grid).effort_values
+               for c in curves]
+    # the quadratic family at sigma = 1 makes the effort the exposure
+    ref = float(f.value(50.0)) / np.asarray(f.value(grid), dtype=float)
+    assert np.max(np.abs(efforts[1] - ref)) < 1e-9
+    for c, effort in zip(curves, efforts):
+        exact = float(c.value(50.0)) / np.asarray(c.value(grid), dtype=float)
+        assert np.max(np.abs(effort - exact)) < 1e-9
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
