@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import search_max, stars_on_grid
-from .model import MarketModel, Preferences, InfeasibleError, validate
+from .model import MarketModel, Preferences, InfeasibleError, pointwise, validate
 
 DEFAULT_GRID_POINTS = 2001
 
@@ -293,8 +293,7 @@ def _second_best(model: MarketModel, prefs: Preferences, grid):
         z_star = _exposure(model, grid, gp, g_t / gT, wa, g_Tt)
     else:
         # the maximizer of lam - wc cost is the agent's best response at
-        # 1/wc, on a plateau of clamped actions too; the expression is
-        # _first_best_separable's, so the two efforts agree bit for bit
+        # 1/wc, on a plateau of clamped actions too
         z_star = 1.0 / (g_t / gT)
     lam, cost, eff = stars_on_grid(model, grid, z_star)
     loading = z_star / g_Tt
@@ -323,23 +322,15 @@ def _second_best(model: MarketModel, prefs: Preferences, grid):
 def _first_best_separable(model: MarketModel, prefs: Preferences, grid):
     """Risk-sharing benchmark for the separable risk-neutral regime.
 
-    The principal dictates effort and pays a deterministic amount, so the
-    loading is identically zero.  The pointwise maximand carries the
-    1/f(T) weight on the cost that the binding participation constraint
-    induces, which is what makes this value coincide with the second-best
-    one.
+    The principal dictates effort and pays a deterministic amount, so z*
+    and the loading are zero.  Binding participation weighs the cost by
+    1/f(T), which makes the maximand, effort, reservation part and value
+    the separable second-best's; the adjustment pays the discounted cost.
     """
-    f = prefs.discount
-    T = model.horizon
-    fT = float(f.value(T))
-    f_t = np.asarray(f.value(grid), dtype=float)
-
-    # argmax of sigma b - w c equals the agent maximizer at exposure 1/w
-    lam, cost, eff = stars_on_grid(model, grid, 1.0 / (f_t / fT))
-
-    value_p = model.x0 - prefs.r0 / fT + float(simpson(lam - f_t * cost / fT, grid))
-    const_adj = float(simpson(f_t * cost, grid)) / fT
-    return prefs.r0 / fT, const_adj, value_p, np.zeros_like(grid), np.zeros_like(grid), eff
+    reservation, _, value_p, _, _, eff = _second_best(model, prefs, grid)
+    weighted_cost = prefs.cost_weight(grid) * pointwise(model.cost, grid, eff)
+    const_adj = float(simpson(weighted_cost, grid)) / float(prefs.cost_weight(model.horizon))
+    return reservation, const_adj, value_p, np.zeros_like(grid), np.zeros_like(grid), eff
 
 
 def _first_best_nonseparable(model: MarketModel, prefs: Preferences, grid):

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,11 +57,11 @@ class McEstimate:
 class PathEnsemble:
     """Output paths on a uniform grid, as the recipe of their unit normals.
 
-    Row p is path q = path_offset + p, the Philox stream keyed (seed, q);
-    antithetic paths 2j and 2j + 1 are the stream keyed (seed, j) and its
-    negative.  The increment on [grid[i], grid[i+1]) is normals[p][i] *
-    scale[i] + shift[i] (sigma sqrt(dt) and sigma b dt).  normals is filled
-    on first access; _outcomes streams, and keeps its last (load, result).
+    Row p is the Philox stream keyed (seed, p); antithetic paths 2j and
+    2j + 1 are the stream keyed (seed, j) and its negative.  The increment
+    on [grid[i], grid[i+1]) is normals[p][i] * scale[i] + shift[i] (sigma
+    sqrt(dt) and sigma b dt).  normals is filled anew on every read and
+    kept nowhere; _outcomes streams, and keeps its last (load, result).
     """
 
     n_paths: int
@@ -71,20 +70,19 @@ class PathEnsemble:
     shift: np.ndarray
     x0: float
     seed: int
-    path_offset: int
     antithetic: bool = False
     reduced: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def _fill(self, out: np.ndarray, lo: int) -> np.ndarray:
         """Fill out with the normals of rows lo, lo + 1, ... (lo even if antithetic)."""
         if self.antithetic:
-            _normal_rows(out[0::2], self.seed, (self.path_offset + lo) // 2)
+            _normal_rows(out[0::2], self.seed, lo // 2)
             np.negative(out[0::2], out=out[1::2])
         else:
-            _normal_rows(out, self.seed, self.path_offset + lo)
+            _normal_rows(out, self.seed, lo)
         return out
 
-    @cached_property
+    @property
     def normals(self) -> np.ndarray:
         return self._fill(np.empty((self.n_paths, self.scale.size)), 0)
 
@@ -160,19 +158,18 @@ def _normal_rows(out: np.ndarray, seed: int, first_key: int):
 
 
 def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
-             antithetic: bool = False, path_offset: int = 0) -> PathEnsemble:
+             antithetic: bool = False) -> PathEnsemble:
     """The recipe of n_paths output paths under the given effort policy.
 
     effort is a callable of time or a constant action, evaluated and checked
-    here; no normal is drawn.  path_offset shifts the per-path stream keys
-    so that chunked ensembles concatenate to the same paths as one call.
+    here; no normal is drawn.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
     if not -2**63 <= seed < 2**63:
         raise ValueError("seed must be a signed 64-bit integer")
-    if antithetic and (n_paths % 2 or path_offset % 2):
-        raise ValueError("antithetic sampling needs even n_paths and even path_offset")
+    if antithetic and n_paths % 2:
+        raise ValueError("antithetic sampling needs even n_paths")
     grid = np.linspace(0.0, model.horizon, n_steps + 1)
     dt = model.horizon / n_steps
     t_left = grid[:-1]
@@ -181,7 +178,7 @@ def simulate(model: MarketModel, effort, n_paths: int, n_steps: int, seed: int,
     sig = model.sigma_at(t_left)
     drift = sig * pointwise(model.drift, t_left, actions)
     return PathEnsemble(n_paths=n_paths, grid=grid, scale=sig * math.sqrt(dt), shift=drift * dt,
-                        x0=model.x0, seed=seed, path_offset=path_offset, antithetic=antithetic)
+                        x0=model.x0, seed=seed, antithetic=antithetic)
 
 
 def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:

@@ -216,6 +216,8 @@ def test_first_best_and_second_best_separable_efforts_are_identical(family, curv
     first = solve(m, _rn(0.05, curve, "first_best_separable"), grid)
     second = solve(m, _rn(0.05, curve, "separable_rn"), grid)
     assert first.effort_values.tobytes() == second.effort_values.tobytes()
+    assert first.value_principal == second.value_principal
+    assert not first.z_star.any() and not first.loading_values.any()
 
 
 def test_custom_separable_solve_at_2001_points_takes_under_half_a_second():

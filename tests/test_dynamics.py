@@ -75,18 +75,39 @@ def discounted_income():
 # path generation
 
 
-def test_simulate_is_deterministic_and_chunkable():
+def test_simulate_is_deterministic_and_chunkable(monkeypatch):
     m = MarketModel.quadratic(0.0, 2.0, 1.0)
-    full = simulate(m, 0.7, 10, 16, seed=3)
-    again = simulate(m, 0.7, 10, 16, seed=3)
+    full = simulate(m, 0.7, 40, 16, seed=3)
+    again = simulate(m, 0.7, 40, 16, seed=3)
     np.testing.assert_array_equal(full.increments, again.increments)
-    part = np.vstack([
-        simulate(m, 0.7, 6, 16, seed=3).increments,
-        simulate(m, 0.7, 4, 16, seed=3, path_offset=6).increments,
-    ])
-    np.testing.assert_array_equal(full.increments, part)
-    other_seed = simulate(m, 0.7, 10, 16, seed=4)
+    want = full.normals
+    # _outcomes fills blocks of BLOCK_PATHS rows, each keyed by its own
+    # first row, and together they are the rows of the whole array
+    blocks = []
+
+    def recording(out, seed, first_key):
+        _normal_rows(out, seed, first_key)
+        blocks.append((first_key, out.copy()))
+
+    monkeypatch.setattr(dynamics, "_normal_rows", recording)
+    for block in (dynamics.PAYOFF_ROWS, 16, dynamics.BLOCK_PATHS):
+        monkeypatch.setattr(dynamics, "BLOCK_PATHS", block)
+        blocks.clear()
+        dynamics._outcomes(simulate(m, 0.7, 40, 16, seed=3), np.ones(16))
+        assert len(blocks) == -(-40 // block)
+        blocks.sort(key=lambda b: b[0])
+        np.testing.assert_array_equal(np.vstack([rows for _, rows in blocks]), want)
+    other_seed = simulate(m, 0.7, 40, 16, seed=4)
     assert not np.array_equal(full.increments, other_seed.increments)
+
+
+def test_reading_the_increments_keeps_no_path_array():
+    # an ensemble keeps its recipe only: each read fills the normals anew
+    m = MarketModel.quadratic(0.0, 2.0, 1.0)
+    ens = simulate(m, 0.7, 12, 16, seed=3)
+    np.testing.assert_array_equal(ens.increments, ens.increments)
+    kept = [k for k, v in vars(ens).items() if isinstance(v, np.ndarray) and v.size >= 12 * 16]
+    assert kept == []
 
 
 @pytest.mark.parametrize("calls", [1, 2])
@@ -114,8 +135,6 @@ def test_simulate_antithetic_pairs_mirror_the_noise():
     np.testing.assert_allclose(pair_sum, 2.0 * 0.7 * dt, atol=1e-14)
     with pytest.raises(ValueError, match="even n_paths"):
         simulate(m, 0.7, 7, 16, seed=3, antithetic=True)
-    with pytest.raises(ValueError, match="even"):
-        simulate(m, 0.7, 8, 16, seed=3, antithetic=True, path_offset=3)
 
 
 def test_simulate_validates_inputs():
@@ -229,18 +248,17 @@ def test_contract_payoff_is_the_loading_integral(separable):
     np.testing.assert_allclose(pay, ref, atol=1e-8)
 
 
-def test_contract_payoff_does_not_depend_on_the_blocking(separable):
+def test_contract_payoff_does_not_depend_on_the_blocking(separable, monkeypatch):
     # a BLAS matrix-vector product sums a row in an order that depends on
     # the rows around it; fixed groups of rows make each payment a function
     # of its path alone
     m, _, sol = separable
     n_paths, n_steps = 901, 1000
+    monkeypatch.setattr(dynamics, "BLOCK_PATHS", n_paths)  # one block
     want = contract_payoff(sol, simulate(m, sol.effort, n_paths, n_steps, seed=4))
     for block in (dynamics.PAYOFF_ROWS, 64, 256):
-        got = np.concatenate([
-            contract_payoff(sol, simulate(m, sol.effort, min(block, n_paths - lo), n_steps,
-                                          seed=4, path_offset=lo))
-            for lo in range(0, n_paths, block)])
+        monkeypatch.setattr(dynamics, "BLOCK_PATHS", block)
+        got = contract_payoff(sol, simulate(m, sol.effort, n_paths, n_steps, seed=4))
         np.testing.assert_array_equal(got, want)
 
 
