@@ -70,22 +70,10 @@ def _fail_infeasible(problems):
 
 
 def _plain(obj):
-    """obj with numpy values and tuples made plain Python, for JSON; raises
-    TypeError for what JSON cannot hold, as a json `default` hook must."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, (str, int)):
-        return obj
+    """The json `default` hook: numpy arrays and scalars as plain Python
+    values; TypeError for anything else, as the hook must raise."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -409,7 +397,7 @@ def cmd_check_constraint(args) -> int:
     residuals = fsvie.target_constraint_residual(field, prefs)
     worst = float(np.max(residuals))
     ok = worst < s["threshold"]
-    report = {"family": family_name, "residual": worst, "per_path": [float(r) for r in residuals],
+    report = {"family": family_name, "residual": worst, "per_path": residuals,
               "threshold": s["threshold"], "pass": ok}
     _write_json(os.path.join(_ensure_outdir(args.out), "constraint.json"), report)
     print(f"target constraint residual {worst:.3e} "

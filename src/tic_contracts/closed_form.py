@@ -13,9 +13,9 @@ figure tables are such solves.  The CARA regimes search the relative
 exposure u = wc z on every grid point at once, as array operations over
 the grid (:func:`z_argmax_grid`).  Their maximizer lies in u in [0, 1]
 (proved at :func:`_exposure`), so every point is one bounded
-hamiltonian.search_max, the golden-section search with a parabolic
-polish that also finds the agent's action.  With builtin families and
-weights constant in t, only the first point is searched.
+hamiltonian.search_max, the golden-section search with a five-point
+Newton polish that also finds the agent's action.  With builtin families
+and weights constant in t, only the first point is searched.
 
 Values are integrated with composite Simpson on the solution grid; the
 default grid has 2001 points.
@@ -120,11 +120,12 @@ def z_argmax_grid(objective, n: int):
     exposures for the grid rows ``rows`` (an integer index array of length
     m) and returns their values as an (m, k) array.  One
     hamiltonian.search_max runs every row: a 64-point scan, golden section
-    to 1e-10 and two parabolic polish steps.  The solvers' maximizer lies
-    in [0, 1] (see _exposure); the step beyond either end leaves the polish
-    room.  The scan is no global guarantee: a row may keep the lower of two
-    peaks when the higher is narrower than a scan step.  A value that is
-    not finite raises ValueError.
+    to 1e-10 and one Newton step from five-point central differences.  The
+    solvers' maximizer lies in [0, 1] (see _exposure); the step beyond
+    either end leaves the polish's stencil room.  The scan is no global
+    guarantee: a row may keep the lower of two peaks when the higher is
+    narrower than a scan step.  A value that is not finite raises
+    ValueError.
 
     Returns (argmax, value) arrays of length n.
     """

@@ -5,9 +5,12 @@ sigma(t) * b(t, a) * z - cost(t, a) over the compact action interval.
 :func:`stars_on_grid` is the one best response: the builtin drift/cost
 families have an explicit stationary point that only needs clamping
 (``MarketModel.closed_response``); anything custom goes through
-:func:`search_max`, one batched bounded search over every point at once.
-The principal's exposure search in :mod:`tic_contracts.closed_form` is
-the same :func:`search_max`, on a fixed bracket of the relative exposure.
+:func:`search_max`, one batched bounded search over every point at once,
+whose candidates are evaluated on whole arrays through
+:func:`~tic_contracts.model.pointwise` (per point only for scalar-only
+callables).  The principal's exposure search in
+:mod:`tic_contracts.closed_form` is the same :func:`search_max`, on a
+fixed bracket of the relative exposure.
 """
 
 from __future__ import annotations
@@ -39,9 +42,13 @@ def search_max(evaluate, lo, hi, points):
     ``rows`` (an integer index array of length m) and returns their values
     as an (m, k) array; lo and hi are float arrays with one bound per row.
     A ``points``-point scan picks the best cell pair, golden section
-    shrinks it to SEARCH_TOL (rows drop out as they converge) and two
-    centered parabolic steps polish the point below the flat-top noise
-    floor of the direct comparisons.
+    shrinks it to SEARCH_TOL (rows drop out as they converge) and one
+    Newton step polishes the point below the flat-top noise floor of the
+    direct comparisons.  Its slope and curvature come from five-point
+    central differences at h = 1e-4 max(hi - lo, 1), wide enough that the
+    values' rounding noise barely moves them; the step is clipped to 2h
+    and taken where the curvature stands clearly above that noise and the
+    value does not fall beyond a tie.
 
     Returns (argmax, value) arrays with one entry per row.
     """
@@ -70,22 +77,22 @@ def search_max(evaluate, lo, hi, points):
     x_best = np.where(fc >= fd, c, d)
     f_best = np.where(fc >= fd, fc, fd)
 
-    span = np.maximum(hi - lo, 1.0)
-    for scale in (1e-5, 1e-6):
-        h = scale * span
-        xm, xp = x_best - h, x_best + h
-        rows = np.flatnonzero((xm >= lo) & (xp <= hi))
-        if rows.size == 0:
-            continue
-        vm, v0, vp = evaluate(np.stack([xm[rows], x_best[rows], xp[rows]], axis=1), rows).T
-        denom = vm - 2.0 * v0 + vp
+    h = 1e-4 * np.maximum(hi - lo, 1.0)
+    rows = np.flatnonzero((x_best - 2.0 * h >= lo) & (x_best + 2.0 * h <= hi))
+    if rows.size:
+        h = h[rows]
+        stencil = x_best[rows, None] + h[:, None] * np.arange(-2.0, 3.0)
+        f2m, f1m, f0, f1p, f2p = evaluate(stencil, rows).T
+        # the five-point slope and curvature, times 12 h and 12 h^2
+        slope = f2m - 8.0 * f1m + 8.0 * f1p - f2p
+        curve = -f2m + 16.0 * f1m - 30.0 * f0 + 16.0 * f1p - f2p
         # require curvature clearly above the rounding noise of the sum
-        curved = denom < -1e-12 * (np.abs(vm) + 2.0 * np.abs(v0) + np.abs(vp))
-        rows, vm, vp, denom = rows[curved], vm[curved], vp[curved], denom[curved]
-        if rows.size == 0:
-            continue
-        step = 0.5 * h[rows] * (vm - vp) / denom
-        cand = np.minimum(np.maximum(x_best[rows] + step, xm[rows]), xp[rows])
+        curved = curve < -1e-12 * (np.abs(f2m) + 16.0 * np.abs(f1m) + 30.0 * np.abs(f0)
+                                   + 16.0 * np.abs(f1p) + np.abs(f2p))
+        rows, h = rows[curved], h[curved]
+        step = -h * slope[curved] / curve[curved]
+    if rows.size:
+        cand = x_best[rows] + np.clip(step, -2.0 * h, 2.0 * h)
         fcand = evaluate(cand[:, None], rows)[:, 0]
         # near the flat top the improvement is below rounding; the vertex of
         # a concave fit is still the better point, so accept any value tie
@@ -102,25 +109,21 @@ def stars_on_grid(model: MarketModel, t, z_values):
     against z_values (a column of one time per row pairs each time with
     its own row).  Returns arrays of the broadcast shape: lam = sigma(t)
     b(t, argmax) and cost = cost(t, argmax).  Builtin families use their
-    closed form; custom callables get one search_max over all points.
+    closed form; custom callables get one search_max over all points,
+    evaluating sigma b z - cost on its candidate arrays through pointwise.
     """
     times, z_values = np.broadcast_arrays(np.asarray(t, dtype=float),
                                           np.asarray(z_values, dtype=float))
     if model.families is not None:
         return model.closed_response(z_values)
     sig = model.sigma_at(times)
-    s, u, z = (v.ravel().tolist() for v in (sig, times, z_values))
-    drift, cost = model.drift, model.cost
+    s, u, z = (v.reshape(-1, 1) for v in (sig, times, z_values))
 
     def evaluate(xs, rows):
-        # plain floats, one call per point: custom callables run much
-        # slower on numpy scalars
-        pts = zip(np.repeat(rows, xs.shape[1]).tolist(), xs.ravel().tolist())
-        vals = np.fromiter((s[r] * drift(u[r], a) * z[r] - cost(u[r], a) for r, a in pts),
-                           dtype=float, count=xs.size)
-        return vals.reshape(xs.shape)
+        t = u[rows]
+        return s[rows] * pointwise(model.drift, t, xs) * z[rows] - pointwise(model.cost, t, xs)
 
-    n = len(z)
+    n = z.size
     arg = search_max(evaluate, np.full(n, model.action_lo), np.full(n, model.action_hi),
                      _ACTION_SCAN)[0].reshape(z_values.shape)
     return sig * pointwise(model.drift, times, arg), pointwise(model.cost, times, arg), arg

@@ -64,11 +64,8 @@ def pointwise(fn, *arrays):
             return np.broadcast_to(out, shape).copy()
     except _SCALAR_ONLY:
         pass
-    out = np.empty(shape)
-    points = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*arrays)))
-    for i, point in enumerate(points):
-        out.flat[i] = fn(*point)
-    return out
+    columns = (a.ravel().tolist() for a in np.broadcast_arrays(*arrays))
+    return np.fromiter(map(fn, *columns), float, math.prod(shape)).reshape(shape)
 
 
 @dataclass(frozen=True)

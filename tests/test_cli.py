@@ -738,12 +738,23 @@ class TestBadNumbers:
             "f64": np.float64(0.1) / 3, "f32": np.float32(0.1), "i64": np.int64(-7),
             "flag": np.bool_(True), "plain": [True, None, 2, 1e-300, "x"],
             "grid": np.linspace(0.0, 1.0, 7), "ints": np.arange(3),
+            "f32s": np.array([0.25, 0.1], dtype=np.float32), "flags": np.array([True, False]),
             "nested": (np.array([[np.float64(0.5), 2.0]]), {"b": np.bool_(False)}),
             "tuple": (np.float64(2.0), np.int64(3), (np.float32(0.25),)),
         }
+        plain = {
+            "f64": 0.03333333333333333, "f32": 0.10000000149011612, "i64": -7,
+            "flag": True, "plain": [True, None, 2, 1e-300, "x"],
+            "grid": [0.0, 0.16666666666666666, 0.3333333333333333, 0.5,
+                     0.6666666666666666, 0.8333333333333333, 1.0],
+            "ints": [0, 1, 2],
+            "f32s": [0.25, 0.10000000149011612], "flags": [True, False],
+            "nested": [[[0.5, 2.0]], {"b": False}],
+            "tuple": [2.0, 3, [0.25]],
+        }
         path = tmp_path / "payload.json"
         cli._write_json(str(path), payload)
-        want = json.dumps(cli._plain(payload), indent=2, sort_keys=True, allow_nan=False)
+        want = json.dumps(plain, indent=2, sort_keys=True, allow_nan=False)
         assert path.read_bytes() == (want + "\n").encode("utf-8")
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

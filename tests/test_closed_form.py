@@ -105,9 +105,9 @@ def test_discount_curve_only_scales_the_value():
 
 
 def test_time_varying_sigma_against_pointwise_brent():
-    # sigma(t) = 1 + t/4 with quadratic cost; reference exposures from
-    # scipy Brent per time point and the value from adaptive quadrature
-    # of the envelope
+    # sigma(t) = 1 + t/4 with quadratic cost; the exposure is exactly
+    # (1 + 2 gp s) / (1 + 2 (ga + gp) s) with s = sigma^2, and the
+    # reference value comes from adaptive quadrature of the envelope
     m = MarketModel(x0=0.3, horizon=2.0,
                     sigma=lambda t: 1.0 + 0.25 * t,
                     drift=lambda t, a: a / (1.0 + 0.25 * t),
@@ -115,9 +115,11 @@ def test_time_varying_sigma_against_pointwise_brent():
                     action_lo=0.0, action_hi=10.0)
     p = _cara(1.0, 0.5, -0.8, DiscountSpec.hyperbolic(1.0, 0.4),
               "discounted_utility")
-    sol = solve(m, p, default_grid(2.0, 101))
-    assert sol.z_star[0] == pytest.approx(0.5, abs=5e-7)
-    assert sol.z_star[-1] == pytest.approx(0.41935483870967616, abs=5e-7)
+    grid = default_grid(2.0, 101)
+    sol = solve(m, p, grid)
+    s = (1.0 + 0.25 * grid) ** 2
+    exact = (1.0 + 2.0 * 0.5 * s) / (1.0 + 2.0 * (1.0 + 0.5) * s)
+    np.testing.assert_allclose(sol.z_star, exact, rtol=0.0, atol=1e-9)
     assert sol.value_principal == pytest.approx(-1.0252619318370078, abs=1e-9)
 
 
@@ -541,7 +543,7 @@ def test_exposure_search_finds_the_higher_of_two_peaks(monkeypatch):
 def test_income_exposure_search_stays_within_its_budget(monkeypatch):
     # best-response points the discounted_income bench solve evaluates at
     # 501 points: a 64-point scan, golden section and the polish per row
-    # take about 58000
+    # take about 57100
     with open(os.path.join(ROOT, "perfbench", "configs", "discounted_income.json")) as fh:
         cfg = json.load(fh)
     m = MarketModel.from_json(cfg["model"])
@@ -554,7 +556,7 @@ def test_income_exposure_search_stays_within_its_budget(monkeypatch):
 
     monkeypatch.setattr(closed_form, "stars_on_grid", counting)
     solve(m, p, default_grid(m.horizon, 501))
-    assert sum(points) <= 60_000
+    assert sum(points) <= 57_500
 
 
 def test_infeasible_when_risk_sharing_diverges():

@@ -797,6 +797,6 @@ def test_custom_copy_of_a_builtin_family_matches_it(builtin):
     np.testing.assert_array_equal(_cost_at_equilibrium(custom, sol, t_left),
                                   _cost_at_equilibrium(builtin, sol, t_left))
     ts = np.array([[0.0], [0.7], [2.0]])
-    zs = np.array([-0.5, 0.0, 0.3, 0.9, 4.0, 25.0])
+    zs = np.concatenate([[-0.5, 0.0, 0.3, 0.9, 4.0, 25.0], np.linspace(0.5, 60.0, 400)])
     for got_part, want_part in zip(stars_on_grid(custom, ts, zs), stars_on_grid(builtin, ts, zs)):
         np.testing.assert_allclose(got_part, want_part, rtol=0.0, atol=1e-9)
