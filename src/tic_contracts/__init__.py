@@ -8,8 +8,7 @@ constraint that ties the time-indexed value processes together.
 The namespace is lazy (PEP 562): each public name imports its submodule
 on first access, so ``import tic_contracts.cli`` loads the closed-form
 solvers but not the Monte Carlo (``dynamics``) or Volterra (``fsvie``)
-modules.  The thread pool is imported only when ``dynamics._outcomes``
-runs on more than one thread, which only ``verify_contract`` asks for.
+modules.
 """
 
 import importlib

@@ -217,6 +217,8 @@ _SETTINGS = {
     "discount": (_HORIZON, _Setting("points", _integer, 501, "steps", _at_least(2))),
     "solve": (_GRID._replace(flag="steps"),),
     "verify": (_GRID, _Setting("n_paths", _integer, 100_000, "paths", _POSITIVE), _N_STEPS,
+               # --threads is validated but changes no work; its removal waits for a
+               # benchmark that measures the code again (ROADMAP D9)
                _Setting(None, _integer, None, "threads", _POSITIVE), _SEED,
                _Setting("perturb_constant_term", _number, 0.0),
                _Setting("antithetic", _flag, False)),

@@ -6,21 +6,19 @@ with the drift implied by the equilibrium effort policy,
     X_{i+1} = X_i + sigma(t_i) b(t_i, a(t_i)) dt + sigma(t_i) sqrt(dt) N(0,1).
 
 Randomness comes from counter-based Philox streams keyed by (seed, path),
-so any blocking or thread schedule reproduces the same ensemble bit for
-bit; the seed is a signed 64-bit integer.  An ensemble is a recipe that
-draws no normal until read.  One product of fixed groups of paths with
-two weight columns gives the payment and X_T, and the estimators sum
-per-path vectors pairwise, so both are schedule-independent.
-
-_outcomes streams, and is the only layer that threads: it fills whole
-blocks of paths, keeps two numbers per path (the payment and X_T) and
-drops each block, so memory is O(threads x block x steps + paths), not
-O(paths x steps), and the increments are never formed.
+so any chunking reproduces the same ensemble bit for bit; the seed is a
+signed 64-bit integer.  An ensemble is a recipe that draws no normal
+until read.  The payment and X_T are linear in a path's normals, so with
+a deterministic loading they are one bivariate Gaussian per path:
+_outcomes draws that pair exactly, two normals per path from one stream
+of its own, in O(paths) time and memory, and never forms the increments
+(which the Volterra march reads, on few paths).
 
 The checkers cover: participation (agent Monte Carlo value vs the
-reservation level), the principal's value, the s-shift correction identity
-for the separable regime, and spike deviations of the equilibrium effort
-for every second-best regime.  A spike gain has no sampling error: it is
+reservation level) and the principal's value, each judged against its
+exact mean on the run's grid; the s-shift correction identity for the
+separable regime; and spike deviations of the equilibrium effort for
+every second-best regime.  A spike gain has no sampling error: it is
 the closed-form mean of the reward over the Gaussian output noise after
 the spike, a CARA factor that is 1 for a risk-neutral agent.
 """
@@ -28,7 +26,6 @@ the spike, a CARA factor that is 1 for a risk-neutral agent.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,11 +34,6 @@ import numpy as np
 from .closed_form import ContractSolution, simpson
 from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
 
-# paths per block filled in _outcomes (rounded up to whole payoff groups);
-# 256 x 2000 steps is a 4 MB block
-BLOCK_PATHS = 256
-# rows per grouped product of the normals in _outcomes
-PAYOFF_ROWS = 8
 # values of s per block of the s-shift correction's (s, solver grid) arrays
 SHIFT_ROWS = 32
 
@@ -61,7 +53,7 @@ class PathEnsemble:
     2j + 1 are the stream keyed (seed, j) and its negative.  The increment
     on [grid[i], grid[i+1]) is normals[p][i] * scale[i] + shift[i] (sigma
     sqrt(dt) and sigma b dt).  normals is filled anew on every read and
-    kept nowhere; _outcomes streams, and keeps its last (load, result).
+    kept nowhere; _outcomes keeps its last (load, result).
     """
 
     n_paths: int
@@ -73,18 +65,15 @@ class PathEnsemble:
     antithetic: bool = False
     reduced: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def _fill(self, out: np.ndarray, lo: int) -> np.ndarray:
-        """Fill out with the normals of rows lo, lo + 1, ... (lo even if antithetic)."""
-        if self.antithetic:
-            _normal_rows(out[0::2], self.seed, lo // 2)
-            np.negative(out[0::2], out=out[1::2])
-        else:
-            _normal_rows(out, self.seed, lo)
-        return out
-
     @property
     def normals(self) -> np.ndarray:
-        return self._fill(np.empty((self.n_paths, self.scale.size)), 0)
+        out = np.empty((self.n_paths, self.scale.size))
+        if self.antithetic:
+            _normal_rows(out[0::2], self.seed, 0)
+            np.negative(out[0::2], out=out[1::2])
+        else:
+            _normal_rows(out, self.seed, 0)
+        return out
 
     @property
     def increments(self) -> np.ndarray:
@@ -96,19 +85,6 @@ class PathEnsemble:
         if self.reduced is None:
             _outcomes(self, np.zeros_like(self.scale))
         return self.reduced[1][:, 1]
-
-
-def _thread_count(threads: Optional[int]) -> int:
-    """Worker threads for verify_contract: the flag, else one; never more
-    than the CPUs this process may run on (asked only for a count above
-    one).  A count below one raises ValueError."""
-    count = 1 if threads is None else int(threads)
-    if count < 1:
-        raise ValueError("threads must be positive")
-    if count == 1:
-        return 1
-    usable = getattr(os, "sched_getaffinity", None)
-    return min(count, len(usable(0)) if usable else os.cpu_count() or 1)
 
 
 def _check_actions(model: MarketModel, actions, what: str):
@@ -196,36 +172,43 @@ def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:
     return McEstimate(mean=mean, std_error=se, n=n)
 
 
-def _outcomes(ensemble: PathEnsemble, load: np.ndarray, threads: int = 1) -> np.ndarray:
+def _factor(u: np.ndarray, v: np.ndarray) -> tuple:
+    """(a, beta a, c), F = (a, 0; beta a, c) with F F^T the Gram matrix of u
+    and v, by Gram-Schmidt.  Scaling each vector by a power of two is exact
+    and keeps every square finite; np.sum adds pairwise, without BLAS."""
+    (_, ku), (_, kv) = np.frexp(np.max(np.abs(u))), np.frexp(np.max(np.abs(v)))
+    u, v = np.ldexp(u, -ku), np.ldexp(v, -kv)
+    uu = np.sum(u * u)
+    beta = np.sum(u * v) / uu if uu else 0.0
+    c = np.sqrt(np.sum((v - beta * u) ** 2))
+    return np.ldexp(np.sqrt(uu), ku), np.ldexp(beta * np.sqrt(uu), kv), np.ldexp(c, kv)
+
+
+def _pair_normals(seed: int, units: int) -> np.ndarray:
+    """(units, 2) standard normals: row p is entries 2p and 2p + 1 of the
+    Philox stream keyed (seed, 2**64 - 1), a key no path stream reaches, so
+    a unit's pair does not depend on the unit count."""
+    bits = np.random.Philox(key=np.array([int(seed) % 2**64, 2**64 - 1], dtype=np.uint64))
+    return np.random.Generator(bits).standard_normal((units, 2))
+
+
+def _outcomes(ensemble: PathEnsemble, load: np.ndarray) -> np.ndarray:
     """Per-path columns (sum_i load_i dX_i, X_T), kept on the ensemble for a
-    repeat of the load: blocks of BLOCK_PATHS, rounded up to whole groups of
-    PAYOFF_ROWS, each group one product with [scale load, scale], plus the
-    shift's share.  A BLAS row's summation order depends on the rows around
-    it, so fixed groups keep a path's numbers free of the blocking.  Worker
-    k of one pool (none for one thread) takes blocks k, k + threads, etc."""
+    repeat of the load.  Both are linear in the path's normals, so exactly
+    Gaussian: with (a, beta a, c) = _factor(scale, scale load) and (g1, g2)
+    the unit's _pair_normals, X_T = m_X + a g1 and the payment part is
+    m + beta a g1 + c g2 (m_X, m the shift's shares).  An antithetic
+    pair's second path takes the negated pair."""
     if ensemble.reduced is not None and np.array_equal(ensemble.reduced[0], load):
         return ensemble.reduced[1]
     n = ensemble.n_paths
-    block = -(-BLOCK_PATHS // PAYOFF_ROWS) * PAYOFF_ROWS
-    weights = np.stack([ensemble.scale * load, ensemble.scale]).T  # Fortran order reads faster
+    g = _pair_normals(ensemble.seed, n // 2 if ensemble.antithetic else n)
+    if ensemble.antithetic:
+        g = np.stack([g, -g], axis=1).reshape(n, 2)
+    a, beta_a, c = _factor(ensemble.scale, ensemble.scale * load)
     out = np.empty((n, 2))
-
-    def run(first):
-        z = np.empty((min(block, n), ensemble.scale.size))
-        for lo in range(first, n, threads * block):
-            rows = ensemble._fill(z[:min(block, n - lo)], lo)
-            for g in range(0, rows.shape[0], PAYOFF_ROWS):
-                np.matmul(rows[g:g + PAYOFF_ROWS], weights, out=out[lo + g:lo + g + PAYOFF_ROWS])
-
-    if threads == 1:
-        run(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for f in [pool.submit(run, k * block) for k in range(threads)]:
-                f.result()
-    out += [np.sum(ensemble.shift * load), ensemble.x0 + np.sum(ensemble.shift)]
+    out[:, 0] = np.sum(ensemble.shift * load) + beta_a * g[:, 0] + c * g[:, 1]
+    out[:, 1] = ensemble.x0 + np.sum(ensemble.shift) + a * g[:, 0]
     out.flags.writeable = False  # shared by every later reader of the ensemble
     ensemble.reduced = (np.array(load), out)
     return out
@@ -313,6 +296,39 @@ def delta_correction_check(model: MarketModel, prefs: Preferences,
     return _estimate(lhs - rhs, ensemble.antithetic)
 
 
+def _risk(gamma: float, weight: float, variance: Callable[[], float]) -> float:
+    """gamma weight v / 2, v = variance(): a CARA utility (risk aversion
+    gamma) of weight N(p, v) has the mean of its value at weight (p less
+    this), formed so as exp((gamma weight)^2 v / 2) alone can overflow.  A
+    zero gamma never forms v, which may overflow where it weighs nothing."""
+    return 0.5 * gamma * weight * variance() if gamma else 0.0
+
+
+def _grid_means(model: MarketModel, prefs: Preferences, solution: ContractSolution,
+                ensemble: PathEnsemble, sign: float = 0.0) -> tuple:
+    """Exact means of the agent's time-0 reward and the principal's utility
+    under _outcomes' law on the ensemble's grid.  With sign +-1 each
+    left-point sum moves by its spread (its terms' total variation plus the
+    largest, which bounds its O(dt) gap to the integral) in the direction
+    that moves both means by sign; the corners bound the gaps to targets."""
+    t_left = ensemble.grid[:-1]
+    dt, T = float(ensemble.grid[1]), model.horizon
+    load = solution.loading(t_left)
+
+    def total(terms, up):
+        spread = np.sum(np.abs(np.diff(terms))) + np.max(np.abs(terms))
+        return float(np.sum(terms) + up * sign * spread)
+
+    cost = prefs.cost_weight(t_left) * _cost_at_equilibrium(model, solution, t_left)
+    pay_sd, net_sd = ensemble.scale * load, ensemble.scale * (1.0 - load)
+    pay = solution.constant_term + total(ensemble.shift * load, 1) \
+        - _risk(prefs.gamma_a, float(prefs.cost_weight(T)), lambda: total(pay_sd ** 2, -1))
+    net = model.x0 - solution.constant_term + total(ensemble.shift * (1.0 - load), 1) \
+        - _risk(prefs.gamma_p, 1.0, lambda: total(net_sd ** 2, -1))
+    return (float(prefs.reward(float(prefs.discount.value(T)), pay, total(cost, -1) * dt)),
+            float(prefs.principal_u(net)))
+
+
 def spike_deviation_check(model: MarketModel, prefs: Preferences,
                           solution: ContractSolution, t: float, ell: float, alt_effort,
                           n_steps: int = 2000) -> McEstimate:
@@ -323,16 +339,12 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
     [0, T] give it, from the contract part realized along the mean path up
     to t, for the separable and the exponential-utility regimes alike.
     Seen from t, the payment is w_t + sum load sigma b(a) dt + N with
-    N ~ N(0, v), v = sum load^2 sigma^2 dt, whatever the action; a CARA
-    reward of that has the mean reward(w, p, k) exp((gamma_a b)^2 v / 2),
-    with b the weight the payment carries inside the utility (1, or w for
-    discounted income).  That is the reward at the payment less
-    gamma_a b v / 2, which is how it is formed: the factor alone can
-    overflow where the product is finite.  A risk-neutral agent has
-    gamma_a = 0, so the gain is the left-point sum of the window's drift
-    and cost differences.  Only constant and policy-valued deviations are
-    explored, so a pass is a necessary condition for equilibrium, not a
-    proof.
+    N ~ N(0, v), v = sum load^2 sigma^2 dt, whatever the action, so each
+    branch's mean reward is the reward at the payment less _risk.  A
+    risk-neutral agent has gamma_a = 0, so the gain is the left-point sum
+    of the window's drift and cost differences.  Only constant and
+    policy-valued deviations are explored, so a pass is a necessary
+    condition for equilibrium, not a proof.
     """
     T = model.horizon
     if not (math.isfinite(t) and math.isfinite(ell) and t >= 0.0 and ell > 0.0
@@ -361,10 +373,7 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
 
     w = float(prefs.discount.value(T - t))
     b = float(prefs.cost_weight(T - t))
-    # a risk-neutral agent's risk term is not formed: load^2 sigma^2 may
-    # overflow where its coefficient is zero
-    risk = (0.5 * prefs.gamma_a * b * float(np.sum(load * load * sig * sig) * dt)
-            if prefs.gamma_a else 0.0)
+    risk = _risk(prefs.gamma_a, b, lambda: float(np.sum(load * load * sig * sig) * dt))
 
     def value(actions):
         pay = w_t - risk + float(np.sum(load * (sig * pointwise(model.drift, r_left, actions))) * dt)
@@ -395,20 +404,21 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     at s = T/4 and T/2 (delta_correction_check and spike_deviation_check
     take any other s or spike).
 
-    One simulate gives the recipe of all paths, and one _outcomes call
-    streams it, on the given threads, to the payments and X_T, which
-    agent_value_mc, principal_value_mc and delta_correction_check then read
-    off the ensemble.  Stream keys depend only on the global path index and
-    the payoff groups line up with the blocks, so blocking and threads never
-    change the numbers.  An antithetic run with odd n_paths simulates one
-    more path.  Checks pass at 3 standard errors; the correction-identity
-    check adds an explicit O(dt) discretization allowance on top.  A
-    standard error needs two estimator units (paths, or antithetic pairs);
-    fewer raise ValueError.
+    One simulate gives the recipe of all paths; _outcomes draws their
+    payments and X_T once for agent_value_mc, principal_value_mc and
+    delta_correction_check.  An antithetic run with odd n_paths simulates
+    one more path.  Participation and the principal's value pass within 3
+    standard errors of their exact grid means (_grid_means), whose gaps to
+    the closed-form targets must lie within their O(dt) allowances; the
+    correction identity adds an O(dt) allowance to its 3 standard errors.
+    Fewer than two estimator units (paths, or antithetic pairs), or
+    threads below 1, raise ValueError; threads changes no work.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
     _check_estimator_units(n_paths, antithetic)
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be positive")
     if antithetic and "risk_neutral" in (prefs.agent_utility, prefs.principal_utility):
         # a risk-neutral reward is linear in the paths, so every antithetic
         # pair averages to the same number: the standard error is rounding
@@ -423,20 +433,23 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
         # undefined there raises ValueError before any path is simulated
         prefs.discount.value_extended(-s)
 
-    threads = _thread_count(threads)
     total = n_paths + n_paths % 2 if antithetic else n_paths
     ensemble = simulate(model, solution.effort, total, n_steps, seed, antithetic=antithetic)
     t_left = ensemble.grid[:-1]
-    # the one threaded fill; the estimators read its outcomes off the ensemble
-    _outcomes(ensemble, solution.loading(t_left), threads)
+    exact, *corners = [_grid_means(model, prefs, solution, ensemble, sign)
+                       for sign in (0.0, 1.0, -1.0)]
 
-    def estimated(est, target):
+    def estimated(k, est, target):
+        allowance = max(abs(corner[k] - exact[k]) for corner in corners)
         return {"mean": est.mean, "se": est.std_error, "target": target,
-                "pass": abs(est.mean - target) <= 3.0 * est.std_error}
+                "grid_mean": exact[k], "gap": exact[k] - target, "allowance": allowance,
+                "pass": (abs(est.mean - exact[k]) <= 3.0 * est.std_error
+                         and abs(exact[k] - target) <= allowance)}
 
     report = {
-        "participation": estimated(agent_value_mc(model, prefs, solution, ensemble), prefs.r0),
-        "principal_value": estimated(principal_value_mc(model, prefs, solution, ensemble),
+        "participation": estimated(0, agent_value_mc(model, prefs, solution, ensemble),
+                                   prefs.r0),
+        "principal_value": estimated(1, principal_value_mc(model, prefs, solution, ensemble),
                                      solution.value_principal),
         "spike_tests": [], "delta_residuals": [],
     }

@@ -263,6 +263,9 @@ def python_peak_rss_kb(*args):
     return code, max_rss_kb, run.stderr
 
 
+BENCH_VERIFY_CONFIGS = ["separable_hyp04", "discounted_income", "first_best_nonseparable"]
+
+
 @pytest.fixture(scope="module")
 def clean_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("verify")
@@ -394,6 +397,43 @@ class TestVerify:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["participation"]["se"] > 0.0 and report["pass"] is True
+
+    @pytest.mark.parametrize("paths,steps", [(100_000, 10), (1_000_000, 20), (1_000_000, 100)])
+    @pytest.mark.parametrize("config", BENCH_VERIFY_CONFIGS)
+    def test_bench_config_passes_when_paths_outnumber_steps(self, tmp_path, capsys, config,
+                                                            paths, steps):
+        # the means are judged against their exact means on the run's own
+        # grid, and the grid's O(dt) gap to the closed form against its own
+        # allowance, so a sound contract passes at any path count
+        cfg = os.path.join(ROOT, "perfbench", "configs", f"{config}.json")
+        rc = main(["verify", "--config", cfg, "--out", str(tmp_path), "--paths", str(paths),
+                   "--steps", str(steps)])
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: pass"
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for key in ("participation", "principal_value"):
+            row = report[key]
+            assert row["gap"] == row["grid_mean"] - row["target"]
+            assert abs(row["gap"]) <= row["allowance"]
+            assert abs(row["mean"] - row["grid_mean"]) <= 3.0 * row["se"]
+
+    @pytest.mark.parametrize("config", BENCH_VERIFY_CONFIGS)
+    def test_a_one_percent_constant_shift_fails_at_the_default_size(self, tmp_path, capsys,
+                                                                   config):
+        with open(os.path.join(ROOT, "perfbench", "configs", f"{config}.json")) as fh:
+            payload = dict(json.load(fh), perturb_constant_term=0.01)
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", write_config(tmp_path, payload), "--out", str(out)])
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
+        assert rc == 3
+        # the shift moves the exact grid mean with the payments, so the gap
+        # to the closed form, not the sampling, flags it
+        report = json.loads((out / "report.json").read_text())
+        for key in ("participation", "principal_value"):
+            row = report[key]
+            assert row["pass"] is False
+            assert abs(row["gap"]) > row["allowance"]
+            assert abs(row["mean"] - row["grid_mean"]) <= 3.0 * row["se"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads ru_maxrss in kilobytes, as Linux reports it")

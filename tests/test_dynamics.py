@@ -3,16 +3,14 @@
 The estimator checks run at reduced scale (tens of thousands of paths)
 and assert agreement within three standard errors, the same rule the
 verification report applies.  Determinism checks compare arrays exactly:
-stream keys depend only on (seed, global path index), so chunking and
-verify_contract's thread count must not change a single bit.
+the path streams are keyed by (seed, global path index) and a path's
+payment and X_T by the entries of its own pair of normals, so chunking,
+the path count and verify_contract's thread count must not change a
+single bit.
 """
 
-import concurrent.futures
 import dataclasses
 import math
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -33,7 +31,7 @@ from tic_contracts import (
 )
 from tic_contracts import dynamics
 from tic_contracts.closed_form import simpson
-from tic_contracts.dynamics import _cost_at_equilibrium, _normal_rows, _thread_count
+from tic_contracts.dynamics import _cost_at_equilibrium, _normal_rows
 from tic_contracts.hamiltonian import stars_on_grid
 
 
@@ -75,28 +73,19 @@ def discounted_income():
 # path generation
 
 
-def test_simulate_is_deterministic_and_chunkable(monkeypatch):
+def test_simulate_is_deterministic_and_chunkable():
     m = MarketModel.quadratic(0.0, 2.0, 1.0)
     full = simulate(m, 0.7, 40, 16, seed=3)
     again = simulate(m, 0.7, 40, 16, seed=3)
     np.testing.assert_array_equal(full.increments, again.increments)
     want = full.normals
-    # _outcomes fills blocks of BLOCK_PATHS rows, each keyed by its own
-    # first row, and together they are the rows of the whole array
-    blocks = []
-
-    def recording(out, seed, first_key):
-        _normal_rows(out, seed, first_key)
-        blocks.append((first_key, out.copy()))
-
-    monkeypatch.setattr(dynamics, "_normal_rows", recording)
-    for block in (dynamics.PAYOFF_ROWS, 16, dynamics.BLOCK_PATHS):
-        monkeypatch.setattr(dynamics, "BLOCK_PATHS", block)
-        blocks.clear()
-        dynamics._outcomes(simulate(m, 0.7, 40, 16, seed=3), np.ones(16))
-        assert len(blocks) == -(-40 // block)
-        blocks.sort(key=lambda b: b[0])
-        np.testing.assert_array_equal(np.vstack([rows for _, rows in blocks]), want)
+    # chunks of rows, each keyed by its own first row, are together the
+    # rows of the whole array
+    for chunk in (1, 7, 16, 40):
+        rows = np.empty_like(want)
+        for lo in range(0, 40, chunk):
+            _normal_rows(rows[lo:lo + chunk], 3, lo)
+        np.testing.assert_array_equal(rows, want)
     other_seed = simulate(m, 0.7, 40, 16, seed=4)
     assert not np.array_equal(full.increments, other_seed.increments)
 
@@ -147,12 +136,20 @@ def test_simulate_validates_inputs():
         with pytest.raises(ValueError, match="signed 64-bit"):
             simulate(m, 0.5, 4, 8, seed=seed)
     ens = simulate(m, 0.5, 4, 8, seed=1)
-    # X_T is the verifier's own, bit for bit, and the sum of the increments
-    # up to rounding
+    # X_T is the verifier's own, bit for bit; the payment part and X_T are
+    # the mean plus the recorded pair times the factor's rows, and the
+    # factor times its transpose is the Gram matrix of [scale load, scale]
     load = np.linspace(0.5, 1.5, 8)
-    np.testing.assert_array_equal(ens.terminal, dynamics._outcomes(ens, load)[:, 1])
-    np.testing.assert_allclose(ens.terminal, ens.x0 + ens.increments.sum(axis=1),
-                               rtol=0.0, atol=1e-12)
+    out = dynamics._outcomes(ens, load)
+    np.testing.assert_array_equal(ens.terminal, out[:, 1])
+    g = dynamics._pair_normals(1, 4)
+    a, beta_a, c = dynamics._factor(ens.scale, ens.scale * load)
+    np.testing.assert_array_equal(out[:, 0], np.sum(ens.shift * load) + beta_a * g[:, 0]
+                                  + c * g[:, 1])
+    np.testing.assert_array_equal(out[:, 1], ens.x0 + np.sum(ens.shift) + a * g[:, 0])
+    f = np.array([[beta_a, c], [a, 0.0]])
+    cols = np.stack([ens.scale * load, ens.scale])
+    np.testing.assert_allclose(f @ f.T, cols @ cols.T, rtol=1e-15, atol=0.0)
 
 
 def test_increments_are_the_scaled_and_shifted_normals():
@@ -169,8 +166,8 @@ def test_increments_are_the_scaled_and_shifted_normals():
 
 
 def test_verify_contract_forms_no_increments(separable, discounted_income, monkeypatch):
-    # each block's normals reduce straight to the payments and X_T, and
-    # that X_T is the ensemble's terminal, bit for bit
+    # the payments and X_T are drawn from their law, and that X_T is the
+    # ensemble's terminal, bit for bit
     def no_increments(self):
         raise AssertionError("formed the increments")
 
@@ -187,20 +184,6 @@ def test_verify_contract_forms_no_increments(separable, discounted_income, monke
         verify_contract(m, p, sol, n_paths=300, n_steps=30, seed=5, antithetic=antithetic)
         ens = simulate(m, sol.effort, 300, 30, seed=5, antithetic=antithetic)
         np.testing.assert_array_equal(seen.pop(), ens.terminal)
-
-
-def test_thread_count_is_capped_at_the_cpu_count():
-    # only the count is computed; no worker is started
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    before = threading.active_count()
-    assert _thread_count(10**9) == cpus
-    assert _thread_count(1) == 1
-    assert _thread_count(None) == 1
-    for threads in (0, -3):
-        with pytest.raises(ValueError, match="threads must be positive"):
-            _thread_count(threads)
-    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -248,44 +231,76 @@ def test_contract_payoff_is_the_loading_integral(separable):
     np.testing.assert_allclose(pay, ref, atol=1e-8)
 
 
-def test_contract_payoff_does_not_depend_on_the_blocking(separable, monkeypatch):
-    # a BLAS matrix-vector product sums a row in an order that depends on
-    # the rows around it; fixed groups of rows make each payment a function
-    # of its path alone
-    m, _, sol = separable
-    n_paths, n_steps = 901, 1000
-    monkeypatch.setattr(dynamics, "BLOCK_PATHS", n_paths)  # one block
-    want = contract_payoff(sol, simulate(m, sol.effort, n_paths, n_steps, seed=4))
-    for block in (dynamics.PAYOFF_ROWS, 64, 256):
-        monkeypatch.setattr(dynamics, "BLOCK_PATHS", block)
-        got = contract_payoff(sol, simulate(m, sol.effort, n_paths, n_steps, seed=4))
-        np.testing.assert_array_equal(got, want)
+def test_contract_payoff_does_not_depend_on_the_blocking(separable, discounted_income):
+    # path p reads entries 2p and 2p + 1 of the pair stream: its payment and
+    # X_T are a function of its index alone, whatever the path count
+    for (m, _, sol), antithetic in ((separable, False), (discounted_income, True)):
+        n_steps = 1000
+        want = simulate(m, sol.effort, 902, n_steps, seed=4, antithetic=antithetic)
+        pay, terminal = contract_payoff(sol, want), want.terminal
+        for n_paths in (2, 64, 256, 900):
+            got = simulate(m, sol.effort, n_paths, n_steps, seed=4, antithetic=antithetic)
+            np.testing.assert_array_equal(contract_payoff(sol, got), pay[:n_paths])
+            np.testing.assert_array_equal(got.terminal, terminal[:n_paths])
+
+
+def test_a_flat_loading_makes_the_payment_affine_in_x_t():
+    # scale load is a power-of-two multiple of scale, so Gram-Schmidt leaves
+    # no orthogonal part, and payment and X_T share one normal
+    m = MarketModel.quadratic(0.1, 2.0, 1.0)
+    ens = simulate(m, lambda t: 0.5 + 0.2 * t, 500, 64, seed=8)
+    for k in (1.0, 0.75, 0.0):
+        load = np.full(64, k)
+        pay, terminal = dynamics._outcomes(ens, load).T
+        a, beta_a, c = dynamics._factor(ens.scale, ens.scale * load)
+        assert c == 0.0 and beta_a == k * a
+        g = (terminal - ens.x0 - np.sum(ens.shift)) / a
+        np.testing.assert_allclose(pay, np.sum(ens.shift * load) + beta_a * g,
+                                   rtol=0.0, atol=1e-14)
+        assert float(np.ptp(pay - k * terminal)) <= 1e-14
+
+
+def test_antithetic_pairs_mirror_the_payment_and_x_t(discounted_income):
+    m, _, sol = discounted_income
+    ens = simulate(m, sol.effort, 400, 50, seed=6, antithetic=True)
+    load = sol.loading(ens.grid[:-1])
+    out = dynamics._outcomes(ens, load)
+    mean = np.array([np.sum(ens.shift * load), ens.x0 + np.sum(ens.shift)])
+    np.testing.assert_allclose(out[0::2] + out[1::2], np.tile(2.0 * mean, (200, 1)),
+                               rtol=0.0, atol=1e-13)
+    # unit j is the plain run's path j, and its mirror the negated pair
+    plain = dynamics._outcomes(simulate(m, sol.effort, 200, 50, seed=6), load)
+    np.testing.assert_array_equal(out[0::2], plain)
+    np.testing.assert_allclose(out[1::2], 2.0 * mean - plain, rtol=0.0, atol=1e-13)
 
 
 def test_an_ensemble_fills_each_path_once(separable, discounted_income, monkeypatch):
     # simulate only checks the recipe; the estimators, the payments and X_T
-    # then share one streamed reduction, in whole blocks
-    fills = []
+    # then share one draw of a pair per estimator unit, and no path stream
+    # is filled
+    fills, pairs = [], []
 
     def recording(out, seed, first_key):
         fills.append((first_key, out.shape[0]))
         _normal_rows(out, seed, first_key)
 
+    def recording_pairs(seed, units):
+        pairs.append(units)
+        return pair_normals(seed, units)
+
+    pair_normals = dynamics._pair_normals
     monkeypatch.setattr(dynamics, "_normal_rows", recording)
-    block = -(-dynamics.BLOCK_PATHS // dynamics.PAYOFF_ROWS) * dynamics.PAYOFF_ROWS
-    total = 2 * block + 102
+    monkeypatch.setattr(dynamics, "_pair_normals", recording_pairs)
+    total = 614
     for (m, p, sol), antithetic in ((separable, False), (discounted_income, True)):
-        fills.clear()
+        pairs.clear()
         ens = simulate(m, sol.effort, total, 20, seed=5, antithetic=antithetic)
-        assert fills == []
+        assert fills == [] and pairs == []
         agent = agent_value_mc(m, p, sol, ens)
         principal = principal_value_mc(m, p, sol, ens)
         pay, terminal = contract_payoff(sol, ens), ens.terminal
-        # an antithetic pair of paths is one stream
-        streams = total // 2 if antithetic else total
-        keys = [key for first, rows in sorted(fills) for key in range(first, first + rows)]
-        assert keys == list(range(streams))
-        assert max(rows for _, rows in fills) <= (block // 2 if antithetic else block)
+        # an antithetic pair of paths is one unit
+        assert fills == [] and pairs == [total // 2 if antithetic else total]
         np.testing.assert_array_equal(pay, contract_payoff(sol, dataclasses.replace(ens)))
         np.testing.assert_array_equal(terminal, dataclasses.replace(ens).terminal)
         rep = verify_contract(m, p, sol, n_paths=total, n_steps=20, seed=5,
@@ -618,17 +633,15 @@ def test_verify_contract_spikes_every_second_best_regime(discounted_utility,
     assert rep["spike_tests"] == [] and rep["delta_residuals"] == []
 
 
-def test_verify_contract_chunking_is_invisible(separable, discounted_income, monkeypatch):
+def test_verify_contract_chunking_is_invisible(separable, discounted_income):
     n_paths, n_steps, seed = 901, 1000, 5
     # antithetic sampling needs exponential utilities on both sides, so
-    # that leg runs on the exp/exp discounted-income contract
+    # that leg runs on the exp/exp discounted-income contract; the thread
+    # count is validated and changes no number
     for (m, p, sol), antithetic in ((separable, False), (discounted_income, True)):
-        reports = []
-        for block in (3, 64, dynamics.BLOCK_PATHS):
-            monkeypatch.setattr(dynamics, "BLOCK_PATHS", block)
-            reports.append(verify_contract(m, p, sol, n_paths=n_paths, n_steps=n_steps,
-                                           seed=seed, antithetic=antithetic))
-        monkeypatch.undo()
+        reports = [verify_contract(m, p, sol, n_paths=n_paths, n_steps=n_steps, seed=seed,
+                                   antithetic=antithetic, threads=threads)
+                   for threads in (None, 1, 2)]
         assert reports[0] == reports[1] == reports[2]
         # the same estimates from one ensemble of all paths (an antithetic
         # run rounds an odd path count up to the next pair)
@@ -644,88 +657,6 @@ def test_verify_contract_chunking_is_invisible(separable, discounted_income, mon
         for row in rep["delta_residuals"]:
             est = delta_correction_check(m, p, sol, ens, row["s"])
             assert (row["mean"], row["se"]) == (est.mean, est.std_error)
-
-
-def test_one_thread_verify_never_asks_for_the_cpu_count(separable, monkeypatch):
-    m, p, sol = separable
-    asked = []
-
-    def cpus(*_args):
-        asked.append(1)
-        return {0, 1}
-
-    monkeypatch.setattr(dynamics.os, "sched_getaffinity", cpus, raising=False)
-    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: len(cpus()))
-    n_paths = 3 * dynamics.BLOCK_PATHS  # three blocks
-    # the two-thread run goes first, so a block it drops cannot read rows
-    # that an earlier run left in reused memory
-    two = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, seed=5, threads=2)
-    assert asked
-    asked.clear()
-    one = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, seed=5)
-    assert asked == [] and one == two
-
-
-def test_verify_workers_take_whole_blocks_from_one_pool(discounted_income, monkeypatch):
-    # two CPUs are faked, so a one-core host splits the work too
-    m, p, sol = discounted_income
-    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
-    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 2)
-    calls, pools = [], []
-
-    def recording(out, seed, first_key):
-        # an antithetic block fills one stream per pair of paths
-        calls.append((2 * first_key, 2 * out.shape[0], threading.get_ident()))
-        _normal_rows(out, seed, first_key)
-
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "_normal_rows", recording)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    block = dynamics.BLOCK_PATHS
-    n_paths = 2 * block + 101  # odd: the antithetic run simulates 2 * block + 102
-    total = n_paths + 1
-    reports = {}
-    for threads in (2, 1):  # one thread second, as in the test below
-        calls.clear()
-        pools.clear()
-        reports[threads] = verify_contract(m, p, sol, n_paths=n_paths, n_steps=20, seed=5,
-                                           antithetic=True, threads=threads)
-        offsets = sorted(calls)
-        # whole blocks cover [0, total) once; only the last is partial
-        assert [(lo, n) for lo, n, _ in offsets] == [(0, block), (block, block),
-                                                     (2 * block, total - 2 * block)]
-        idents = [ident for _, _, ident in offsets]
-        if threads == 1:
-            assert pools == [] and set(idents) == {threading.get_ident()}
-        else:
-            # worker k fills blocks k, k + 2, ... off the calling thread
-            assert pools == [1]
-            assert idents[0] == idents[2] and threading.get_ident() not in idents
-    assert reports[1] == reports[2]
-
-
-def test_verify_workers_under_fast_thread_switching(discounted_income, monkeypatch):
-    # more workers than cores, 51 small blocks and a short switch interval:
-    # a lost or misplaced block would change the report
-    m, p, sol = discounted_income
-    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda _pid: set(range(8)),
-                        raising=False)
-    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(dynamics, "BLOCK_PATHS", 8)
-    kwargs = dict(n_paths=403, n_steps=20, seed=9, antithetic=True)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        many = verify_contract(m, p, sol, threads=8, **kwargs)
-    finally:
-        sys.setswitchinterval(interval)
-    # the one-thread run goes second: np.empty could hand the threaded run
-    # an earlier run's rows, which would hide a block it never wrote
-    assert many == verify_contract(m, p, sol, **kwargs)
 
 
 def test_verify_contract_refuses_antithetic_sampling_of_a_linear_reward(separable,
