@@ -313,7 +313,7 @@ def cmd_verify(args) -> int:
         sol = sol.shifted(s["perturb_constant_term"])
     report = dynamics.verify_contract(
         model, prefs, sol, n_paths=s["n_paths"], n_steps=s["n_steps"], seed=s["seed"],
-        antithetic=s["antithetic"], threads=s["threads"])
+        antithetic=s["antithetic"])
     _write_json(os.path.join(_ensure_outdir(args.out), "report.json"), report)
 
     def verdict(ok):

@@ -47,8 +47,8 @@ def search_max(evaluate, lo, hi, points):
     direct comparisons.  Its slope and curvature come from five-point
     central differences at h = 1e-4 max(hi - lo, 1), wide enough that the
     values' rounding noise barely moves them; the step is clipped to 2h
-    and taken where the curvature stands clearly above that noise and the
-    value does not fall beyond a tie.
+    and taken where the curvature stands clearly above that noise (never
+    where the stencil overflows) and the value does not fall beyond a tie.
 
     Returns (argmax, value) arrays with one entry per row.
     """
@@ -84,11 +84,12 @@ def search_max(evaluate, lo, hi, points):
         stencil = x_best[rows, None] + h[:, None] * np.arange(-2.0, 3.0)
         f2m, f1m, f0, f1p, f2p = evaluate(stencil, rows).T
         # the five-point slope and curvature, times 12 h and 12 h^2
-        slope = f2m - 8.0 * f1m + 8.0 * f1p - f2p
-        curve = -f2m + 16.0 * f1m - 30.0 * f0 + 16.0 * f1p - f2p
-        # require curvature clearly above the rounding noise of the sum
-        curved = curve < -1e-12 * (np.abs(f2m) + 16.0 * np.abs(f1m) + 30.0 * np.abs(f0)
-                                   + 16.0 * np.abs(f1p) + np.abs(f2p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = f2m - 8.0 * f1m + 8.0 * f1p - f2p
+            curve = -f2m + 16.0 * f1m - 30.0 * f0 + 16.0 * f1p - f2p
+            # require curvature clearly above the rounding noise of the sum
+            curved = curve < -1e-12 * (np.abs(f2m) + 16.0 * np.abs(f1m) + 30.0 * np.abs(f0)
+                                       + 16.0 * np.abs(f1p) + np.abs(f2p))
         rows, h = rows[curved], h[curved]
         step = -h * slope[curved] / curve[curved]
     if rows.size:

@@ -417,6 +417,27 @@ class TestVerify:
             assert abs(row["gap"]) <= row["allowance"]
             assert abs(row["mean"] - row["grid_mean"]) <= 3.0 * row["se"]
 
+    @pytest.mark.parametrize("config,preferences", [
+        ("separable_hyp04", {"spec": "first_best_separable"}),
+        ("discounted_income", {"agent": "risk_neutral", "principal": "risk_neutral",
+                               "gamma_a": 0.0, "gamma_p": 0.0, "r0": 0.05,
+                               "discount": {"variant": "exponential", "gamma": 0.1}}),
+    ])
+    def test_an_exact_contract_passes_within_rounding(self, tmp_path, capsys, config,
+                                                      preferences):
+        # the first agent's and the second principal's rewards are
+        # deterministic (a flat loading of one), so their standard error is
+        # near 1e-20 and the Monte Carlo mean may sit ulps from the exact one
+        with open(os.path.join(ROOT, "perfbench", "configs", f"{config}.json")) as fh:
+            payload = json.load(fh)
+        payload["preferences"].update(preferences)
+        rc = main(["verify", "--config", write_config(tmp_path, payload), "--out",
+                   str(tmp_path)])
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: pass"
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert min(report[key]["se"] for key in ("participation", "principal_value")) < 1e-15
+
     @pytest.mark.parametrize("config", BENCH_VERIFY_CONFIGS)
     def test_a_one_percent_constant_shift_fails_at_the_default_size(self, tmp_path, capsys,
                                                                    config):
@@ -864,6 +885,39 @@ class TestBadNumbers:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path),
                      "--paths", "2000", "--steps", "100"]) == 0
         assert "RuntimeWarning" not in capsys.readouterr().err
+
+    def test_overflowing_spike_reward_exits_2_without_a_warning(self, tmp_path, capsys):
+        # seen from t = 7.5 the CARA agent's mean reward is about -exp(4180),
+        # so the spike check refuses it rather than report the gain
+        # -inf - -inf; the suite turns any warning into an error
+        config = {"grid_points": 501, "model": {
+            "x0": 0.3, "T": 10.0, "sigma": 1.0, "drift": {"family": "quadratic"},
+            "cost": {"family": "quadratic"}, "action": [0.0, 10.0]}, "preferences": {
+            "agent": "exponential", "principal": "exponential", "gamma_a": 1.0,
+            "gamma_p": 1.0, "r0": -10.0, "discount": {"variant": "exponential", "gamma": 1.0},
+            "spec": "discounted_income"}}
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solved")]) == 0
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert "spike check: the agent's mean reward seen from t = 7.5 is not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflowing_exposure_polish_exits_2_without_a_warning(self, tmp_path, capsys,
+                                                                   command):
+        # the five-point polish of the exposure search overflows; its rows
+        # stay unpolished, and the solve fails on the principal's value
+        with open(os.path.join(ROOT, "perfbench", "configs", "discounted_income.json")) as fh:
+            config = json.load(fh)
+        config["model"]["sigma"] = 1e154
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert "principal value diverged" in err
 
     def test_diverging_principal_value_exits_2(self, tmp_path, capsys):
         bad = json.loads(json.dumps(HM_DU_CONFIG))

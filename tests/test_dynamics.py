@@ -4,9 +4,8 @@ The estimator checks run at reduced scale (tens of thousands of paths)
 and assert agreement within three standard errors, the same rule the
 verification report applies.  Determinism checks compare arrays exactly:
 the path streams are keyed by (seed, global path index) and a path's
-payment and X_T by the entries of its own pair of normals, so chunking,
-the path count and verify_contract's thread count must not change a
-single bit.
+payment and X_T by the entries of its own pair of normals, so neither
+chunking nor the path count may change a single bit.
 """
 
 import dataclasses
@@ -184,13 +183,6 @@ def test_verify_contract_forms_no_increments(separable, discounted_income, monke
         verify_contract(m, p, sol, n_paths=300, n_steps=30, seed=5, antithetic=antithetic)
         ens = simulate(m, sol.effort, 300, 30, seed=5, antithetic=antithetic)
         np.testing.assert_array_equal(seen.pop(), ens.terminal)
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_nonpositive_thread_counts_are_refused(separable, threads):
-    m, p, sol = separable
-    with pytest.raises(ValueError, match="threads must be positive"):
-        verify_contract(m, p, sol, n_paths=8, n_steps=8, seed=1, threads=threads)
 
 
 def test_standard_error_of_huge_units_is_finite():
@@ -636,20 +628,16 @@ def test_verify_contract_spikes_every_second_best_regime(discounted_utility,
 def test_verify_contract_chunking_is_invisible(separable, discounted_income):
     n_paths, n_steps, seed = 901, 1000, 5
     # antithetic sampling needs exponential utilities on both sides, so
-    # that leg runs on the exp/exp discounted-income contract; the thread
-    # count is validated and changes no number
+    # that leg runs on the exp/exp discounted-income contract
     for (m, p, sol), antithetic in ((separable, False), (discounted_income, True)):
-        reports = [verify_contract(m, p, sol, n_paths=n_paths, n_steps=n_steps, seed=seed,
-                                   antithetic=antithetic, threads=threads)
-                   for threads in (None, 1, 2)]
-        assert reports[0] == reports[1] == reports[2]
+        rep = verify_contract(m, p, sol, n_paths=n_paths, n_steps=n_steps, seed=seed,
+                              antithetic=antithetic)
         # the same estimates from one ensemble of all paths (an antithetic
         # run rounds an odd path count up to the next pair)
         total = n_paths + 1 if antithetic else n_paths
         ens = simulate(m, sol.effort, total, n_steps, seed=seed, antithetic=antithetic)
         agent = agent_value_mc(m, p, sol, ens)
         principal = principal_value_mc(m, p, sol, ens)
-        rep = reports[0]
         assert (rep["participation"]["mean"], rep["participation"]["se"]) == \
             (agent.mean, agent.std_error)
         assert (rep["principal_value"]["mean"], rep["principal_value"]["se"]) == \
