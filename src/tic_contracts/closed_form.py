@@ -175,7 +175,6 @@ class ContractSolution:
     z_star: np.ndarray
     loading_values: np.ndarray
     effort_values: np.ndarray
-    label: str = ""
 
     def loading(self, t):
         return np.interp(t, self.grid, self.loading_values)
@@ -200,7 +199,7 @@ class ContractSolution:
             "z_star": {"grid": self.grid.tolist(), "values": self.z_star.tolist()},
             "loading": {"grid": self.grid.tolist(), "values": self.loading_values.tolist()},
             "effort": {"grid": self.grid.tolist(), "values": self.effort_values.tolist()},
-            "label": self.label,
+            "label": "",
         }
 
 

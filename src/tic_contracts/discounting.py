@@ -7,10 +7,10 @@ Three parametric families are supported:
 * quasi-hyperbolic   f(t) = (1 - beta) * exp(-t * (lam + gamma)) + beta * exp(-gamma * t)
 
 All three satisfy f(0) = 1 and f > 0, and each comes with a closed-form
-derivative and instantaneous discount rate idr(t) = -f'(t) / f(t).  The
-exponential family has constant idr; the other two do not, which is what
-makes an agent discounting with them time-inconsistent.  The exponential
-curve is evaluated as the hyperbolic one at alpha = 0.
+instantaneous discount rate idr(t) = -f'(t) / f(t).  The exponential
+family has constant idr; the other two do not, which is what makes an
+agent discounting with them time-inconsistent.  The exponential curve is
+evaluated as the hyperbolic one at alpha = 0.
 
 The public evaluators reject negative times.  Generator code that needs
 f(r - s) for r < s goes through :meth:`DiscountSpec.value_extended`, which
@@ -45,7 +45,7 @@ class DiscountSpec:
 
     The constructor reads each parameter by from_json's number rule and
     refuses one that the variant does not read unless it is at its
-    default, so every spec survives its JSON round trip; the factory
+    default, so every spec is one that from_json can build; the factory
     classmethods build each variant.
     """
 
@@ -97,26 +97,11 @@ class DiscountSpec:
         t = _check_nonnegative(t)
         return self._value_raw(t)
 
-    def derivative(self, t):
-        """Closed-form f'(t) for t >= 0."""
-        t = _check_nonnegative(t)
-        g, a = self.gamma, self.alpha
-        # a huge rate times t overflows to infinity, where f' is 0
-        with np.errstate(over="ignore"):
-            if self.variant == "quasi_hyperbolic":
-                b, lam = self.beta, self.lam
-                return -(lam + g) * (1.0 - b) * np.exp(-t * (lam + g)) - g * b * np.exp(-g * t)
-            if a == 0.0:
-                return -g * np.exp(-g * t)
-            # f' = -gamma * (1 + alpha t)^(-gamma/alpha - 1)
-            return -g * self._value_raw(t) / (1.0 + a * t)
-
     def idr(self, t):
         """Instantaneous discount rate -f'(t)/f(t), from its own closed form.
 
         Computed from the per-variant formula rather than as a quotient of
-        value() and derivative(), so it stays stable for large t where both
-        f and f' underflow.
+        f' and f, so it stays stable for large t where both underflow.
         """
         t = _check_nonnegative(t)
         g = self.gamma
@@ -173,13 +158,7 @@ class DiscountSpec:
                 return np.exp(-g * t)
             return np.exp((-g / a) * np.log1p(a * t))
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        out = {"variant": self.variant, "gamma": self.gamma}
-        for name, key in _PARAMETERS[self.variant].items():
-            out[key] = getattr(self, name)
-        return out
+    # -- JSON input ------------------------------------------------------
 
     @classmethod
     def from_json(cls, obj) -> "DiscountSpec":

@@ -21,8 +21,10 @@ h = lam z - w cost does not read Y.  An exponential agent's action
 answers the exposure over the marginal utility -gamma_a Y, so it reads
 each path's diagonal value and is solved per step; h = lam z + gamma_a w cost Y.
 The cost weight w is f(t - s), or 1 where the discount sits outside the
-utility.  The stochastic integral uses each path's own increments, so
-Volterra and Monte Carlo checks share noise.
+utility.  The stochastic integral uses each path's own increments, so a
+path's payment is constant_term + sum_j loading(t_j) dX_j on the march
+grid; contract_payoff draws its payments from a stream of its own, which
+the march does not share.
 For a risk-neutral agent and a :class:`ProductFamily` z(s, t) = a(s) b(t),
 as both shipped families are, Y^s_T = y0(s) + a(s) sum_j b_j (dX_j - lam_j dt)
 + dt sum_j f(t_j - s) cost_j: one cumulative sum per path and one

@@ -9,7 +9,7 @@ regime tag that tells the solvers which closed form applies.
 The builtin drift/cost families are the ones the solvers know closed-form
 maximizers for.  Custom callables are accepted everywhere: they may take
 numpy arrays, and scalar-only ones are evaluated point by point.  They
-force the search-based best response and cannot be serialized.
+force the search-based best response.
 """
 
 from __future__ import annotations
@@ -70,15 +70,11 @@ def pointwise(fn, *arrays):
 
 @dataclass(frozen=True)
 class Families:
-    """The builtin families a model was built from: their JSON form (the
-    constant volatility sigma and {"family": name, "params": {...}} drift
-    and cost entries), the drift's slope with sigma b(a) = slope * a, and
-    stationary(s), the stationary point of s a - c(a).
+    """The builtin families a model was built from: the drift's slope with
+    sigma b(a) = slope * a, and stationary(s), the stationary point of
+    s a - c(a).
     """
 
-    sigma: float
-    drift: dict
-    cost: dict
     slope: float
     stationary: Callable
 
@@ -90,9 +86,8 @@ class MarketModel:
     sigma(t), drift(t, a) and cost(t, a) are callables; they may take
     numpy arrays (evaluated elementwise), and scalar-only ones are evaluated
     point by point (see :func:`pointwise`).  Models built by the family
-    constructors carry their ``families`` descriptor, which gives JSON
-    serialization and the closed-form best response; it is None for
-    custom callables.
+    constructors carry their ``families`` descriptor, which gives the
+    closed-form best response; it is None for custom callables.
     """
 
     x0: float
@@ -122,10 +117,10 @@ class MarketModel:
         sigma = float(sigma)
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
-        drift = {"family": drift[0], "params": dict(drift[1])}
-        cost = {"family": cost[0], "params": dict(cost[1])}
-        drift_fn, slope = _make_drift(drift["family"], sigma)
-        cost_fn, stationary = _make_cost(cost["family"], cost["params"])
+        dict(drift[1])  # no builtin drift reads params, but they must be a mapping
+        cost_params = dict(cost[1])
+        drift_fn, slope = _make_drift(drift[0], sigma)
+        cost_fn, stationary = _make_cost(cost[0], cost_params)
         return cls(
             x0=float(x0),
             horizon=float(horizon),
@@ -134,7 +129,7 @@ class MarketModel:
             cost=cost_fn,
             action_lo=float(action[0]),
             action_hi=float(action[1]),
-            families=Families(sigma, drift, cost, slope, stationary),
+            families=Families(slope, stationary),
         )
 
     @classmethod
@@ -183,19 +178,6 @@ class MarketModel:
         a = np.clip(fam.stationary(fam.slope * np.asarray(z, dtype=float)),
                     self.action_lo, self.action_hi)
         return fam.slope * a, self.cost(0.0, a), a
-
-    def to_json(self) -> dict:
-        if self.families is None:
-            raise ValueError("only builtin-family models serialize to JSON")
-        fam = self.families
-        return {
-            "x0": self.x0,
-            "T": self.horizon,
-            "sigma": fam.sigma,
-            "drift": {"family": fam.drift["family"], "params": dict(fam.drift["params"])},
-            "cost": {"family": fam.cost["family"], "params": dict(fam.cost["params"])},
-            "action": [self.action_lo, self.action_hi],
-        }
 
     @classmethod
     def from_json(cls, obj) -> "MarketModel":
@@ -337,17 +319,6 @@ class Preferences:
             return x
         g = self.gamma_p
         return -np.exp(-g * np.asarray(x, dtype=float)) / g
-
-    def to_json(self) -> dict:
-        return {
-            "agent": self.agent_utility,
-            "principal": self.principal_utility,
-            "gamma_a": self.gamma_a,
-            "gamma_p": self.gamma_p,
-            "r0": self.r0,
-            "discount": self.discount.to_json(),
-            "spec": self.spec_tag,
-        }
 
     @classmethod
     def from_json(cls, obj) -> "Preferences":

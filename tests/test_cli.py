@@ -438,6 +438,26 @@ class TestVerify:
         report = json.loads((tmp_path / "report.json").read_text())
         assert min(report[key]["se"] for key in ("participation", "principal_value")) < 1e-15
 
+    def test_a_costless_correction_identity_passes_within_rounding(self, tmp_path, capsys):
+        # the only action is 0, so the cost and the identity's allowance are
+        # 0, and its residual is rounding on rewards near r0 = 434
+        power = {"family": "power", "params": {"p": 1.001}}
+        payload = {
+            "model": {"x0": 0.1, "T": 2.0, "sigma": 1.0, "drift": power, "cost": power,
+                      "action": [0.0, 0.0]},
+            "preferences": {"agent": "risk_neutral", "principal": "risk_neutral", "r0": 434.0,
+                            "discount": {"variant": "hyperbolic", "gamma": 1.0, "alpha": 0.1},
+                            "spec": "separable_rn"},
+            "grid_points": 51,
+        }
+        rc = main(["verify", "--config", write_config(tmp_path, payload), "--out",
+                   str(tmp_path), "--paths", "50", "--steps", "50", "--seed", "4"])
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: pass"
+        assert rc == 0
+        rows = json.loads((tmp_path / "report.json").read_text())["delta_residuals"]
+        assert [row["allowance"] for row in rows] == [0.0, 0.0]
+        assert all(0.0 < abs(row["mean"]) < 1e-12 and row["pass"] for row in rows)
+
     @pytest.mark.parametrize("config", BENCH_VERIFY_CONFIGS)
     def test_a_one_percent_constant_shift_fails_at_the_default_size(self, tmp_path, capsys,
                                                                    config):

@@ -30,7 +30,7 @@ from tic_contracts import (
 )
 from tic_contracts import dynamics
 from tic_contracts.closed_form import simpson
-from tic_contracts.dynamics import _cost_at_equilibrium, _normal_rows
+from tic_contracts.dynamics import _cost_at_equilibrium, _normal_rows, _stream
 from tic_contracts.hamiltonian import stars_on_grid
 
 
@@ -77,14 +77,11 @@ def test_simulate_is_deterministic_and_chunkable():
     full = simulate(m, 0.7, 40, 16, seed=3)
     again = simulate(m, 0.7, 40, 16, seed=3)
     np.testing.assert_array_equal(full.increments, again.increments)
-    want = full.normals
-    # chunks of rows, each keyed by its own first row, are together the
-    # rows of the whole array
-    for chunk in (1, 7, 16, 40):
-        rows = np.empty_like(want)
-        for lo in range(0, 40, chunk):
-            _normal_rows(rows[lo:lo + chunk], 3, lo)
-        np.testing.assert_array_equal(rows, want)
+    # each row is keyed by its own path index, so a smaller ensemble is the
+    # first rows of the whole one
+    for n_paths in (1, 7, 16, 39):
+        np.testing.assert_array_equal(simulate(m, 0.7, n_paths, 16, seed=3).normals,
+                                      full.normals[:n_paths])
     other_seed = simulate(m, 0.7, 40, 16, seed=4)
     assert not np.array_equal(full.increments, other_seed.increments)
 
@@ -98,20 +95,15 @@ def test_reading_the_increments_keeps_no_path_array():
     assert kept == []
 
 
-@pytest.mark.parametrize("calls", [1, 2])
-@pytest.mark.parametrize("first_key", [0, 5, 2**40])
 @pytest.mark.parametrize("seed", [0, 7, -1, -2**63, 2**63 - 1])
-def test_normal_rows_are_the_per_path_philox_streams(seed, first_key, calls):
-    # the definition: row p is a new generator keyed (seed, first_key + p),
-    # whether the rows are filled in one call or split across two
-    out = np.empty((5, 33))
-    split = 5 if calls == 1 else 2
-    _normal_rows(out[:split], seed, first_key)
-    _normal_rows(out[split:], seed, first_key + split)
+def test_normal_rows_are_the_per_path_philox_streams(seed):
+    # the definition: row p is a new generator keyed (seed, p)
+    m = MarketModel.quadratic(0.0, 2.0, 1.0)
+    normals = simulate(m, 0.7, 5, 33, seed=seed).normals
     for p in range(5):
-        want = np.random.Generator(
-            np.random.Philox(key=[seed, first_key + p])).standard_normal(33)
-        np.testing.assert_array_equal(out[p], want)
+        want = np.random.Generator(np.random.Philox(key=[seed, p])).standard_normal(33)
+        np.testing.assert_array_equal(_stream(seed, p).standard_normal(33), want)
+        np.testing.assert_array_equal(normals[p], want)
 
 
 def test_simulate_antithetic_pairs_mirror_the_noise():
@@ -272,9 +264,9 @@ def test_an_ensemble_fills_each_path_once(separable, discounted_income, monkeypa
     # is filled
     fills, pairs = [], []
 
-    def recording(out, seed, first_key):
-        fills.append((first_key, out.shape[0]))
-        _normal_rows(out, seed, first_key)
+    def recording(out, seed):
+        fills.append(out.shape[0])
+        _normal_rows(out, seed)
 
     def recording_pairs(seed, units):
         pairs.append(units)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -184,25 +185,30 @@ def test_utility_round_trip():
     assert rn.principal_u(-0.4) == -0.4
 
 
-def test_model_json_round_trip():
+def test_model_from_json_builds_the_family_model():
     m = MarketModel.hm_linear(0.25, 2.0, 1.5, 0.8, action=(0.0, 5.0))
-    again = MarketModel.from_json(m.to_json())
-    assert again.to_json() == m.to_json()
-    for t, a in ((0.0, 0.3), (1.0, 2.0)):
-        assert math.isclose(again.drift(t, a), m.drift(t, a))
-        assert math.isclose(again.cost(t, a), m.cost(t, a))
+    family = {"family": "hm_linear", "params": {"k": 0.8}}
+    obj = {"x0": 0.25, "T": 2, "sigma": 1.5, "drift": family, "cost": family,
+           "action": [0.0, 5]}
+    for again in (MarketModel.from_json(obj), MarketModel.from_json(json.dumps(obj))):
+        assert (again.x0, again.horizon, again.action_lo, again.action_hi) == (0.25, 2.0, 0.0, 5.0)
+        assert again.families.slope == m.families.slope
+        for t, a in ((0.0, 0.3), (1.0, 2.0)):
+            assert math.isclose(again.drift(t, a), m.drift(t, a))
+            assert math.isclose(again.cost(t, a), m.cost(t, a))
+            assert again.sigma_at(t) == m.sigma_at(t)
 
-    custom = MarketModel(x0=0.0, horizon=1.0, sigma=lambda t: 1.0,
-                         drift=lambda t, a: a, cost=lambda t, a: a * a,
-                         action_lo=0.0, action_hi=1.0)
-    with pytest.raises(ValueError):
-        custom.to_json()
+    # only the builtin families have a JSON form
+    with pytest.raises(ValueError, match="unknown cost family 'custom'"):
+        MarketModel.from_json(dict(obj, cost={"family": "custom"}))
 
 
-def test_preferences_json_round_trip():
-    p = exp_prefs()
-    again = Preferences.from_json(p.to_json())
-    assert again == p
+def test_preferences_from_json():
+    text = ('{"agent": "exponential", "principal": "exponential", "gamma_a": 1, '
+            '"gamma_p": 0.5, "r0": -0.5, "discount": {"variant": "exponential", "gamma": 0.3}, '
+            '"spec": "discounted_utility"}')
+    assert Preferences.from_json(text) == exp_prefs()
+    assert Preferences.from_json(json.loads(text)) == exp_prefs()
 
 
 @pytest.mark.parametrize("tag", ["separable_rn", "discounted_utility", "discounted_income"])
