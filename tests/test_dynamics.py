@@ -95,15 +95,26 @@ def test_reading_the_increments_keeps_no_path_array():
     assert kept == []
 
 
+@pytest.mark.parametrize("calls", [1, 2])
+@pytest.mark.parametrize("first_key", [0, 5, 2**40])
 @pytest.mark.parametrize("seed", [0, 7, -1, -2**63, 2**63 - 1])
-def test_normal_rows_are_the_per_path_philox_streams(seed):
-    # the definition: row p is a new generator keyed (seed, p)
+def test_normal_rows_are_the_per_path_philox_streams(seed, first_key, calls):
+    # the definition: row p is a new generator keyed (seed, p), however many
+    # fills came before it, and the stream at any key past the rows is the
+    # same Philox generator keyed (seed, key)
+    def philox(key):
+        return np.random.Generator(np.random.Philox(key=[seed, key])).standard_normal(33)
+
+    out = np.empty((5, 33))
+    for _ in range(calls):
+        _normal_rows(out, seed)
     m = MarketModel.quadratic(0.0, 2.0, 1.0)
     normals = simulate(m, 0.7, 5, 33, seed=seed).normals
     for p in range(5):
-        want = np.random.Generator(np.random.Philox(key=[seed, p])).standard_normal(33)
-        np.testing.assert_array_equal(_stream(seed, p).standard_normal(33), want)
-        np.testing.assert_array_equal(normals[p], want)
+        np.testing.assert_array_equal(out[p], philox(p))
+        np.testing.assert_array_equal(normals[p], philox(p))
+        np.testing.assert_array_equal(_stream(seed, first_key + p).standard_normal(33),
+                                      philox(first_key + p))
 
 
 def test_simulate_antithetic_pairs_mirror_the_noise():
