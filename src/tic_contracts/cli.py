@@ -124,13 +124,16 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            _fail_usage("config must be a JSON object")
+        # Python's json reads NaN, Infinity, overflowing literals such as 1e400
+        # and integers too large for a float; no model, curve or option accepts them
+        bad = _non_finite(cfg, "config")
+    except RecursionError:
+        # json.load and _non_finite both recurse once per nesting level
+        _fail_usage("cannot read config: nested too deeply")
     except (OSError, json.JSONDecodeError) as exc:
         _fail_usage(f"cannot read config: {exc}")
-    if not isinstance(cfg, dict):
-        _fail_usage("config must be a JSON object")
-    # Python's json reads NaN, Infinity, overflowing literals such as 1e400
-    # and integers too large for a float; no model, curve or option accepts them
-    bad = _non_finite(cfg, "config")
     if bad:
         _fail_infeasible([f"{where} must be finite" for where in bad])
     return cfg

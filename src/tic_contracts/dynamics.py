@@ -362,11 +362,12 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
     a_eq = solution.effort(r_left)
     a_dev = np.where(r_left < t + ell, pointwise(alt, r_left), a_eq)
 
-    # realized contract part on [0, t], taken along the mean path
-    head = solution.grid[solution.grid <= t]
+    # realized contract part on [0, t], taken along the mean path: the grid
+    # points before t, closed at t itself
+    head = np.append(solution.grid[solution.grid < t], t)
     lam_head = model.sigma_at(head) * pointwise(model.drift, head, solution.effort(head)) \
         * solution.loading(head)
-    w_t = solution.constant_term + (float(simpson(lam_head, head)) if head.size >= 3 else 0.0)
+    w_t = solution.constant_term + (float(simpson(lam_head, head)) if head.size >= 2 else 0.0)
 
     try:
         dev, eq = (_exact_means(model, prefs, solution, t, r_left, a, w_t)[0]

@@ -144,7 +144,8 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     """Solve every path's terminal rows Y^s_T, marching t forward.
 
     y0_family maps s to the initial row value; z_family maps (s, t) to the
-    row's exposure (vectorized over arrays when possible).  The state holds
+    row's exposure; both take numpy arrays (see
+    :func:`~tic_contracts.model.pointwise`).  The state holds
     paths along the first axis and rows s along the second.  Each step
     evaluates its column of exposures z(s, t_j) and reads the weights
     f(t_j - s) from one table of lags, so no (s, t) array is formed, and

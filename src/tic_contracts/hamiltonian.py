@@ -7,8 +7,8 @@ families have an explicit stationary point that only needs clamping
 (``MarketModel.closed_response``); anything custom goes through
 :func:`search_max`, one batched bounded search over every point at once,
 whose candidates are evaluated on whole arrays through
-:func:`~tic_contracts.model.pointwise` (per point only for scalar-only
-callables).  The principal's exposure search in
+:func:`~tic_contracts.model.pointwise`, one call per candidate array.
+The principal's exposure search in
 :mod:`tic_contracts.closed_form` is the same :func:`search_max`, on a
 fixed bracket of the relative exposure.
 """

@@ -7,9 +7,9 @@ utilities, the reservation level, a discount curve, and the contracting
 regime tag that tells the solvers which closed form applies.
 
 The builtin drift/cost families are the ones the solvers know closed-form
-maximizers for.  Custom callables are accepted everywhere: they may take
-numpy arrays, and scalar-only ones are evaluated point by point.  They
-force the search-based best response.
+maximizers for.  Custom callables are accepted everywhere: each is called
+once on numpy arrays (see :func:`pointwise`).  They force the search-based
+best response.
 """
 
 from __future__ import annotations
@@ -40,32 +40,24 @@ class InfeasibleError(ValueError):
     """Raised when no admissible contract attains the reservation level."""
 
 
-# what a scalar-only callable raises on arrays: float() of an array or a
-# math function (TypeError), or an ambiguous truth value (ValueError)
-_SCALAR_ONLY = (TypeError, ValueError)
-
-
 def pointwise(fn, *arrays):
     """fn evaluated at every point of the broadcast arrays, as a float array.
 
-    One call on the arrays as given, which may differ in shape, when fn
-    accepts them and returns a result that broadcasts to their common
-    shape; otherwise (fn raises TypeError or ValueError on arrays, returns
-    one value for arrays, or returns a shape that does not broadcast) one
-    call per point with plain floats.
+    One call on the arrays as given, which may differ in shape; the result
+    must broadcast to their common shape, as a constant's 0-d result does.
+    Any other shape raises ValueError; an error fn raises propagates as is.
     """
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    out = np.asarray(fn(*arrays), dtype=float)
+    if out.shape == shape:
+        return out
     try:
-        out = np.asarray(fn(*arrays), dtype=float)
-        if out.shape == shape:
-            return out
-        if out.ndim:
-            return np.broadcast_to(out, shape).copy()
-    except _SCALAR_ONLY:
-        pass
-    columns = (a.ravel().tolist() for a in np.broadcast_arrays(*arrays))
-    return np.fromiter(map(fn, *columns), float, math.prod(shape)).reshape(shape)
+        return np.broadcast_to(out, shape).copy()
+    except ValueError:
+        raise ValueError(f"a callable returned shape {out.shape} for arguments of broadcast "
+                         f"shape {shape}: custom callables must take numpy arrays and "
+                         "return their broadcast shape") from None
 
 
 @dataclass(frozen=True)
@@ -83,11 +75,10 @@ class Families:
 class MarketModel:
     """Controlled state dynamics dX = sigma(t) b(t, a) dt + sigma(t) dW.
 
-    sigma(t), drift(t, a) and cost(t, a) are callables; they may take
-    numpy arrays (evaluated elementwise), and scalar-only ones are evaluated
-    point by point (see :func:`pointwise`).  Models built by the family
-    constructors carry their ``families`` descriptor, which gives the
-    closed-form best response; it is None for custom callables.
+    sigma(t), drift(t, a) and cost(t, a) are callables that take numpy
+    arrays and act elementwise (see :func:`pointwise`).  Models built by
+    the family constructors carry their ``families`` descriptor, which
+    gives the closed-form best response; it is None for custom callables.
     """
 
     x0: float

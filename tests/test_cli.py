@@ -205,12 +205,16 @@ class TestSolve:
         assert "reservation utility must be negative" in err["error"]
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(tic_contracts.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _fresh_python(*args):
     """Run a fresh interpreter on this checkout's package; returns the finished run."""
-    src = os.path.dirname(os.path.dirname(tic_contracts.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=_fresh_env(), check=True)
 
 
 class TestImportGraph:
@@ -219,6 +223,18 @@ class TestImportGraph:
     def test_cli_import_loads_only_the_solvers(self):
         code = f"import sys, tic_contracts.cli; print([m for m in {self.LAZY} if m in sys.modules])"
         assert _fresh_python("-c", code).stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["solve", "figures"])
+    def test_closed_form_commands_load_no_sampler_or_volterra_code(self, tmp_path, command):
+        # numpy.random alone is about 10 ms of import
+        unused = ("numpy.random", "tic_contracts.dynamics", "tic_contracts.fsvie")
+        args = ["solve", "--config", write_config(tmp_path, SEPARABLE_CONFIG)] \
+            if command == "solve" else ["figures", "--steps", "11"]
+        code = ("import sys\n"
+                "from tic_contracts import cli\n"
+                f"rc = cli.main({args + ['--out', str(tmp_path / 'out')]!r})\n"
+                f"print(rc, [m for m in {unused} if m in sys.modules])")
+        assert _fresh_python("-c", code).stdout.split("\n")[-2] == "0 []"
 
     def test_one_thread_verify_starts_no_pool_module(self, tmp_path):
         cfg = write_config(tmp_path, SEPARABLE_CONFIG)
@@ -715,6 +731,19 @@ class TestUsageErrors:
         path.write_text("[1, 2]")
         assert main(["solve", "--config", str(path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("depth", [600, 100000])
+    def test_deeply_nested_config_exits_1_without_traceback(self, tmp_path, depth):
+        # _non_finite recurses past Python's limit from about 500 levels,
+        # json.load from about 995
+        path = tmp_path / "nested.json"
+        path.write_text('{"model": ' + "[" * depth + "]" * depth + ', "preferences": {}}')
+        run = subprocess.run([sys.executable, "-m", "tic_contracts.cli", "solve",
+                              "--config", str(path), "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=_fresh_env())
+        assert run.returncode == 1
+        assert run.stderr == "error: cannot read config: nested too deeply\n"
+        assert not (tmp_path / "out").exists()
 
     def test_nonpositive_steps(self, tmp_path, capsys):
         assert main(["discount", "--out", str(tmp_path), "--steps", "0"]) == 1

@@ -446,6 +446,19 @@ def test_spike_deviations_lose_for_separable(separable):
             assert est.mean <= 10.0 * 0.2 ** 2
 
 
+@pytest.mark.parametrize("points,t", [(5, 0.5), (7, 1.5)])
+def test_spike_gain_realizes_the_contract_on_all_of_zero_to_t(discounted_income, points, t):
+    # the contract part realized by t integrates the solution over [0, t]:
+    # on 5 points the head at t = 0.5 has two points, on 7 points t = 1.5
+    # falls between them; either way the gain is near the 501-point one
+    m, p, _ = discounted_income
+    fine = solve(m, p, default_grid(2.0, 501))
+    coarse = solve(m, p, default_grid(2.0, points))
+    want = spike_deviation_check(m, p, fine, t, 0.2, 0.0).mean
+    got = spike_deviation_check(m, p, coarse, t, 0.2, 0.0).mean
+    assert got == pytest.approx(want, rel=6e-3)
+
+
 def _window_integral(m, p, sol, t, ell, alt, n_nodes=2049):
     """Simpson on the window of the separable spike gain's integrand,
     f(T - t) load sigma (b(alt) - b(a)) - f(r - t) (c(alt) - c(a))."""

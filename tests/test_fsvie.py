@@ -165,39 +165,48 @@ def _bug_on_arrays(s, t):
     raise RuntimeError("bug in the array path")
 
 
-# (fn, calls): one call on arrays, or the failed array call plus one per
-# point; None means the error must propagate
+REFUSAL = "custom callables must take numpy arrays"
+
+# (fn, error): pointwise calls fn once on the arrays as given, unbroadcast;
+# None means the result broadcasts, else (type, message) of what must be
+# raised: fn's own error unchanged, or the refusal of a result that does
+# not broadcast
 POINTWISE_CASES = {
-    "array": (lambda s, t: 0.2 * t + 0.1 * s, 1),
-    "scalar_only": (_sin_of, 1 + 6),
-    "scalar_result": (lambda s, t: 0.5, 1 + 6),
-    "runtime_error": (_bug_on_arrays, None),
-    "ignores_s": (lambda s, t: 0.2 * t, 1),
+    "array": (lambda s, t: 0.2 * t + 0.1 * s, None),
+    "constant": (lambda s, t: 0.5, None),
+    "ignores_s": (lambda s, t: 0.2 * t, None),
+    "runtime_error": (_bug_on_arrays, (RuntimeError, "array path")),
+    "scalar_only": (_sin_of, (TypeError, "converted to Python scalars")),
+    "flattens": (lambda s, t: np.ravel(s) + 0.2, (ValueError, REFUSAL)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(POINTWISE_CASES))
-def test_scalar_only_families_fall_back_and_array_bugs_propagate(case):
-    fn, want_calls = POINTWISE_CASES[case]
+def test_pointwise_calls_each_callable_once(case):
+    fn, error = POINTWISE_CASES[case]
     calls = []
 
     def counted(s, t):
-        calls.append(np.shape(s))
+        calls.append((np.shape(s), np.shape(t)))
         return fn(s, t)
 
     s_col = np.array([[0.0], [0.5], [1.0]])
     t_row = np.array([0.25, 2.0])
-    if want_calls is None:
-        with pytest.raises(RuntimeError, match="array path"):
-            pointwise(counted, s_col, t_row)
-        assert len(calls) == 1
-    else:
+    if error is None:
         got = pointwise(counted, s_col, t_row)
-        assert len(calls) == want_calls
-        assert all(shape == () for shape in calls[1:])
+        assert got.shape == (3, 2)
+        assert got.flags.writeable and got.flags.c_contiguous
         want = [[fn(float(s), float(t)) for t in t_row] for s in s_col[:, 0]]
         np.testing.assert_array_equal(got, want)
+    else:
+        with pytest.raises(error[0], match=error[1]) as info:
+            pointwise(counted, s_col, t_row)
+        # only a result that does not broadcast is refused; fn's errors are not rewrapped
+        assert (REFUSAL in str(info.value)) == (case == "flattens")
+    assert calls == [((3, 1), (2,))]
 
+
+def test_solvers_refuse_families_that_do_not_take_arrays():
     m = MarketModel.quadratic(0.1, 2.0, 1.0)
     p = _rn(0.05, HYP, "separable_rn")
     ens = simulate(m, 0.6, 2, 40, seed=4)
@@ -214,6 +223,9 @@ def test_scalar_only_families_fall_back_and_array_bugs_propagate(case):
     def z_scalar(s, t):
         return 0.2 * t + 0.1 * s if t >= 0.0 else 0.0  # truth of an array: ValueError
 
+    def y0_grows(s):
+        return np.append(s, 0.3)  # one value too many: does not broadcast
+
     def z_array_bug(s, t):
         if np.ndim(s):
             raise RuntimeError("bug in the array path")
@@ -224,34 +236,27 @@ def test_scalar_only_families_fall_back_and_array_bugs_propagate(case):
             raise RuntimeError("bug in the array path")
         return y0_vec(s)
 
+    def y0_full(s):
+        return np.full(np.shape(s), 0.3)
+
+    def z_full(s, t):
+        return np.full(np.broadcast_shapes(np.shape(s), np.shape(t)), 0.2)
+
     for solver in (march, lambda *args: picard_solve(*args)[0]):
-        want = solver(m, p, y0_vec, z_vec, ens)
-        got = solver(m, p, y0_scalar, z_scalar, ens)
+        want = solver(m, p, y0_full, z_full, ens)
+        got = solver(m, p, lambda s: 0.3, lambda s, t: 0.2, ens)
         np.testing.assert_array_equal(got.terminal, want.terminal)
+        with pytest.raises(TypeError, match="converted to Python scalars"):
+            solver(m, p, y0_scalar, z_vec, ens)
+        with pytest.raises(ValueError, match="truth value") as info:
+            solver(m, p, y0_vec, z_scalar, ens)
+        assert REFUSAL not in str(info.value)
+        with pytest.raises(ValueError, match=REFUSAL):
+            solver(m, p, y0_grows, z_vec, ens)
         with pytest.raises(RuntimeError, match="array path"):
             solver(m, p, y0_vec, z_array_bug, ens)
         with pytest.raises(RuntimeError, match="array path"):
             solver(m, p, y0_array_bug, z_vec, ens)
-
-
-def test_pointwise_passes_the_arrays_unbroadcast():
-    s_col = np.array([[0.0], [0.5], [1.0]])
-    t_row = np.array([0.25, 2.0])
-    for case, want_calls in (("array", 1), ("ignores_s", 1), ("scalar_result", 1 + 6)):
-        fn = POINTWISE_CASES[case][0]
-        calls = []
-
-        def counted(s, t):
-            calls.append((np.shape(s), np.shape(t)))
-            return fn(s, t)
-
-        got = pointwise(counted, s_col, t_row)
-        assert got.shape == (3, 2), case
-        assert got.flags.writeable and got.flags.c_contiguous, case
-        assert calls[0] == ((3, 1), (2,)), case
-        assert calls[1:] == [((), ())] * (want_calls - 1), case
-        want = [[fn(float(s), float(t)) for t in t_row] for s in s_col[:, 0]]
-        np.testing.assert_array_equal(got, want)
 
 
 def test_initial_profile_blocks_match_single_rows(separable_setup):

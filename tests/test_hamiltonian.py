@@ -96,7 +96,7 @@ def test_maximize_rejects_bad_z():
 
 def test_custom_families_go_through_search():
     m = MarketModel(x0=0.0, horizon=1.0, sigma=lambda t: 1.0,
-                    drift=lambda t, a: 2.0 * math.sin(a) / 1.0,
+                    drift=lambda t, a: 2.0 * np.sin(a) / 1.0,
                     cost=lambda t, a: a,
                     action_lo=0.0, action_hi=3.0)
     res = maximize(m, 0.0, 1.0)

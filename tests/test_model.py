@@ -150,7 +150,7 @@ def test_validate_reservation_sign_for_exponential_agent():
 
 def test_validate_cost_convexity_for_first_best():
     def concave_cost(t, a):
-        return math.sqrt(abs(a) + 1e-9)
+        return np.sqrt(np.abs(a) + 1e-9)
 
     m = MarketModel(x0=0.0, horizon=1.0, sigma=lambda t: 1.0,
                     drift=lambda t, a: a, cost=concave_cost,
