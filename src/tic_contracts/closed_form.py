@@ -43,10 +43,10 @@ def default_grid(horizon: float, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, float(horizon), n)
 
 
-def simpson(y, x, axis=-1):
-    """Composite Simpson's rule for samples y at the points x along axis.
+def simpson(y, x):
+    """Composite Simpson's rule along y's last axis, at the points x.
 
-    x is 1-D with distinct points, one per sample of y along axis.  Each
+    x is 1-D with distinct points, one per sample in each row of y.  Each
     pair of intervals gets the parabola through its three points, with its
     own spacings.  With an even number of points the last interval is
     closed by Cartwright's correction (two points give the trapezoid).
@@ -58,45 +58,38 @@ def simpson(y, x, axis=-1):
     and would move outputs in their last bits.
     """
     y = np.asarray(y)
-    nd = y.ndim
-    axis %= nd
-    n = y.shape[axis]
+    n = y.shape[-1]
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != n:
-        raise ValueError("x must be 1-D with one point per sample of y along axis")
+        raise ValueError("x must be 1-D with one point per sample of y along its last axis")
     # the weights multiply two spacings, which overflow past about 1e154;
     # scaling x by a power of two is exact, and the result is scaled back
     _, scale = np.frexp(np.max(np.abs(x)))
-    x = np.ldexp(x, -scale).reshape([n if k == axis else 1 for k in range(nd)])
-    h = np.diff(x, axis=axis)
-
-    def at(index):
-        return (slice(None),) * axis + (index,)
+    h = np.diff(np.ldexp(x, -scale))
 
     if n == 2:
-        return np.ldexp(0.5 * h[at(0)] * (y[at(1)] + y[at(0)]), scale)
+        return np.ldexp(0.5 * h[0] * (y[..., 1] + y[..., 0]), scale)
 
     def pairs(stop):
         # Simpson over the interval pairs that start at 0, 2, ..., stop - 1
-        h0 = h[at(slice(0, stop, 2))]
-        h1 = h[at(slice(1, stop + 1, 2))]
+        h0 = h[0:stop:2]
+        h1 = h[1:stop + 1:2]
         hsum = h0 + h1
         hprod = h0 * h1
         h0divh1 = h0 / h1
-        tmp = hsum / 6.0 * (y[at(slice(0, stop, 2))] * (2.0 - 1.0 / h0divh1)
-                            + y[at(slice(1, stop + 1, 2))] * (hsum * (hsum / hprod))
-                            + y[at(slice(2, stop + 2, 2))] * (2.0 - h0divh1))
-        return np.sum(tmp, axis=axis)
+        tmp = hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
+                            + y[..., 1:stop + 1:2] * (hsum * (hsum / hprod))
+                            + y[..., 2:stop + 2:2] * (2.0 - h0divh1))
+        return np.sum(tmp, axis=-1)
 
     if n % 2:
         return np.ldexp(pairs(n - 2), scale)
     result = pairs(n - 3)
-    h0 = np.squeeze(h[at(slice(-2, -1))], axis=axis)
-    h1 = np.squeeze(h[at(slice(-1, None))], axis=axis)
+    h0, h1 = h[-2], h[-1]
     alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
     beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
     eta = h1 ** 3 / (6 * h0 * (h0 + h1))
-    result += alpha * y[at(-1)] + beta * y[at(-2)] - eta * y[at(-3)]
+    result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
     return np.ldexp(result, scale)
 
 
@@ -165,7 +158,6 @@ class ContractSolution:
     """
 
     spec_tag: str
-    y0: float
     constant_term: float
     constant_reservation: float
     constant_adjustment: float
@@ -190,7 +182,7 @@ class ContractSolution:
     def to_json(self) -> dict:
         return {
             "spec": self.spec_tag,
-            "y0": self.y0,
+            "y0": self.value_agent,  # the agent's value is Y at time 0
             "constant_term": self.constant_term,
             "constant_reservation": self.constant_reservation,
             "constant_adjustment": self.constant_adjustment,
@@ -304,7 +296,7 @@ def _second_best(model: MarketModel, prefs: Preferences, grid):
     if gp:
         big_g = big_g - 0.5 * gp * sig ** 2 * (1.0 - z_star / g_Tt) ** 2
 
-    r0_hat = prefs.agent_u_inv(prefs.r0)
+    r0_hat = float(prefs.agent_u_inv(prefs.r0))
     y0 = (r0_hat + math.log(float(prefs.discount.value(T))) / ga
           if prefs.spec_tag == "discounted_utility" else r0_hat / gT)
     running = lam * z0 - g_t * cost
@@ -344,13 +336,15 @@ def _first_best_nonseparable(model: MarketModel, prefs: Preferences, grid):
     curve = prefs.discount
     T = model.horizon
     gT = float(curve.value(T))
-    g_t = np.asarray(curve.value(grid), dtype=float)
+    g_t = curve.value(grid)
     gbar = ga * gp * gT / (ga * gT + gp)
     sig = model.sigma_at(grid)
     lam, cost, eff = stars_on_grid(model, grid, gT / g_t)
 
-    phi = lam - (g_t / gT) * cost - 0.5 * gbar * sig ** 2
-    big_phi = model.x0 + float(simpson(phi, grid))
+    # what overflows here is refused just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = lam - (g_t / gT) * cost - 0.5 * gbar * sig ** 2
+        big_phi = model.x0 + float(simpson(phi, grid))
     try:
         e_star = math.exp(-gbar * big_phi)
         base = gT * e_star / (-ga * prefs.r0)
@@ -409,7 +403,6 @@ def solve(model: MarketModel, prefs: Preferences, grid=None) -> ContractSolution
         _SOLVERS[prefs.spec_tag](model, prefs, grid)
     return ContractSolution(
         spec_tag=prefs.spec_tag,
-        y0=prefs.r0,
         constant_term=reservation + adjustment,
         constant_reservation=reservation,
         constant_adjustment=adjustment,

@@ -93,12 +93,11 @@ class DiscountSpec:
     # -- evaluation ------------------------------------------------------
 
     def value(self, t):
-        """f(t) for t >= 0 (scalar or array)."""
-        t = _check_nonnegative(t)
-        return self._value_raw(t)
+        """f(t) for t >= 0, elementwise: float64 of t's shape."""
+        return self._value_raw(_check_nonnegative(t))
 
     def idr(self, t):
-        """Instantaneous discount rate -f'(t)/f(t), from its own closed form.
+        """Instantaneous discount rate -f'(t)/f(t), elementwise, by its closed form.
 
         Computed from the per-variant formula rather than as a quotient of
         f' and f, so it stays stable for large t where both underflow.
@@ -108,25 +107,21 @@ class DiscountSpec:
         if self.variant != "quasi_hyperbolic":
             a = self.alpha
             if a == 0.0:
-                return np.broadcast_to(np.float64(g), np.shape(t)).copy() if np.ndim(t) else g
+                return np.full(t.shape, g)
             with np.errstate(over="ignore"):  # a huge alpha t: the rate is 0
                 return g / (1.0 + a * t)
         b, lam = self.beta, self.lam
         if b == 0.0:
-            extra = np.broadcast_to(np.float64(lam), np.shape(t)).copy() if np.ndim(t) else lam
-        elif b == 1.0:
-            extra = np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-        else:
-            # lam (1-b) / ((1-b) + b e^{t lam}), rearranged with e^{-t lam}
-            # so the denominator never overflows; a huge lam * t gives decay 0.
-            with np.errstate(over="ignore"):
-                decay = (np.exp(-lam * np.asarray(t, dtype=float)) if np.ndim(t)
-                         else math.exp(-lam * t))
-            extra = lam * (1.0 - b) * decay / ((1.0 - b) * decay + b)
-        return g + extra
+            return np.full(t.shape, g + lam)
+        # lam (1-b) / ((1-b) + b e^{t lam}), rearranged with e^{-t lam}
+        # so the denominator never overflows; a huge lam * t gives decay 0,
+        # and b = 1 gives exactly 0, since decay lies in [0, 1]
+        with np.errstate(over="ignore"):
+            decay = np.exp(-lam * t)
+        return g + lam * (1.0 - b) * decay / ((1.0 - b) * decay + b)
 
     def value_extended(self, t):
-        """f(t) for possibly negative t, used by Volterra generators.
+        """f(t) elementwise for any t, negative too, used by Volterra generators.
 
         The exponential and quasi-hyperbolic forms extend to all reals; the
         hyperbolic form requires 1 + alpha * t > 0 and raises otherwise, as
@@ -142,10 +137,10 @@ class DiscountSpec:
         out = self._value_raw(t)
         if not np.all(np.isfinite(out)):
             raise ValueError("discount overflows at negative times; shrink the horizon or rates")
-        return float(out) if out.ndim == 0 else out
+        return out
 
     def _value_raw(self, t):
-        t = np.asarray(t, dtype=float)
+        """f at the float array t, unchecked."""
         g = self.gamma
         # a rate times a huge |t| overflows: for t >= 0 exp then gives the
         # curve's limit 0; value_extended rejects what is not finite
@@ -171,9 +166,8 @@ class DiscountSpec:
 
 
 def _check_nonnegative(t):
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
+    """t as a float array (0-d for a scalar), refused where it is negative."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("discount functions are defined for t >= 0 only")
-    if arr.ndim == 0:
-        return float(arr)
-    return arr
+    return t

@@ -249,14 +249,13 @@ def _shift_correction(model: MarketModel, prefs: Preferences, solution: Contract
     f = prefs.discount
     sg = solution.grid
     cost = pointwise(model.cost, sg, solution.effort_values)
-    f_sg = np.asarray(f.value(sg), dtype=float)
-    ratio = np.asarray(f.value(model.horizon - s), dtype=float) / float(f.value(model.horizon))
+    f_sg = f.value(sg)
+    ratio = f.value(model.horizon - s) / float(f.value(model.horizon))
     out = np.empty_like(s)
     for lo in range(0, s.size, SHIFT_ROWS):
         rows = slice(lo, lo + SHIFT_ROWS)
-        shifted = np.asarray(f.value_extended(sg[None, :] - s[rows, None]), dtype=float)
-        out[rows] = simpson(cost[None, :] * (shifted - ratio[rows, None] * f_sg[None, :]),
-                            sg, axis=1)
+        shifted = f.value_extended(sg[None, :] - s[rows, None])
+        out[rows] = simpson(cost[None, :] * (shifted - ratio[rows, None] * f_sg[None, :]), sg)
     return out
 
 

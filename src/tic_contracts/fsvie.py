@@ -241,7 +241,7 @@ def target_constraint_residual(field: VolterraField, prefs: Preferences) -> np.n
     if field.spec_tag != prefs.spec_tag:
         raise ValueError("preferences and field disagree on the spec tag")
     T = float(field.grid[-1])
-    fTs = np.asarray(prefs.discount.value(T - field.grid), dtype=float)
+    fTs = prefs.discount.value(T - field.grid)
     decoded = prefs.decode(fTs[None, :], field.terminal)
     return np.max(decoded, axis=1) - np.min(decoded, axis=1)
 
@@ -252,20 +252,17 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
     The exposure family is the product Z^s_t = f(T-s) * loading(t); the
     initial row values f(T-s) / f(T) * r0 - I(s) correct the discounted
     reservation profile by the s-shift correction I(s) of the equilibrium
-    cost, the one the Monte Carlo identity check uses.
+    cost, the one the Monte Carlo identity check uses.  y0_family takes a
+    1-D array of rows s, as the solvers pass it through pointwise.
     """
     f = prefs.discount
     T = model.horizon
     fT = float(f.value(T))
 
-    def y0_family(rows):
-        s = np.atleast_1d(np.asarray(rows, dtype=float))
-        ratio = np.asarray(f.value(T - s), dtype=float) / fT
-        out = ratio * prefs.r0 - _shift_correction(model, prefs, solution, s)
-        return float(out[0]) if np.isscalar(rows) else out
+    def y0_family(s):
+        return f.value(T - s) / fT * prefs.r0 - _shift_correction(model, prefs, solution, s)
 
-    return y0_family, ProductFamily(lambda s: np.asarray(f.value(T - np.asarray(s, dtype=float))),
-                                    solution.loading)
+    return y0_family, ProductFamily(lambda s: f.value(T - s), solution.loading)
 
 
 def s_constant_family(model: MarketModel, prefs: Preferences, solution):
@@ -279,7 +276,6 @@ def s_constant_family(model: MarketModel, prefs: Preferences, solution):
     T = model.horizon
 
     def t_factor(t):
-        t = np.asarray(t, dtype=float)
-        return solution.loading(t) * np.asarray(f.value(T - t))
+        return solution.loading(t) * f.value(T - t)
 
     return y0_family, ProductFamily(np.ones_like, t_factor)

@@ -254,7 +254,7 @@ class Preferences:
         return -np.exp(-g * np.asarray(x, dtype=float)) / g
 
     def agent_u_inv(self, y):
-        """Inverse of agent_u; defined on y < 0 for the exponential agent."""
+        """Inverse of agent_u, elementwise; defined on y < 0 for the exponential agent."""
         if self.agent_utility == "risk_neutral":
             return y
         g = self.gamma_a
@@ -263,8 +263,7 @@ class Preferences:
             raise ValueError("exponential agent utility takes values below zero")
         # a tiny gamma_a overflows to inf, and the solvers reject what follows
         with np.errstate(over="ignore"):
-            out = -np.log(-g * y) / g
-        return float(out) if out.ndim == 0 else out
+            return -np.log(-g * y) / g
 
     def cost_weight(self, lags):
         """The running cost's weight at the lags: f(lag), extended to

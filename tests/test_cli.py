@@ -968,6 +968,26 @@ class TestBadNumbers:
         assert "RuntimeWarning" not in err
         assert "principal value diverged" in err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("points", [500, 2001])
+    def test_diverging_first_best_exits_2_without_a_warning(self, tmp_path, command, points):
+        # sigma^2 overflows in the risk-sharing integrand, and on an even
+        # grid Simpson's end correction meets inf - inf; the certainty
+        # equivalent check refuses the result.  A fresh interpreter, so no
+        # earlier run has already shown (and so silenced) the warning.
+        with open(os.path.join(ROOT, "perfbench", "configs", "first_best_nonseparable.json")) as fh:
+            config = json.load(fh)
+        config["model"]["sigma"] = 1e200
+        config["grid_points"] = points
+        cfg = write_config(tmp_path, config)
+        # the solve fails before verify samples anything
+        run = subprocess.run([sys.executable, "-m", "tic_contracts.cli", command,
+                              "--config", cfg, "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=_fresh_env())
+        assert run.returncode == 2
+        assert "RuntimeWarning" not in run.stderr
+        assert "risk-sharing certainty equivalent diverged" in json.loads(run.stderr)["error"]
+
     def test_diverging_principal_value_exits_2(self, tmp_path, capsys):
         bad = json.loads(json.dumps(HM_DU_CONFIG))
         bad["model"]["sigma"] = 1e150

@@ -118,6 +118,39 @@ def test_huge_rate_times_t_reaches_its_limits_quietly():
     assert hyperbolic.idr(1e308) == 0.0
 
 
+ARRAY_CONTRACT_SPECS = [
+    DiscountSpec.exponential(0.3),
+    DiscountSpec.hyperbolic(1.0, 0.0),
+    DiscountSpec.hyperbolic(1.0, 4.0),
+    DiscountSpec.quasi_hyperbolic(0.0387, 0.0, 2.197),
+    DiscountSpec.quasi_hyperbolic(0.0387, 0.7, 2.197),
+    DiscountSpec.quasi_hyperbolic(0.0387, 1.0, 2.197),
+]
+ARRAY_CONTRACT_TIMES = [1.5, np.array([0.0, 0.25, 1.5, 7.0, 40.0]),
+                        np.array([[0.0, 0.5, 3.0], [20.0, 300.0, 1e3]])]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["value", "idr", "value_extended"])
+@pytest.mark.parametrize("spec", ARRAY_CONTRACT_SPECS,
+                         ids=lambda d: f"{d.variant}-alpha{d.alpha:g}-beta{d.beta:g}")
+@pytest.mark.parametrize("t", ARRAY_CONTRACT_TIMES, ids=lambda t: str(np.shape(t)))
+def test_evaluators_return_float64_of_the_input_shape(method, spec, t):
+    # one path for every shape: each entry is what the entry alone gives
+    out = getattr(spec, method)(t)
+    assert isinstance(out, (np.ndarray, np.generic)) and out.dtype == np.float64
+    assert out.shape == np.shape(t)
+    alone = [getattr(spec, method)(float(v)) for v in np.ravel(t)]
+    assert np.ravel(out).tobytes() == np.array(alone, dtype=float).tobytes()
+
+
+def test_quasi_hyperbolic_rate_at_beta_one_is_gamma():
+    spec = DiscountSpec.quasi_hyperbolic(0.0387, 1.0, 2.197)
+    t = np.array([0.0, 0.25, 1.5, 40.0, 1e3, 1e308])
+    assert np.all(spec.idr(t) == spec.gamma)
+    assert spec.idr(0.7) == spec.gamma
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     gamma=st.floats(0.01, 3.0),

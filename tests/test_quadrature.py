@@ -63,16 +63,17 @@ def test_two_points_give_the_trapezoid():
 def test_integrates_along_an_axis():
     x = _nonuniform(8)
     rows = np.vstack([x ** 2, 3.0 * x, np.ones_like(x)])
-    got = simpson(rows, x, axis=1)
+    got = simpson(rows, x)
     assert got.shape == (3,)
     for i in range(3):
         assert got[i] == simpson(rows[i], x)
-    np.testing.assert_array_equal(simpson(rows.T, x, axis=0), got)
 
 
 def test_rejects_mismatched_points():
     with pytest.raises(ValueError, match="one point per sample"):
         simpson(np.ones(5), np.linspace(0.0, 1.0, 4))
+    with pytest.raises(ValueError, match="one point per sample"):
+        simpson(np.ones((4, 5)), np.linspace(0.0, 1.0, 4))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 151, 256, 257, 2000, 2001])
@@ -86,7 +87,7 @@ def test_bitwise_equal_to_the_reference_rule(n, spacing):
     assert np.shape(got) == np.shape(want)
     assert got == want
     block = rng.normal(size=(4, n))
-    got, want = simpson(block, x, axis=1), integrate.simpson(block, x=x, axis=1)
+    got, want = simpson(block, x), integrate.simpson(block, x=x, axis=1)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
 
