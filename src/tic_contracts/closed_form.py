@@ -43,6 +43,20 @@ def default_grid(horizon: float, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, float(horizon), n)
 
 
+def _pair_weights(x):
+    """(h, scale, stop, hsum / 6, (c0, c1, c2)) at x: h is x's spacings times
+    2**-scale, exactly, lest two multiplied overflow.  The interval pairs that
+    start at 0, 2, ..., stop - 1 integrate to 2**scale hsum / 6 (c0 y0 + c1 y1
+    + c2 y2) each; an even point count leaves out the last interval."""
+    _, scale = np.frexp(np.max(np.abs(x)))
+    h = np.diff(np.ldexp(x, -scale))
+    stop = h.size - 1 - h.size % 2
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, h0divh1 = h0 + h1, h0 / h1
+    coefficients = (2.0 - 1.0 / h0divh1, hsum * (hsum / (h0 * h1)), 2.0 - h0divh1)
+    return h, scale, stop, hsum / 6.0, coefficients
+
+
 def simpson(y, x):
     """Composite Simpson's rule along y's last axis, at the points x.
 
@@ -62,35 +76,31 @@ def simpson(y, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != n:
         raise ValueError("x must be 1-D with one point per sample of y along its last axis")
-    # the weights multiply two spacings, which overflow past about 1e154;
-    # scaling x by a power of two is exact, and the result is scaled back
-    _, scale = np.frexp(np.max(np.abs(x)))
-    h = np.diff(np.ldexp(x, -scale))
-
+    h, scale, stop, sixth, (c0, c1, c2) = _pair_weights(x)
     if n == 2:
         return np.ldexp(0.5 * h[0] * (y[..., 1] + y[..., 0]), scale)
-
-    def pairs(stop):
-        # Simpson over the interval pairs that start at 0, 2, ..., stop - 1
-        h0 = h[0:stop:2]
-        h1 = h[1:stop + 1:2]
-        hsum = h0 + h1
-        hprod = h0 * h1
-        h0divh1 = h0 / h1
-        tmp = hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
-                            + y[..., 1:stop + 1:2] * (hsum * (hsum / hprod))
-                            + y[..., 2:stop + 2:2] * (2.0 - h0divh1))
-        return np.sum(tmp, axis=-1)
-
-    if n % 2:
-        return np.ldexp(pairs(n - 2), scale)
-    result = pairs(n - 3)
-    h0, h1 = h[-2], h[-1]
-    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
-    result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    result = np.sum(sixth * (y[..., 0:stop:2] * c0 + y[..., 1:stop + 1:2] * c1
+                             + y[..., 2:stop + 2:2] * c2), axis=-1)
+    if n % 2 == 0:
+        h0, h1 = h[-2], h[-1]
+        alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+        result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
     return np.ldexp(result, scale)
+
+
+def simpson_weights(x):
+    """w with w @ y = simpson(y, x) up to rounding, for 3 or more points x,
+    in O(x.size): simpson's pair weights, added where two pairs meet."""
+    _, scale, stop, sixth, coefficients = _pair_weights(x)
+    w = np.zeros(x.size)
+    for start, c in enumerate(coefficients):
+        w[start:stop + start:2] += sixth * c
+    w = np.ldexp(w, scale)
+    if x.size % 2 == 0:  # the last three points, end correction and all
+        w[-3:] = simpson(np.eye(3, x.size, x.size - 3), x)
+    return w
 
 
 def _solution_grid(model: MarketModel, grid) -> np.ndarray:

@@ -123,13 +123,13 @@ class DiscountSpec:
     def value_extended(self, t):
         """f(t) elementwise for any t, negative too, used by Volterra generators.
 
-        The exponential and quasi-hyperbolic forms extend to all reals; the
-        hyperbolic form requires 1 + alpha * t > 0 and raises otherwise, as
-        every form does where its value passes the float range.
+        The exponential, quasi-hyperbolic and flat forms extend to all reals;
+        the hyperbolic form requires 1 + alpha * t > 0 and raises otherwise,
+        as every form does where its value passes the float range.
         """
         t = np.asarray(t, dtype=float)
-        if self.alpha > 0.0:
-            if np.any(1.0 + self.alpha * t <= 0.0):
+        with np.errstate(over="ignore"):  # an overflow reads +inf, inside the domain
+            if self.alpha > 0.0 and self.gamma > 0.0 and np.any(1.0 + self.alpha * t <= 0.0):
                 raise ValueError(
                     "hyperbolic discount undefined at 1 + alpha*t <= 0; "
                     "shrink the horizon or alpha"
@@ -149,6 +149,8 @@ class DiscountSpec:
                 b, lam = self.beta, self.lam
                 return (1.0 - b) * np.exp(-t * (lam + g)) + b * np.exp(-g * t)
             a = self.alpha
+            if g == 0.0:  # flat: 1, also where a * t overflows
+                return np.ones(t.shape)
             if a == 0.0:
                 return np.exp(-g * t)
             return np.exp((-g / a) * np.log1p(a * t))

@@ -30,11 +30,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .closed_form import ContractSolution, simpson
+from .closed_form import ContractSolution, default_grid, simpson, simpson_weights
 from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
 
 # values of s per block of the s-shift correction's (s, solver grid) arrays
 SHIFT_ROWS = 32
+LAG_RANGE = 1e3  # the widest max / min of a lag table whose lag sums take an FFT
 _ROUNDING = float(16 * np.finfo(float).eps)  # verify's rounding slack, relative
 
 
@@ -240,17 +241,39 @@ def principal_value_mc(model: MarketModel, prefs: Preferences, solution: Contrac
     return _estimate(prefs.principal_u(ensemble.terminal - xi), ensemble.antithetic)
 
 
+def _narrow(table) -> bool:
+    return bool(np.max(np.abs(table)) <= LAG_RANGE * np.min(np.abs(table)))
+
+
+def _lag_sum(table, weights):
+    """np.convolve(table, weights, "valid"), by real FFTs of a power-of-two
+    length at least the table's, whose wrap spares that part, if the table is
+    narrow: the FFT rounds every sum to about eps times the largest entry."""
+    if not _narrow(table):
+        return np.convolve(table, weights, "valid")
+    size = 1 << (table.size - 1).bit_length()
+    product = np.fft.rfft(table, size) * np.fft.rfft(weights, size)
+    return np.fft.irfft(product, size)[weights.size - 1:table.size]
+
+
 def _shift_correction(model: MarketModel, prefs: Preferences, solution: ContractSolution,
                       s: np.ndarray) -> np.ndarray:
     """I(s) = int_0^T c(r) [f(r - s) - f(T - s) f(r) / f(T)] dr, the s-shift
     correction, for a 1-D array of s: Simpson on the solver grid at the
-    equilibrium cost, which reduces each row alone, so any block gives the
-    same bits."""
-    f = prefs.discount
-    sg = solution.grid
+    equilibrium cost.  On a uniform s of n steps through every solver point,
+    with a narrow table f(j T / n), |j| <= n, I is one lag sum; any other s
+    reduces each row alone, in blocks, so any block gives the same bits."""
+    f, T, sg = prefs.discount, model.horizon, solution.grid
     cost = pointwise(model.cost, sg, solution.effort_values)
+    n, g = s.size - 1, sg.size - 1
+    if n > 0 and n % g == 0 and all(np.array_equal(v, default_grid(T, v.size)) for v in (s, sg)):
+        table = f.value_extended(np.arange(n, -n - 1, -1) * (T / n))  # at lags n, ..., -n steps
+        if _narrow(table):
+            load = np.zeros(n + 1)  # the weighted cost at the solver points, 0 between them
+            load[::n // g] = simpson_weights(sg) * cost
+            return _lag_sum(table, load) - table[:n + 1] / table[0] * (load @ table[n::-1])
     f_sg = f.value(sg)
-    ratio = f.value(model.horizon - s) / float(f.value(model.horizon))
+    ratio = f.value(T - s) / float(f.value(T))
     out = np.empty_like(s)
     for lo in range(0, s.size, SHIFT_ROWS):
         rows = slice(lo, lo + SHIFT_ROWS)

@@ -27,8 +27,8 @@ grid; contract_payoff draws its payments from a stream of its own, which
 the march does not share.
 For a risk-neutral agent and a :class:`ProductFamily` z(s, t) = a(s) b(t),
 as both shipped families are, Y^s_T = y0(s) + a(s) sum_j b_j (dX_j - lam_j dt)
-+ dt sum_j f(t_j - s) cost_j: one cumulative sum per path and one
-convolution of the cost with the lag table, with no step loop.
++ dt sum_j f(t_j - s) cost_j: one cumulative sum per path and one lag sum
+of the cost against the lag table, an FFT on a narrow table, and no step loop.
 :func:`picard_solve` iterates the same scheme to its fixed point: the
 contraction diagnostic, and the reference the march is tested against.
 
@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import PathEnsemble, _shift_correction
+from .dynamics import PathEnsemble, _lag_sum, _shift_correction
 from .hamiltonian import stars_on_grid
 from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
 
@@ -108,13 +108,13 @@ class ProductFamily:
 
 
 def _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost):
-    """A risk-neutral agent's field of a ProductFamily: each path's sum,
-    and the cost convolved with the lag table (see the module doc)."""
+    """A risk-neutral agent's field of a ProductFamily (see the module doc):
+    the cost's lag sum, before the paths' temporaries exist, and each path's sum."""
+    lagged = dt * _lag_sum(_lag_table(prefs, grid.size - 1, dt), cost)
     a = pointwise(z_family.s_factor, grid)
     # the last cumulative sum, not np.sum, whose pairwise order differs
     path = np.cumsum(pointwise(z_family.t_factor, grid[:-1]) * (dx - lam * dt), axis=1)[:, -1:]
-    table = _lag_table(prefs, grid.size - 1, dt)
-    terminal = y0 + a * path + dt * np.convolve(table, cost, "valid")
+    terminal = y0 + a * path + lagged
     return VolterraField(grid=grid.copy(), terminal=terminal, spec_tag=prefs.spec_tag)
 
 
@@ -252,8 +252,8 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
     The exposure family is the product Z^s_t = f(T-s) * loading(t); the
     initial row values f(T-s) / f(T) * r0 - I(s) correct the discounted
     reservation profile by the s-shift correction I(s) of the equilibrium
-    cost, the one the Monte Carlo identity check uses.  y0_family takes a
-    1-D array of rows s, as the solvers pass it through pointwise.
+    cost, the one the Monte Carlo identity check uses (one lag sum on a march
+    grid through every solver point).  y0_family takes 1-D rows s.
     """
     f = prefs.discount
     T = model.horizon

@@ -226,8 +226,8 @@ class TestImportGraph:
 
     @pytest.mark.parametrize("command", ["solve", "figures"])
     def test_closed_form_commands_load_no_sampler_or_volterra_code(self, tmp_path, command):
-        # numpy.random alone is about 10 ms of import
-        unused = ("numpy.random", "tic_contracts.dynamics", "tic_contracts.fsvie")
+        # numpy.random alone is about 10 ms of import, numpy.fft about 1 ms
+        unused = ("numpy.random", "numpy.fft", "tic_contracts.dynamics", "tic_contracts.fsvie")
         args = ["solve", "--config", write_config(tmp_path, SEPARABLE_CONFIG)] \
             if command == "solve" else ["figures", "--steps", "11"]
         code = ("import sys\n"
@@ -236,14 +236,16 @@ class TestImportGraph:
                 f"print(rc, [m for m in {unused} if m in sys.modules])")
         assert _fresh_python("-c", code).stdout.split("\n")[-2] == "0 []"
 
-    def test_one_thread_verify_starts_no_pool_module(self, tmp_path):
+    def test_one_thread_verify_starts_no_pool_or_fft_module(self, tmp_path):
+        # the identity check's single s takes the correction's block route
         cfg = write_config(tmp_path, SEPARABLE_CONFIG)
         code = ("import sys\n"
                 "from tic_contracts import cli\n"
                 f"rc = cli.main(['verify', '--config', {cfg!r}, '--out', {str(tmp_path)!r}, "
                 "'--paths', '64', '--steps', '20', '--threads', '1'])\n"
-                "print(rc in (0, 3), 'concurrent.futures' in sys.modules)")
-        assert _fresh_python("-c", code).stdout.split("\n")[-2] == "True False"
+                "print(rc in (0, 3), [m for m in ('concurrent.futures', 'numpy.fft') "
+                "if m in sys.modules])")
+        assert _fresh_python("-c", code).stdout.split("\n")[-2] == "True []"
 
     def test_namespace_resolves_every_public_name(self):
         namespace = {}
@@ -657,6 +659,18 @@ class TestCheckConstraint:
                    "--steps", "300", "--tol", "1e-8"])
         assert rc == 0
 
+    @pytest.mark.parametrize("steps", ["300", "400"])
+    def test_steep_exponential_discount_stays_exact(self, tmp_path, steps):
+        # exponential 10 over T = 2: the lag tables span e^40, and the rows
+        # at small s are divided by f(T) = e^-20; 400 steps nest in the 201
+        # solver points, 300 do not.  Rounding of payments of about 2e7
+        # leaves about 1e-8
+        config = with_discount(SEPARABLE_CONFIG, {"variant": "exponential", "gamma": 10.0})
+        config["grid_points"] = 201
+        rc = main(["check-constraint", "--config", write_config(tmp_path, config),
+                   "--out", str(tmp_path), "--steps", steps, "--tol", "1e-6"])
+        assert rc == 0
+
     def test_without_out_writes_the_report_to_the_current_directory(self, tmp_path,
                                                                     monkeypatch):
         cfg = write_config(tmp_path, SEPARABLE_CONFIG)
@@ -670,6 +684,28 @@ class TestCheckConstraint:
         rc = main(["check-constraint", "--config", cfg])
         assert rc == 1
         assert "separable" in capsys.readouterr().err
+
+    def test_bench_run_evaluates_the_curve_on_o_of_n_plus_g_points(self, tmp_path,
+                                                                   monkeypatch):
+        # 2 paths x 3000 steps on 501 solver points, as the benchmark runs
+        # it: the march's lag table (2N) and the initial profile's (2N + 1),
+        # the row factor twice, y0's ratio and the residual's weights on the
+        # march grid (N + 1 each), and the solve's 2G, 25,012 points in all.
+        # Evaluating the profile on (rows x solver grid) blocks took
+        # (N + 1) G, 1.5M points.  Without the second table and the three
+        # repeats of f(T - s) the run would stay under 4 (N + G).
+        n, g = 3000, 501
+        raw, points = DiscountSpec._value_raw, []
+
+        def counted(self, t):
+            points.append(t.size)
+            return raw(self, t)
+
+        monkeypatch.setattr(DiscountSpec, "_value_raw", counted)
+        cfg = os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")
+        assert main(["check-constraint", "--config", cfg, "--out", str(tmp_path),
+                     "--steps", str(n), "--paths", "2"]) == 0
+        assert sum(points) <= 8 * (n + g)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads ru_maxrss in kilobytes, as Linux reports it")

@@ -98,6 +98,17 @@ def test_zero_gamma_is_flat():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_gamma_is_flat_where_alpha_t_overflows():
+    # exp(-0 / alpha * log1p(alpha t)) would be exp(-0 * inf) = nan; a flat
+    # curve is 1 at every t, negative ones too, where 1 + alpha t <= 0
+    t = np.array([0.0, 1.0, 1e300, 1e308, np.inf])
+    for spec in (DiscountSpec.exponential(0.0), DiscountSpec.hyperbolic(0.0, 1e10)):
+        assert spec.value(t).tolist() == [1.0] * t.size
+        assert spec.value_extended(np.concatenate([-t, t])).tolist() == [1.0] * (2 * t.size)
+    assert DiscountSpec.hyperbolic(0.0, 1e10).value(1e300) == 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("beta", [0.1, 0.3, 0.569])
 def test_huge_quasi_rate_reaches_its_limits_quietly(beta):
     # lambda * t overflows for t > 1, and exp(-inf) = 0 is the right limit
@@ -116,6 +127,16 @@ def test_huge_rate_times_t_reaches_its_limits_quietly():
     hyperbolic = DiscountSpec.hyperbolic(1.0, 1e300)
     assert hyperbolic.idr(t).tolist() == [1.0, 0.0, 0.0]
     assert hyperbolic.idr(1e308) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extended_domain_check_reads_an_overflow_as_inside():
+    # 1 + alpha t overflows to +inf, which lies inside 1 + alpha t > 0
+    hyperbolic = DiscountSpec.hyperbolic(1.0, 4.0)
+    assert hyperbolic.value_extended(1e308) == 0.0
+    assert hyperbolic.value_extended(np.array([0.0, 1e308])).tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="undefined"):
+        hyperbolic.value_extended(np.array([1e308, -1e308]))
 
 
 ARRAY_CONTRACT_SPECS = [

@@ -32,6 +32,7 @@ from tic_contracts import dynamics
 from tic_contracts.closed_form import simpson
 from tic_contracts.dynamics import _cost_at_equilibrium, _normal_rows, _stream
 from tic_contracts.hamiltonian import stars_on_grid
+from tic_contracts.model import pointwise
 
 
 def _cara(ga, gp, r0, disc, tag):
@@ -397,15 +398,65 @@ def test_delta_check_validation(separable, discounted_utility):
 
 @pytest.mark.parametrize("rows", [1, 7, dynamics.SHIFT_ROWS])
 def test_shift_correction_rows_match_single_calls(separable, monkeypatch, rows):
-    # the identity check asks for one s at a time, the Volterra family's
-    # initial profile for the whole grid; a grid of several blocks with a
-    # partial last one must give each s the same bits either way
+    """The block route: the identity check asks for one s at a time, the
+    Volterra family's initial profile for a whole grid.  On a grid of several
+    blocks with a partial last one, of 100 steps against the solver's 200
+    (so no lag table), each s gets the same bits either way."""
     m, p, sol = separable
     s = default_grid(2.0, 3 * dynamics.SHIFT_ROWS + 5)
     one_by_one = np.array([dynamics._shift_correction(m, p, sol, np.array([v]))[0]
                            for v in s])
     monkeypatch.setattr(dynamics, "SHIFT_ROWS", rows)
     np.testing.assert_array_equal(dynamics._shift_correction(m, p, sol, s), one_by_one)
+
+
+def _profile_grids(separable, steps, points, curve=HYP):
+    """(model, prefs with the curve, solution on `points` solver points, the
+    march grid of `steps` steps), from the separable fixture's problem."""
+    m, p, _ = separable
+    p = dataclasses.replace(p, discount=curve)
+    return m, p, solve(m, p, default_grid(2.0, points)), default_grid(2.0, steps + 1)
+
+
+def _single_rows(m, p, sol, s):
+    """I at each s by its own call, the block route."""
+    return np.array([dynamics._shift_correction(m, p, sol, s[i:i + 1])[0] for i in range(s.size)])
+
+
+# exponential 10 over T = 2: lag tables from f(-2) = e^20 to f(2) = e^-20
+STEEP = DiscountSpec.exponential(10.0)
+
+
+@pytest.mark.parametrize("curve", [HYP, DiscountSpec.exponential(1.5)])
+@pytest.mark.parametrize("steps, points", [(2000, 2001), (1000, 501), (3000, 501), (400, 201)])
+def test_shift_correction_on_a_nesting_march_grid_is_one_lag_sum(separable, monkeypatch,
+                                                                 curve, steps, points):
+    """The lag-table route: every solver point is a march point and the
+    table spans at most LAG_RANGE (243 and 403 here), so I(s) on the whole
+    march grid is one FFT lag sum.  It never reads the blocks, and each row
+    agrees with its single call up to rounding of that row's own terms,
+    int c(r) [f(r - s) + f(T - s) f(r) / f(T)] dr."""
+    m, p, sol, s = _profile_grids(separable, steps, points, curve)
+    one_by_one = _single_rows(m, p, sol, s)
+    f, T, sg = p.discount, m.horizon, sol.grid
+    cost = pointwise(m.cost, sg, sol.effort_values)
+    terms = np.array([simpson(cost * (f.value_extended(sg - v) + f.value(T - v) / f.value(T)
+                                      * f.value(sg)), sg) for v in s])
+    monkeypatch.setattr(dynamics, "simpson", None)  # the block route's quadrature
+    got = dynamics._shift_correction(m, p, sol, s)
+    assert np.all(np.abs(got - one_by_one) <= 1e-13 * terms)
+
+
+@pytest.mark.parametrize("steps, points, curve", [(300, 201, HYP), (2999, 501, HYP),
+                                                  (150, 201, HYP), (400, 201, STEEP),
+                                                  (3000, 501, STEEP)])
+def test_shift_correction_off_a_nesting_grid_keeps_the_blocks(separable, steps, points, curve):
+    """The block route, bit for bit, wherever some solver point is no march
+    point (steps not a multiple of the solver's, or fewer of them), and on a
+    nesting grid whose lag table spans more than LAG_RANGE (e^40 here)."""
+    m, p, sol, s = _profile_grids(separable, steps, points, curve)
+    np.testing.assert_array_equal(dynamics._shift_correction(m, p, sol, s),
+                                  _single_rows(m, p, sol, s))
 
 
 def test_shift_correction_is_the_integral_it_names(separable):

@@ -260,6 +260,8 @@ def test_solvers_refuse_families_that_do_not_take_arrays():
 
 
 def test_initial_profile_blocks_match_single_rows(separable_setup):
+    """The block route of the initial profile: 101 rows (100 steps) against
+    the solver's 200 steps, so no lag table, give every row its own call's bits."""
     m, p, sol = separable_setup
     y0f, _ = separable_optimal_family(m, p, sol)
     grid = default_grid(2.0, 3 * dynamics.SHIFT_ROWS + 5)
@@ -380,9 +382,9 @@ def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
     m, p, sol = separable_setup
     ens = simulate(m, sol.effort, 2, 300, seed=11)
     y0f, zf = separable_optimal_family(m, p, sol)
-    y0_values = y0f(ens.grid)  # the profile evaluates the curve in blocks of rows
-    calls = {"stars_on_grid": 0, "value_extended": 0, "convolve": 0}
-    stars, extended, convolve = fsvie.stars_on_grid, DiscountSpec.value_extended, np.convolve
+    y0_values = y0f(ens.grid)  # the profile evaluates the curve on a lag table of its own
+    calls = {"stars_on_grid": 0, "value_extended": 0, "lag_sum": 0}
+    stars, extended, lag_sum = fsvie.stars_on_grid, DiscountSpec.value_extended, fsvie._lag_sum
 
     def counted_stars(*args):
         calls["stars_on_grid"] += 1
@@ -392,24 +394,44 @@ def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
         calls["value_extended"] += 1
         return extended(self, t)
 
-    def counted_convolve(*args):
-        calls["convolve"] += 1
-        return convolve(*args)
+    def counted_lag_sum(*args):
+        calls["lag_sum"] += 1
+        return lag_sum(*args)
 
     monkeypatch.setattr(fsvie, "stars_on_grid", counted_stars)
     monkeypatch.setattr(DiscountSpec, "value_extended", counted_extended)
-    monkeypatch.setattr(np, "convolve", counted_convolve)
+    monkeypatch.setattr(fsvie, "_lag_sum", counted_lag_sum)
     fields = []
-    # the product route convolves the cost with the lag table once, for the
-    # terminal rows; the step loop does not convolve
-    for family, convolutions in ((zf, 1), (_plain(zf), 0)):
+    # the product route sums the cost against the lag table once, for the
+    # terminal rows; the step loop reads the table row by row
+    for family, lag_sums in ((zf, 1), (_plain(zf), 0)):
         fields.append(march(m, p, lambda s: y0_values, family, ens))
-        assert calls == {"stars_on_grid": 1, "value_extended": 1, "convolve": convolutions}
-        calls.update(stars_on_grid=0, value_extended=0, convolve=0)
+        assert calls == {"stars_on_grid": 1, "value_extended": 1, "lag_sum": lag_sums}
+        calls.update(stars_on_grid=0, value_extended=0, lag_sum=0)
     monkeypatch.undo()
     np.testing.assert_array_equal(fields[0].terminal, march(m, p, y0f, zf, ens).terminal)
     np.testing.assert_array_equal(fields[1].terminal,
                                   march(m, p, y0f, _plain(zf), ens).terminal)
+
+
+@pytest.mark.parametrize("curve", [HYP, DiscountSpec.exponential(10.0)])
+@pytest.mark.parametrize("family", [separable_optimal_family, s_constant_family])
+@pytest.mark.parametrize("steps", [1, 300, 3000])
+def test_fft_lag_sum_is_the_direct_convolution(separable_setup, curve, family, steps):
+    # the product route's cost against the lag table, on each shipped
+    # family's diagonal best response: every sum equals the direct one up to
+    # rounding of its own size, by FFT where the table spans at most
+    # LAG_RANGE (243 for HYP) and directly where it spans e^40
+    m, p, _ = separable_setup
+    p = dataclasses.replace(p, discount=curve)
+    sol = solve(m, p, default_grid(2.0, 201))
+    grid = default_grid(2.0, steps + 1)
+    dt = float(grid[1] - grid[0])
+    _, zf = family(m, p, sol)
+    _, cost = fsvie._diagonal_stars(m, p, grid[:-1], pointwise(zf, grid, grid)[:-1], None)
+    table = fsvie._lag_table(p, steps, dt)
+    want = np.convolve(table, cost, "valid")
+    np.testing.assert_allclose(fsvie._lag_sum(table, cost), want, rtol=1e-13, atol=0.0)
 
 
 def test_batched_best_response_on_custom_callables(separable_setup):
@@ -493,14 +515,21 @@ def test_constant_in_s_family_violates_the_constraint(separable_setup):
     assert np.min(bad) > 10.0 * np.max(good)
 
 
-def test_exponential_discount_family_is_exactly_admissible():
+@pytest.mark.parametrize("gamma", [0.3, 10.0])
+@pytest.mark.parametrize("steps", [300, 400])
+def test_exponential_discount_family_is_exactly_admissible(gamma, steps):
+    # exact up to rounding of the payment (about 3 and 2.4e7 here), also on
+    # a steep curve whose lag tables span e^(2 gamma T) = e^40 and whose rows
+    # at small s are divided by f(T) = e^-20; 400 steps nest in the 201
+    # solver points, 300 do not
     m = MarketModel.quadratic(0.1, 2.0, 1.0)
-    p = _rn(0.05, DiscountSpec.exponential(0.3), "separable_rn")
+    p = _rn(0.05, DiscountSpec.exponential(gamma), "separable_rn")
     sol = solve(m, p, default_grid(2.0, 201))
-    ens = simulate(m, sol.effort, 2, 300, seed=11)
+    ens = simulate(m, sol.effort, 2, steps, seed=11)
     y0f, zf = separable_optimal_family(m, p, sol)
-    field, _ = picard_solve(m, p, y0f, zf, ens)
-    assert np.all(target_constraint_residual(field, p) < 1e-10)
+    for field in (march(m, p, y0f, zf, ens), picard_solve(m, p, y0f, zf, ens)[0]):
+        paid = p.decode(p.discount.value(2.0 - field.grid), field.terminal)
+        assert np.all(target_constraint_residual(field, p) < 1e-13 * np.max(np.abs(paid)))
 
 
 def test_target_decode_for_the_utility_regimes():

@@ -1,6 +1,6 @@
 """Composite Simpson rule: exactness, bitwise agreement with
-scipy.integrate.simpson (when scipy is installed), and a command-line
-import that loads no scipy."""
+scipy.integrate.simpson (when scipy is installed), its weights in O(n),
+and a command-line import that loads no scipy."""
 
 import os
 import subprocess
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tic_contracts
-from tic_contracts.closed_form import simpson
+from tic_contracts.closed_form import simpson, simpson_weights
 
 
 def _nonuniform(n, seed=0):
@@ -54,6 +54,14 @@ def test_scaling_the_points_by_a_power_of_two_scales_the_result_exactly(n):
     for x in (np.linspace(0.0, 2.0, n), _nonuniform(n, seed=n)):
         for k in (-60, 60):
             assert simpson(y, np.ldexp(x, k)) == np.ldexp(simpson(y, x), k)
+
+
+def test_simpson_weights_are_simpson_on_unit_rows():
+    # O(n) weights; the identity matrix is the O(n^2) way to the same numbers
+    for n in (3, 4, 5, 8, 201, 500):
+        for x in (np.linspace(0.0, 2.0, n), _nonuniform(n, seed=n), np.linspace(0.0, 1e300, n)):
+            np.testing.assert_allclose(simpson_weights(x), simpson(np.eye(n), x),
+                                       rtol=1e-15, atol=0.0)
 
 
 def test_two_points_give_the_trapezoid():
