@@ -8,6 +8,11 @@ for external plotting.  Exit codes: 0 success, 1 usage or parse error,
 
 from __future__ import annotations
 
+import gc
+# the imports below build objects that live to exit: collecting them is pure cost
+if __name__ == "__main__":
+    gc.disable()
+
 import argparse
 import collections
 import csv
@@ -451,5 +456,12 @@ def main(argv=None) -> int:
         return _report_infeasible(str(exc))
 
 
-if __name__ == "__main__":
+def run():
+    """Process entry: freeze the import heap out of every collection, exit with main's code."""
+    gc.freeze()
+    gc.enable()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end, run in process."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -260,6 +261,32 @@ class TestImportGraph:
         assert set(tic_contracts.__all__) <= set(dir(tic_contracts))
         with pytest.raises(AttributeError, match="no attribute 'nothing'"):
             tic_contracts.nothing
+
+
+class TestCollectorPolicy:
+    def test_cli_process_freezes_its_imports(self, tmp_path):
+        # run as `python -m tic_contracts.cli`: the imports run with the
+        # collector off and are frozen before main, which runs collected
+        code = ("import gc, runpy, sys\n"
+                f"sys.argv = ['tic-contracts', 'discount', '--out', {str(tmp_path)!r}]\n"
+                "try:\n"
+                "    runpy.run_module('tic_contracts.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, gc.isenabled(), gc.get_freeze_count())")
+        rc, enabled, frozen = _fresh_python("-c", code).stdout.split("\n")[-2].split()
+        assert (rc, enabled) == ("0", "True")
+        assert int(frozen) > 0
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        # tests and library callers run main many times in one process; a
+        # freeze there would pin the caller's heap for good
+        before = (gc.isenabled(), gc.get_freeze_count())
+        cfg = write_config(tmp_path, SEPARABLE_CONFIG)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--steps", "11"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        assert main(["solve", "--steps", "many"]) == 1
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        capsys.readouterr()
 
 
 def peak_rss_kb(cli_args):
