@@ -396,8 +396,8 @@ def cmd_check_constraint(args) -> int:
                 "s_constant": fsvie.s_constant_family}
     if family_name not in families:
         _fail_usage(f"unknown family {family_name!r}")
-    # the Volterra generator and the family's initial profile evaluate
-    # f(r - s) down to r - s = -T; a curve undefined there raises here
+    # the march's lag table evaluates f(r - s) down to r - s = -T; a curve
+    # undefined there raises here, before the solve
     prefs.discount.value_extended(-model.horizon)
     sol = closed_form.solve(model, prefs, closed_form.default_grid(model.horizon,
                                                                    s["grid_points"]))

@@ -29,9 +29,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_form import ContractSolution, default_grid, simpson, simpson_weights
-from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
+from .model import SECOND_BEST_TAGS, DiscountSpec, MarketModel, Preferences, pointwise
 
 # values of s per block of the s-shift correction's (s, solver grid) arrays
 SHIFT_ROWS = 32
@@ -256,19 +257,47 @@ def _lag_sum(table, weights):
     return np.fft.irfft(product, size)[weights.size - 1:table.size]
 
 
+@dataclass(frozen=True)
+class LagTable:
+    """The cost weights w = prefs.cost_weight on the lags of a uniform grid
+    0 = s_0 < ... < s_N = T, the curve's one evaluation in a march: values[k]
+    = w((N - k) T / N), k = 0..2N, and the views rows[i] = w(T - s_i) and
+    windows[j, i] = values[N + i - j] = w(t_j - s_i).  curve is the f they
+    are, or None for the ones of a discount outside the utility."""
+
+    grid: np.ndarray
+    values: np.ndarray
+    curve: Optional[DiscountSpec]
+
+    @classmethod
+    def of(cls, prefs: Preferences, grid: np.ndarray) -> "LagTable":
+        n = grid.size - 1
+        curve = None if prefs.spec_tag == "discounted_utility" else prefs.discount
+        return cls(grid, prefs.cost_weight(np.arange(n, -n - 1, -1) * (grid[-1] / n)), curve)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.values[:self.grid.size]
+
+    @property
+    def windows(self) -> np.ndarray:
+        return sliding_window_view(self.values[1:], self.grid.size)[::-1]
+
+
 def _shift_correction(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                      s: np.ndarray) -> np.ndarray:
+                      s) -> np.ndarray:
     """I(s) = int_0^T c(r) [f(r - s) - f(T - s) f(r) / f(T)] dr, the s-shift
-    correction, for a 1-D array of s: Simpson on the solver grid at the
-    equilibrium cost.  On a uniform s of n steps through every solver point,
-    with a narrow table f(j T / n), |j| <= n, I is one lag sum; any other s
-    reduces each row alone, in blocks, so any block gives the same bits."""
+    correction, for a 1-D array of s or the LagTable of a march grid: Simpson
+    on the solver grid at the equilibrium cost.  From a narrow table of f on
+    a grid through every solver point, I is one lag sum over the table; any
+    other s reduces each row alone, in blocks, so any block gives the same bits."""
     f, T, sg = prefs.discount, model.horizon, solution.grid
     cost = pointwise(model.cost, sg, solution.effort_values)
-    n, g = s.size - 1, sg.size - 1
-    if n > 0 and n % g == 0 and all(np.array_equal(v, default_grid(T, v.size)) for v in (s, sg)):
-        table = f.value_extended(np.arange(n, -n - 1, -1) * (T / n))  # at lags n, ..., -n steps
-        if _narrow(table):
+    if isinstance(s, LagTable):
+        curve, table, s = s.curve, s.values, s.grid
+        n, g = s.size - 1, sg.size - 1
+        if (curve == f and n % g == 0 and np.array_equal(sg, default_grid(T, g + 1))
+                and _narrow(table)):
             load = np.zeros(n + 1)  # the weighted cost at the solver points, 0 between them
             load[::n // g] = simpson_weights(sg) * cost
             return _lag_sum(table, load) - table[:n + 1] / table[0] * (load @ table[n::-1])

@@ -14,7 +14,7 @@ every row's step reads only values at t_j, so :func:`march` solves it
 in one forward pass over t.  Its state holds every path's rows, paths
 along the first axis; each step evaluates its column of exposures
 Z^s_{t_j}.  On the uniform grid the weights f(t - s) depend only on the
-lag t - s, so both solvers read them from one table of 2N lags.
+lag t - s, so both solvers read them and f(T - s) from one LagTable of 2N + 1 lags.
 A risk-neutral agent's action answers the diagonal exposure alone, so
 one batched best response over the grid serves the whole march, and
 h = lam z - w cost does not read Y.  An exponential agent's action
@@ -44,11 +44,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import PathEnsemble, _lag_sum, _shift_correction
+from .dynamics import LagTable, PathEnsemble, _lag_sum, _shift_correction
 from .hamiltonian import stars_on_grid
-from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
+from .model import SECOND_BEST_TAGS, DiscountSpec, MarketModel, Preferences, pointwise
 
 
 class ConvergenceError(RuntimeError):
@@ -62,36 +61,42 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class VolterraField:
     """Solved field per path: terminal[p, i] = Y^{s_i}_T, the row values
-    the stochastic target constraint decodes."""
+    the stochastic target constraint decodes by decode_weights[i] = f(T - s_i)."""
 
     grid: np.ndarray
     terminal: np.ndarray
+    decode_weights: np.ndarray
     spec_tag: str
 
 
+@dataclass(frozen=True)
+class RemainingCurve:
+    """fn(s) = form(s, f(T - s), s), f(T - s) by default: it reads the curve f only
+    as f(T - s), so on a LagTable of f :func:`_on_grid` reads form(grid, rows, table)."""
+
+    curve: DiscountSpec
+    horizon: float
+    form: Callable = lambda s, remaining, at: remaining
+
+    def __call__(self, s):
+        return self.form(s, self.curve.value(self.horizon - s), s)
+
+
+def _on_grid(fn, table: LagTable):
+    """fn on the table's grid: its table form where fn reads the table's own
+    curve (compared by value) over its horizon, pointwise otherwise."""
+    if isinstance(fn, RemainingCurve) and (fn.curve, fn.horizon) == (table.curve, table.grid[-1]):
+        return fn.form(table.grid, table.rows, table)
+    return pointwise(fn, table.grid)
+
+
 def _initial_rows(prefs: Preferences, y0_family, ensemble: PathEnsemble):
-    """(grid, dt, y0 on the grid) after checking the regime has a generator."""
+    """(LagTable, dt, y0, decode weights f(T - s)) on the march grid of a second-best regime."""
     if prefs.spec_tag not in SECOND_BEST_TAGS:
         raise ValueError(f"no Volterra generator for spec {prefs.spec_tag!r}")
-    grid = ensemble.grid
-    return grid, float(grid[1] - grid[0]), pointwise(y0_family, grid)
-
-
-def _lag_table(prefs: Preferences, n: int, dt: float):
-    """The cost weights at the lags m dt for m = n-1 down to -n."""
-    return prefs.cost_weight(np.arange(n - 1, -n - 1, -1) * dt)
-
-
-def _lag_weights(prefs: Preferences, n: int, dt: float):
-    """(n, n+1) cost weights w[j, i] at the lags t_j - s_i, for the n step
-    times t_j and the rows s_i.
-
-    On the uniform grid a weight depends only on the lag j - i, so the
-    curve is evaluated once, on the lag table.  The table runs from the
-    largest lag down, so every row is a window of it read forward: a view,
-    no (n, n+1) array.
-    """
-    return sliding_window_view(_lag_table(prefs, n, dt), n + 1)[::-1]
+    table = LagTable.of(prefs, ensemble.grid)
+    return (table, float(table.grid[1] - table.grid[0]), _on_grid(y0_family, table),
+            _on_grid(RemainingCurve(prefs.discount, table.grid[-1]), table))
 
 
 @dataclass(frozen=True)
@@ -105,17 +110,6 @@ class ProductFamily:
 
     def __call__(self, s, t):
         return self.s_factor(s) * self.t_factor(t)
-
-
-def _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost):
-    """A risk-neutral agent's field of a ProductFamily (see the module doc):
-    the cost's lag sum, before the paths' temporaries exist, and each path's sum."""
-    lagged = dt * _lag_sum(_lag_table(prefs, grid.size - 1, dt), cost)
-    a = pointwise(z_family.s_factor, grid)
-    # the last cumulative sum, not np.sum, whose pairwise order differs
-    path = np.cumsum(pointwise(z_family.t_factor, grid[:-1]) * (dx - lam * dt), axis=1)[:, -1:]
-    terminal = y0 + a * path + lagged
-    return VolterraField(grid=grid.copy(), terminal=terminal, spec_tag=prefs.spec_tag)
 
 
 def _diagonal_stars(model: MarketModel, prefs: Preferences, t, z_diag, diag):
@@ -148,7 +142,7 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     :func:`~tic_contracts.model.pointwise`).  The state holds
     paths along the first axis and rows s along the second.  Each step
     evaluates its column of exposures z(s, t_j) and reads the weights
-    f(t_j - s) from one table of lags, so no (s, t) array is formed, and
+    f(t_j - s) from the march's LagTable, so no (s, t) array is formed, and
     does the same arithmetic as one Picard sweep's column.  A risk-neutral
     agent's generator does not read Y: its action depends on the diagonal
     exposures alone, so one batched best response serves the whole march,
@@ -157,27 +151,33 @@ def march(model: MarketModel, prefs: Preferences, y0_family, z_family,
     Y^{t_j}_{t_j}, which the state holds at step j, so the step loop
     solves it per step.
     """
-    grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
+    table, dt, y0, decode = _initial_rows(prefs, y0_family, ensemble)
+    grid = table.grid
     dx = ensemble.increments
-    n = grid.size - 1
-    z_diag = pointwise(z_family, grid, grid)
+    product = isinstance(z_family, ProductFamily)
+    if product:
+        a, b = _on_grid(z_family.s_factor, table), _on_grid(z_family.t_factor, table)
+    z_diag = a * b if product else pointwise(z_family, grid, grid)
     risk_neutral = prefs.agent_utility == "risk_neutral"
     if risk_neutral:
         lam, cost = _diagonal_stars(model, prefs, grid[:-1], z_diag[:-1], None)
-        if isinstance(z_family, ProductFamily):
-            return _product_field(prefs, z_family, grid, dt, y0, dx, lam, cost)
-    weights = _lag_weights(prefs, n, dt)
+        if product:  # see the module doc: the cost's lag sum before the paths' temporaries
+            lagged = dt * _lag_sum(table.values[1:], cost)
+            # the last cumulative sum, not np.sum, whose pairwise order differs
+            path = np.cumsum(b[:-1] * (dx - lam * dt), axis=1)[:, -1:]
+            return VolterraField(grid.copy(), y0 + a * path + lagged, decode, prefs.spec_tag)
+    weights = table.windows
     # summing the increments apart from y0, as the Picard sweep does, gives
     # its field bit for bit when the generator does not read Y (risk neutral)
     acc = np.zeros((ensemble.n_paths, grid.size))
-    for j in range(n):
-        z = pointwise(z_family, grid, grid[j])
+    for j in range(grid.size - 1):
+        z = a * b[j] if product else pointwise(z_family, grid, grid[j])
         stars = (lam[j], cost[j]) if risk_neutral else _diagonal_stars(
             model, prefs, grid[j], z_diag[j], y0[j] + acc[:, j:j + 1])
         step = z * dx[:, j:j + 1]
         step -= _generator(prefs, *stars, weights[j], z, y0 + acc) * dt
         acc += step
-    return VolterraField(grid=grid.copy(), terminal=y0 + acc, spec_tag=prefs.spec_tag)
+    return VolterraField(grid.copy(), y0 + acc, decode, prefs.spec_tag)
 
 
 def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
@@ -199,12 +199,12 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    grid, dt, y0 = _initial_rows(prefs, y0_family, ensemble)
-    s = grid[:, None]
-    zmat = pointwise(z_family, s, grid[None, :])
+    table, dt, y0, decode = _initial_rows(prefs, y0_family, ensemble)
+    grid = table.grid
+    zmat = pointwise(z_family, grid[:, None], grid[None, :])
     z_left = zmat[:, :-1]
     z_diag = np.diagonal(zmat)
-    w = _lag_weights(prefs, grid.size - 1, dt).T
+    w = table.windows.T
     dx = ensemble.increments
 
     terminal, all_diffs = [], []
@@ -231,18 +231,14 @@ def picard_solve(model: MarketModel, prefs: Preferences, y0_family, z_family,
         terminal.append(y[:, -1].copy())
         all_diffs.append(diffs)
 
-    field = VolterraField(grid=grid.copy(), terminal=np.array(terminal),
-                          spec_tag=prefs.spec_tag)
-    return field, all_diffs
+    return VolterraField(grid.copy(), np.array(terminal), decode, prefs.spec_tag), all_diffs
 
 
 def target_constraint_residual(field: VolterraField, prefs: Preferences) -> np.ndarray:
-    """Per-path spread of the decoded terminal payment across s rows."""
+    """Per-path spread of the payment the terminal rows decode to, by the field's f(T - s)."""
     if field.spec_tag != prefs.spec_tag:
         raise ValueError("preferences and field disagree on the spec tag")
-    T = float(field.grid[-1])
-    fTs = prefs.discount.value(T - field.grid)
-    decoded = prefs.decode(fTs[None, :], field.terminal)
+    decoded = prefs.decode(field.decode_weights[None, :], field.terminal)
     return np.max(decoded, axis=1) - np.min(decoded, axis=1)
 
 
@@ -252,17 +248,16 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
     The exposure family is the product Z^s_t = f(T-s) * loading(t); the
     initial row values f(T-s) / f(T) * r0 - I(s) correct the discounted
     reservation profile by the s-shift correction I(s) of the equilibrium
-    cost, the one the Monte Carlo identity check uses (one lag sum on a march
-    grid through every solver point).  y0_family takes 1-D rows s.
+    cost, the one the Monte Carlo identity check uses (one lag sum over a
+    march's LagTable through every solver point).  y0_family takes 1-D rows s.
     """
-    f = prefs.discount
-    T = model.horizon
+    f, T = prefs.discount, model.horizon
     fT = float(f.value(T))
 
-    def y0_family(s):
-        return f.value(T - s) / fT * prefs.r0 - _shift_correction(model, prefs, solution, s)
+    def y0(s, remaining, at):  # at: s, or its LagTable
+        return remaining / fT * prefs.r0 - _shift_correction(model, prefs, solution, at)
 
-    return y0_family, ProductFamily(lambda s: f.value(T - s), solution.loading)
+    return RemainingCurve(f, T, y0), ProductFamily(RemainingCurve(f, T), solution.loading)
 
 
 def s_constant_family(model: MarketModel, prefs: Preferences, solution):
@@ -272,10 +267,6 @@ def s_constant_family(model: MarketModel, prefs: Preferences, solution):
     payment, which is what the residual check is meant to catch.
     """
     y0_family, _ = separable_optimal_family(model, prefs, solution)
-    f = prefs.discount
-    T = model.horizon
-
-    def t_factor(t):
-        return solution.loading(t) * f.value(T - t)
-
+    t_factor = RemainingCurve(prefs.discount, model.horizon,
+                              lambda t, remaining, at: solution.loading(t) * remaining)
     return y0_family, ProductFamily(np.ones_like, t_factor)

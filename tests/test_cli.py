@@ -715,12 +715,12 @@ class TestCheckConstraint:
     def test_bench_run_evaluates_the_curve_on_o_of_n_plus_g_points(self, tmp_path,
                                                                    monkeypatch):
         # 2 paths x 3000 steps on 501 solver points, as the benchmark runs
-        # it: the march's lag table (2N) and the initial profile's (2N + 1),
-        # the row factor twice, y0's ratio and the residual's weights on the
-        # march grid (N + 1 each), and the solve's 2G, 25,012 points in all.
+        # it: the march's one lag table (2N + 1), which also gives the
+        # initial profile, the row factor and the residual's weights, the
+        # solve's 2G and a few single points, 7,008 points in all.
         # Evaluating the profile on (rows x solver grid) blocks took
-        # (N + 1) G, 1.5M points.  Without the second table and the three
-        # repeats of f(T - s) the run would stay under 4 (N + G).
+        # (N + 1) G, 1.5M points; a second table and four evaluations of
+        # f(T - s) on the march grid took 25,012.
         n, g = 3000, 501
         raw, points = DiscountSpec._value_raw, []
 
@@ -732,7 +732,7 @@ class TestCheckConstraint:
         cfg = os.path.join(ROOT, "perfbench", "configs", "separable_hyp04.json")
         assert main(["check-constraint", "--config", cfg, "--out", str(tmp_path),
                      "--steps", str(n), "--paths", "2"]) == 0
-        assert sum(points) <= 8 * (n + g)
+        assert sum(points) <= 4 * (n + g)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads ru_maxrss in kilobytes, as Linux reports it")

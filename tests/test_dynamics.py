@@ -443,7 +443,7 @@ def test_shift_correction_on_a_nesting_march_grid_is_one_lag_sum(separable, monk
     terms = np.array([simpson(cost * (f.value_extended(sg - v) + f.value(T - v) / f.value(T)
                                       * f.value(sg)), sg) for v in s])
     monkeypatch.setattr(dynamics, "simpson", None)  # the block route's quadrature
-    got = dynamics._shift_correction(m, p, sol, s)
+    got = dynamics._shift_correction(m, p, sol, dynamics.LagTable.of(p, s))
     assert np.all(np.abs(got - one_by_one) <= 1e-13 * terms)
 
 
@@ -451,11 +451,13 @@ def test_shift_correction_on_a_nesting_march_grid_is_one_lag_sum(separable, monk
                                                   (150, 201, HYP), (400, 201, STEEP),
                                                   (3000, 501, STEEP)])
 def test_shift_correction_off_a_nesting_grid_keeps_the_blocks(separable, steps, points, curve):
-    """The block route, bit for bit, wherever some solver point is no march
-    point (steps not a multiple of the solver's, or fewer of them), and on a
-    nesting grid whose lag table spans more than LAG_RANGE (e^40 here)."""
+    """The block route, bit for bit, from the march's table wherever some
+    solver point is no march point (steps not a multiple of the solver's, or
+    fewer of them), and on a nesting grid whose lag table spans more than
+    LAG_RANGE (e^40 here)."""
     m, p, sol, s = _profile_grids(separable, steps, points, curve)
-    np.testing.assert_array_equal(dynamics._shift_correction(m, p, sol, s),
+    table = dynamics.LagTable.of(p, s)
+    np.testing.assert_array_equal(dynamics._shift_correction(m, p, sol, table),
                                   _single_rows(m, p, sol, s))
 
 

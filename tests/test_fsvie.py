@@ -31,6 +31,7 @@ from tic_contracts import (
     target_constraint_residual,
 )
 from tic_contracts import dynamics, fsvie
+from tic_contracts.closed_form import simpson
 from tic_contracts.hamiltonian import stars_on_grid
 from tic_contracts.model import pointwise
 
@@ -339,14 +340,16 @@ def test_lag_table_rows_match_direct_weights(disc):
     # leaves a margin of about five)
     steps = 300
     grid = default_grid(2.0, steps + 1)
-    weights = fsvie._lag_weights(_rn(0.05, disc, "separable_rn"), steps,
-                                 float(grid[1] - grid[0]))
+    table = dynamics.LagTable.of(_rn(0.05, disc, "separable_rn"), grid)
+    assert table.curve == disc and table.values.shape == (2 * steps + 1,)
+    weights = table.windows
     assert weights.shape == (steps, steps + 1)
     for j in range(steps):
         np.testing.assert_allclose(weights[j], disc.value_extended(grid[j] - grid),
                                    rtol=1e-14, atol=0.0)
-    assert np.all(fsvie._lag_weights(_cara(1.0, 0.5, -0.8, disc, "discounted_utility"),
-                                     steps, 0.1) == 1.0)
+    np.testing.assert_allclose(table.rows, disc.value(2.0 - grid), rtol=1e-14, atol=0.0)
+    ones = dynamics.LagTable.of(_cara(1.0, 0.5, -0.8, disc, "discounted_utility"), grid)
+    assert ones.curve is None and np.all(ones.values == 1.0)
 
 
 def _separable_oracle(m, p, y0f, zf, ens):
@@ -379,10 +382,11 @@ def test_march_matches_a_directly_weighted_field(separable_setup):
 
 
 def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
+    # 400 steps nest in the 201 solver points, so the initial profile is one
+    # lag sum over the march's own table, and evaluates no curve of its own
     m, p, sol = separable_setup
-    ens = simulate(m, sol.effort, 2, 300, seed=11)
+    ens = simulate(m, sol.effort, 2, 400, seed=11)
     y0f, zf = separable_optimal_family(m, p, sol)
-    y0_values = y0f(ens.grid)  # the profile evaluates the curve on a lag table of its own
     calls = {"stars_on_grid": 0, "value_extended": 0, "lag_sum": 0}
     stars, extended, lag_sum = fsvie.stars_on_grid, DiscountSpec.value_extended, fsvie._lag_sum
 
@@ -402,16 +406,75 @@ def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
     monkeypatch.setattr(DiscountSpec, "value_extended", counted_extended)
     monkeypatch.setattr(fsvie, "_lag_sum", counted_lag_sum)
     fields = []
-    # the product route sums the cost against the lag table once, for the
-    # terminal rows; the step loop reads the table row by row
+    # one value_extended call, the march's LagTable.  The product route
+    # sums the cost against it once, for the terminal rows (the profile's
+    # lag sum is dynamics'); the step loop reads the table row by row
     for family, lag_sums in ((zf, 1), (_plain(zf), 0)):
-        fields.append(march(m, p, lambda s: y0_values, family, ens))
+        fields.append(march(m, p, y0f, family, ens))
         assert calls == {"stars_on_grid": 1, "value_extended": 1, "lag_sum": lag_sums}
         calls.update(stars_on_grid=0, value_extended=0, lag_sum=0)
     monkeypatch.undo()
     np.testing.assert_array_equal(fields[0].terminal, march(m, p, y0f, zf, ens).terminal)
     np.testing.assert_array_equal(fields[1].terminal,
                                   march(m, p, y0f, _plain(zf), ens).terminal)
+
+
+def test_exponential_march_reads_a_product_family_from_the_table(separable_setup, monkeypatch):
+    # the step loop's exposures are a(s) b(t_j), both read on the table once:
+    # the curve is evaluated on the table's 2N + 1 lags alone, where every
+    # step evaluating the row factor took N (N + 1) points more
+    m, p, sol = separable_setup
+    income = _cara(0.5, 0.5, -0.8, HYP, "discounted_income")
+    _, zf = separable_optimal_family(m, p, sol)
+    ens = simulate(m, sol.effort, 2, 400, seed=11)
+    plain = march(m, income, lambda s: -0.5 + 0.0 * s, _plain(zf), ens)
+    raw, points = DiscountSpec._value_raw, []
+
+    def counted(self, t):
+        points.append(t.size)
+        return raw(self, t)
+
+    monkeypatch.setattr(DiscountSpec, "_value_raw", counted)
+    field = march(m, income, lambda s: -0.5 + 0.0 * s, zf, ens)
+    assert points == [2 * 400 + 1]
+    np.testing.assert_allclose(field.terminal, plain.terminal, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", [separable_optimal_family, s_constant_family])
+def test_family_table_forms_match_their_callable_forms(separable_setup, family):
+    # on a march grid through every solver point (400 steps on 201 points)
+    # the profile is one lag sum over the table against the callable's
+    # blocks, which round the correction's terms, int c(r) [f(r - s) +
+    # f(T - s) f(r) / f(T)] dr, up to about 1.8, where y0 is at most 0.46
+    # (about 4 eps of the sum of both seen); the factors differ only by the
+    # lags' rounding, (N - i) dt against T - s_i
+    m, p, sol = separable_setup
+    grid = default_grid(2.0, 401)
+    y0f, zf = family(m, p, sol)
+    table = dynamics.LagTable.of(p, grid)
+    y0 = pointwise(y0f, grid)
+    f, sg = p.discount, sol.grid
+    cost = pointwise(m.cost, sg, sol.effort_values)
+    terms = simpson(cost * (f.value_extended(sg[None, :] - grid[:, None])
+                            + (f.value(2.0 - grid) / f.value(2.0))[:, None] * f.value(sg)), sg)
+    bound = 16 * np.finfo(float).eps * (np.max(terms) + np.max(np.abs(y0)))
+    assert np.max(np.abs(fsvie._on_grid(y0f, table) - y0)) <= bound
+    for factor in (zf.s_factor, zf.t_factor):
+        np.testing.assert_allclose(fsvie._on_grid(factor, table), pointwise(factor, grid),
+                                   rtol=1e-14, atol=0.0)
+    # a table of another curve, of ones, or over another horizon lends the
+    # family nothing: every form is its callable's, bit for bit
+    other_curve = dataclasses.replace(p, discount=DiscountSpec.exponential(0.3))
+    ones = _cara(1.0, 0.5, -0.8, HYP, "discounted_utility")
+    for prefs, other in ((other_curve, grid), (ones, grid), (p, default_grid(1.5, 401))):
+        table = dynamics.LagTable.of(prefs, other)
+        for fn in (y0f, zf.s_factor, zf.t_factor):
+            np.testing.assert_array_equal(fsvie._on_grid(fn, table), pointwise(fn, other))
+    # so a march under another curve gives the bits of the family's plain callables
+    ens = simulate(m, sol.effort, 2, 400, seed=11)
+    plain = fsvie.ProductFamily(lambda s: zf.s_factor(s), lambda t: zf.t_factor(t))
+    np.testing.assert_array_equal(march(m, other_curve, y0f, zf, ens).terminal,
+                                  march(m, other_curve, lambda s: y0f(s), plain, ens).terminal)
 
 
 @pytest.mark.parametrize("curve", [HYP, DiscountSpec.exponential(10.0)])
@@ -426,10 +489,9 @@ def test_fft_lag_sum_is_the_direct_convolution(separable_setup, curve, family, s
     p = dataclasses.replace(p, discount=curve)
     sol = solve(m, p, default_grid(2.0, 201))
     grid = default_grid(2.0, steps + 1)
-    dt = float(grid[1] - grid[0])
     _, zf = family(m, p, sol)
     _, cost = fsvie._diagonal_stars(m, p, grid[:-1], pointwise(zf, grid, grid)[:-1], None)
-    table = fsvie._lag_table(p, steps, dt)
+    table = dynamics.LagTable.of(p, grid).values[1:]  # the march's lags, N - 1 down to -N
     want = np.convolve(table, cost, "valid")
     np.testing.assert_allclose(fsvie._lag_sum(table, cost), want, rtol=1e-13, atol=0.0)
 
