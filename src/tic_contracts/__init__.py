@@ -19,8 +19,7 @@ _EXPORTS = {
     "closed_form": ("ContractSolution", "default_grid", "solve"),
     "discounting": ("DiscountSpec",),
     "dynamics": ("McEstimate", "PathEnsemble", "agent_value_mc", "contract_payoff",
-                 "delta_correction_check", "principal_value_mc", "simulate",
-                 "spike_deviation_check", "verify_contract"),
+                 "principal_value_mc", "simulate", "spike_deviation_check", "verify_contract"),
     "fsvie": ("ConvergenceError", "VolterraField", "march", "picard_solve",
               "s_constant_family", "separable_optimal_family", "target_constraint_residual"),
     "hamiltonian": ("HamiltonianResult", "maximize", "search_max"),

@@ -20,6 +20,8 @@ exact mean on the run's grid; the s-shift correction identity for the
 separable regime; and spike deviations of the equilibrium effort for
 every second-best regime.  The exact grid means and the spike gains,
 which have no sampling error, come from one evaluator, _exact_means.
+The s-shift correction reduces its rows here, in blocks; the march grid's
+lag table and its lag sums belong to fsvie, which no check here reads.
 """
 
 from __future__ import annotations
@@ -29,14 +31,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .closed_form import ContractSolution, default_grid, simpson, simpson_weights
-from .model import SECOND_BEST_TAGS, DiscountSpec, MarketModel, Preferences, pointwise
+from .closed_form import ContractSolution, simpson
+from .model import SECOND_BEST_TAGS, MarketModel, Preferences, pointwise
 
 # values of s per block of the s-shift correction's (s, solver grid) arrays
 SHIFT_ROWS = 32
-LAG_RANGE = 1e3  # the widest max / min of a lag table whose lag sums take an FFT
 _ROUNDING = float(16 * np.finfo(float).eps)  # verify's rounding slack, relative
 
 
@@ -44,7 +44,6 @@ _ROUNDING = float(16 * np.finfo(float).eps)  # verify's rounding slack, relative
 class McEstimate:
     mean: float
     std_error: float
-    n: int
 
 
 @dataclass
@@ -160,7 +159,7 @@ def _estimate(values: np.ndarray, antithetic: bool) -> McEstimate:
     _, scale = np.frexp(np.max(np.abs(units)))
     std = np.ldexp(np.std(np.ldexp(units, -scale), ddof=1), scale) if n > 1 else 0.0
     se = float(std / math.sqrt(n))
-    return McEstimate(mean=mean, std_error=se, n=n)
+    return McEstimate(mean=mean, std_error=se)
 
 
 def _factor(u: np.ndarray, v: np.ndarray) -> tuple:
@@ -242,65 +241,14 @@ def principal_value_mc(model: MarketModel, prefs: Preferences, solution: Contrac
     return _estimate(prefs.principal_u(ensemble.terminal - xi), ensemble.antithetic)
 
 
-def _narrow(table) -> bool:
-    return bool(np.max(np.abs(table)) <= LAG_RANGE * np.min(np.abs(table)))
-
-
-def _lag_sum(table, weights):
-    """np.convolve(table, weights, "valid"), by real FFTs of a power-of-two
-    length at least the table's, whose wrap spares that part, if the table is
-    narrow: the FFT rounds every sum to about eps times the largest entry."""
-    if not _narrow(table):
-        return np.convolve(table, weights, "valid")
-    size = 1 << (table.size - 1).bit_length()
-    product = np.fft.rfft(table, size) * np.fft.rfft(weights, size)
-    return np.fft.irfft(product, size)[weights.size - 1:table.size]
-
-
-@dataclass(frozen=True)
-class LagTable:
-    """The cost weights w = prefs.cost_weight on the lags of a uniform grid
-    0 = s_0 < ... < s_N = T, the curve's one evaluation in a march: values[k]
-    = w((N - k) T / N), k = 0..2N, and the views rows[i] = w(T - s_i) and
-    windows[j, i] = values[N + i - j] = w(t_j - s_i).  curve is the f they
-    are, or None for the ones of a discount outside the utility."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    curve: Optional[DiscountSpec]
-
-    @classmethod
-    def of(cls, prefs: Preferences, grid: np.ndarray) -> "LagTable":
-        n = grid.size - 1
-        curve = None if prefs.spec_tag == "discounted_utility" else prefs.discount
-        return cls(grid, prefs.cost_weight(np.arange(n, -n - 1, -1) * (grid[-1] / n)), curve)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.values[:self.grid.size]
-
-    @property
-    def windows(self) -> np.ndarray:
-        return sliding_window_view(self.values[1:], self.grid.size)[::-1]
-
-
 def _shift_correction(model: MarketModel, prefs: Preferences, solution: ContractSolution,
-                      s) -> np.ndarray:
+                      s: np.ndarray) -> np.ndarray:
     """I(s) = int_0^T c(r) [f(r - s) - f(T - s) f(r) / f(T)] dr, the s-shift
-    correction, for a 1-D array of s or the LagTable of a march grid: Simpson
-    on the solver grid at the equilibrium cost.  From a narrow table of f on
-    a grid through every solver point, I is one lag sum over the table; any
-    other s reduces each row alone, in blocks, so any block gives the same bits."""
+    correction, for a 1-D array of s: Simpson on the solver grid at the
+    equilibrium cost, each row reduced alone, in blocks, so any block gives
+    the same bits."""
     f, T, sg = prefs.discount, model.horizon, solution.grid
     cost = pointwise(model.cost, sg, solution.effort_values)
-    if isinstance(s, LagTable):
-        curve, table, s = s.curve, s.values, s.grid
-        n, g = s.size - 1, sg.size - 1
-        if (curve == f and n % g == 0 and np.array_equal(sg, default_grid(T, g + 1))
-                and _narrow(table)):
-            load = np.zeros(n + 1)  # the weighted cost at the solver points, 0 between them
-            load[::n // g] = simpson_weights(sg) * cost
-            return _lag_sum(table, load) - table[:n + 1] / table[0] * (load @ table[n::-1])
     f_sg = f.value(sg)
     ratio = f.value(T - s) / float(f.value(T))
     out = np.empty_like(s)
@@ -315,31 +263,15 @@ def _correction_sides(model: MarketModel, prefs: Preferences, solution: Contract
                       ensemble: PathEnsemble, s: float) -> tuple:
     """Per-path (lhs, rhs) of the s-shift correction identity at time 0: the
     s-shifted reward, and the unshifted one times f(T - s)/f(T) less the
-    correction on the solver grid, an independent quadrature route."""
+    correction on the solver grid, an independent quadrature route.  Both
+    read the same paths, so the payoff noise cancels and what remains is
+    the quadrature-vs-Riemann discrepancy, O(dt)."""
     xi = contract_payoff(solution, ensemble)
     f, T = prefs.discount, model.horizon
     rhs = (float(f.value(T - s)) / float(f.value(T))
            * _rewards(model, prefs, solution, xi, ensemble.grid, 0.0)
            - float(_shift_correction(model, prefs, solution, np.array([s]))[0]))
     return _rewards(model, prefs, solution, xi, ensemble.grid, s), rhs
-
-
-def delta_correction_check(model: MarketModel, prefs: Preferences,
-                           solution: ContractSolution, ensemble: PathEnsemble,
-                           s: float) -> McEstimate:
-    """Residual of the s-shift correction identity at time 0.
-
-    The left side evaluates the s-shifted reward directly; the right side
-    combines the unshifted reward with the correction integral.  Both use
-    the same paths, so the payoff noise cancels and what remains is the
-    quadrature-vs-Riemann discrepancy, O(dt).
-    """
-    if prefs.spec_tag != "separable_rn":
-        raise ValueError("the correction identity check covers the separable regime")
-    if not 0.0 <= s <= model.horizon:
-        raise ValueError("s must lie in [0, T]")
-    lhs, rhs = _correction_sides(model, prefs, solution, ensemble, s)
-    return _estimate(lhs - rhs, ensemble.antithetic)
 
 
 def _risk(gamma: float, weight: float, variance: Callable[[], float]) -> float:
@@ -425,7 +357,7 @@ def spike_deviation_check(model: MarketModel, prefs: Preferences,
                    for a in (a_dev, a_eq))
     except ValueError as exc:
         raise ValueError(f"spike check: {exc}") from None
-    return McEstimate(mean=dev - eq, std_error=0.0, n=m)
+    return McEstimate(mean=dev - eq, std_error=0.0)
 
 
 def _check_estimator_units(n_paths: int, antithetic: bool):
@@ -446,8 +378,7 @@ def verify_contract(model: MarketModel, prefs: Preferences, solution: ContractSo
     second-best regime also gets eight spike deviations (t in {0, T/4, T/2,
     3T/4}, alt in {action_lo, mid}, each exact on the tail grid of [t, T]
     that n_steps gives it), and the separable one the correction identity
-    at s = T/4 and T/2 (delta_correction_check and spike_deviation_check
-    take any other s or spike).
+    at s = T/4 and T/2 (spike_deviation_check takes any other spike).
 
     One simulate gives the recipe of all paths; _outcomes draws their
     payments and X_T once for agent_value_mc, principal_value_mc and the

@@ -14,7 +14,8 @@ every row's step reads only values at t_j, so :func:`march` solves it
 in one forward pass over t.  Its state holds every path's rows, paths
 along the first axis; each step evaluates its column of exposures
 Z^s_{t_j}.  On the uniform grid the weights f(t - s) depend only on the
-lag t - s, so both solvers read them and f(T - s) from one LagTable of 2N + 1 lags.
+lag t - s, so both solvers read them and f(T - s) from one LagTable of 2N + 1 lags,
+which this module owns with its lag sums.
 A risk-neutral agent's action answers the diagonal exposure alone, so
 one batched best response over the grid serves the whole march, and
 h = lam z - w cost does not read Y.  An exponential agent's action
@@ -29,6 +30,8 @@ For a risk-neutral agent and a :class:`ProductFamily` z(s, t) = a(s) b(t),
 as both shipped families are, Y^s_T = y0(s) + a(s) sum_j b_j (dX_j - lam_j dt)
 + dt sum_j f(t_j - s) cost_j: one cumulative sum per path and one lag sum
 of the cost against the lag table, an FFT on a narrow table, and no step loop.
+The optimal family's initial profile is one more lag sum over the table
+(:func:`_lag_correction`) where the march grid nests the solver grid.
 :func:`picard_solve` iterates the same scheme to its fixed point: the
 contraction diagnostic, and the reference the march is tested against.
 
@@ -41,13 +44,17 @@ step size; an inadmissible one leaves an O(1) residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import LagTable, PathEnsemble, _lag_sum, _shift_correction
+from .closed_form import ContractSolution, default_grid, simpson_weights
+from .dynamics import PathEnsemble, _shift_correction
 from .hamiltonian import stars_on_grid
 from .model import SECOND_BEST_TAGS, DiscountSpec, MarketModel, Preferences, pointwise
+
+LAG_RANGE = 1e3  # the widest max / min of a lag table whose lag sums take an FFT
 
 
 class ConvergenceError(RuntimeError):
@@ -56,6 +63,64 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, diagnostics):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+def _narrow(table) -> bool:
+    return bool(np.max(np.abs(table)) <= LAG_RANGE * np.min(np.abs(table)))
+
+
+def _lag_sum(table, weights):
+    """np.convolve(table, weights, "valid"), by real FFTs of a power-of-two
+    length at least the table's, whose wrap spares that part, if the table is
+    narrow: the FFT rounds every sum to about eps times the largest entry."""
+    if not _narrow(table):
+        return np.convolve(table, weights, "valid")
+    size = 1 << (table.size - 1).bit_length()
+    product = np.fft.rfft(table, size) * np.fft.rfft(weights, size)
+    return np.fft.irfft(product, size)[weights.size - 1:table.size]
+
+
+@dataclass(frozen=True)
+class LagTable:
+    """The cost weights w = prefs.cost_weight on the lags of a uniform grid
+    0 = s_0 < ... < s_N = T, the curve's one evaluation in a march: values[k]
+    = w((N - k) T / N), k = 0..2N, and the views rows[i] = w(T - s_i) and
+    windows[j, i] = values[N + i - j] = w(t_j - s_i).  curve is the f they
+    are, or None for the ones of a discount outside the utility."""
+
+    grid: np.ndarray
+    values: np.ndarray
+    curve: Optional[DiscountSpec]
+
+    @classmethod
+    def of(cls, prefs: Preferences, grid: np.ndarray) -> "LagTable":
+        n = grid.size - 1
+        curve = None if prefs.spec_tag == "discounted_utility" else prefs.discount
+        return cls(grid, prefs.cost_weight(np.arange(n, -n - 1, -1) * (grid[-1] / n)), curve)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.values[:self.grid.size]
+
+    @property
+    def windows(self) -> np.ndarray:
+        return sliding_window_view(self.values[1:], self.grid.size)[::-1]
+
+
+def _lag_correction(model: MarketModel, prefs: Preferences, solution: ContractSolution,
+                    table: LagTable) -> np.ndarray:
+    """The s-shift correction I(s) of :func:`~tic_contracts.dynamics._shift_correction`
+    on the grid of a LagTable of f: where the grid passes through every
+    solver point and the table is narrow, one lag sum over the table of the
+    Simpson-weighted cost at the solver points; the row blocks otherwise."""
+    sg, values, n = solution.grid, table.values, table.grid.size - 1
+    g = sg.size - 1
+    if not (n % g == 0 and np.array_equal(sg, default_grid(model.horizon, g + 1))
+            and _narrow(values)):
+        return _shift_correction(model, prefs, solution, table.grid)
+    load = np.zeros(n + 1)  # the weighted cost at the solver points, 0 between them
+    load[::n // g] = simpson_weights(sg) * pointwise(model.cost, sg, solution.effort_values)
+    return _lag_sum(values, load) - values[:n + 1] / values[0] * (load @ values[n::-1])
 
 
 @dataclass
@@ -248,14 +313,15 @@ def separable_optimal_family(model: MarketModel, prefs: Preferences, solution):
     The exposure family is the product Z^s_t = f(T-s) * loading(t); the
     initial row values f(T-s) / f(T) * r0 - I(s) correct the discounted
     reservation profile by the s-shift correction I(s) of the equilibrium
-    cost, the one the Monte Carlo identity check uses (one lag sum over a
-    march's LagTable through every solver point).  y0_family takes 1-D rows s.
+    cost, the one the Monte Carlo identity check uses (:func:`_lag_correction`
+    on a march's LagTable).  y0_family takes 1-D rows s.
     """
     f, T = prefs.discount, model.horizon
     fT = float(f.value(T))
 
     def y0(s, remaining, at):  # at: s, or its LagTable
-        return remaining / fT * prefs.r0 - _shift_correction(model, prefs, solution, at)
+        correction = _lag_correction if isinstance(at, LagTable) else _shift_correction
+        return remaining / fT * prefs.r0 - correction(model, prefs, solution, at)
 
     return RemainingCurve(f, T, y0), ProductFamily(RemainingCurve(f, T), solution.loading)
 

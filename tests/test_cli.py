@@ -238,14 +238,15 @@ class TestImportGraph:
         assert _fresh_python("-c", code).stdout.split("\n")[-2] == "0 []"
 
     def test_one_thread_verify_starts_no_pool_or_fft_module(self, tmp_path):
-        # the identity check's single s takes the correction's block route
+        # verify reads no march code: the identity check's correction is
+        # dynamics' own block route, and the lag table and its FFT live in fsvie
         cfg = write_config(tmp_path, SEPARABLE_CONFIG)
         code = ("import sys\n"
                 "from tic_contracts import cli\n"
                 f"rc = cli.main(['verify', '--config', {cfg!r}, '--out', {str(tmp_path)!r}, "
                 "'--paths', '64', '--steps', '20', '--threads', '1'])\n"
-                "print(rc in (0, 3), [m for m in ('concurrent.futures', 'numpy.fft') "
-                "if m in sys.modules])")
+                "print(rc in (0, 3), [m for m in ('concurrent.futures', 'numpy.fft', "
+                "'tic_contracts.fsvie') if m in sys.modules])")
         assert _fresh_python("-c", code).stdout.split("\n")[-2] == "True []"
 
     def test_namespace_resolves_every_public_name(self):

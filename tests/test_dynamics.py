@@ -21,7 +21,6 @@ from tic_contracts import (
     agent_value_mc,
     contract_payoff,
     default_grid,
-    delta_correction_check,
     principal_value_mc,
     simulate,
     solve,
@@ -32,7 +31,6 @@ from tic_contracts import dynamics
 from tic_contracts.closed_form import simpson
 from tic_contracts.dynamics import _cost_at_equilibrium, _normal_rows, _stream
 from tic_contracts.hamiltonian import stars_on_grid
-from tic_contracts.model import pointwise
 
 
 def _cara(ga, gp, r0, disc, tag):
@@ -363,102 +361,45 @@ def test_mc_tag_mismatch_rejected(separable, discounted_utility):
 # s-shift correction identity
 
 
+def _identity_row(m, p, sol, n_steps, s):
+    """verify_contract's correction-identity row at s, on 200 paths of seed 3."""
+    rep = verify_contract(m, p, sol, n_paths=200, n_steps=n_steps, seed=3)
+    return next(row for row in rep["delta_residuals"] if row["s"] == s)
+
+
 def test_delta_identity_exact_under_exponential_discount():
     m = MarketModel.quadratic(0.1, 2.0, 1.0)
     p = _rn(0.05, DiscountSpec.exponential(0.3), "separable_rn")
     sol = solve(m, p, default_grid(2.0, 201))
-    ens = simulate(m, sol.effort, 200, 500, seed=3)
-    est = delta_correction_check(m, p, sol, ens, 1.0)
+    row = _identity_row(m, p, sol, 500, 1.0)
     # the correction integrand vanishes identically, so only float
     # rounding remains
-    assert abs(est.mean) < 1e-12
-    assert est.std_error < 1e-12
+    assert abs(row["mean"]) < 1e-12
+    assert row["se"] < 1e-12
 
 
 def test_delta_residual_is_first_order_in_dt(separable):
     m, p, sol = separable
     res = {}
     for steps in (500, 1000):
-        ens = simulate(m, sol.effort, 200, steps, seed=3)
-        res[steps] = delta_correction_check(m, p, sol, ens, 1.0)
+        res[steps] = _identity_row(m, p, sol, steps, 1.0)
         # payoff noise cancels between the two sides
-        assert res[steps].std_error < 1e-12
-    assert abs(res[1000].mean) < 0.6 * abs(res[500].mean)
-
-
-def test_delta_check_validation(separable, discounted_utility):
-    m, p, sol = separable
-    ens = simulate(m, sol.effort, 10, 8, seed=1)
-    with pytest.raises(ValueError, match="separable"):
-        mu, pu, solu = discounted_utility
-        delta_correction_check(mu, pu, solu, ens, 0.5)
-    with pytest.raises(ValueError, match="s must lie"):
-        delta_correction_check(m, p, sol, ens, 3.0)
+        assert res[steps]["se"] < 1e-12
+    assert abs(res[1000]["mean"]) < 0.6 * abs(res[500]["mean"])
 
 
 @pytest.mark.parametrize("rows", [1, 7, dynamics.SHIFT_ROWS])
 def test_shift_correction_rows_match_single_calls(separable, monkeypatch, rows):
     """The block route: the identity check asks for one s at a time, the
-    Volterra family's initial profile for a whole grid.  On a grid of several
-    blocks with a partial last one, of 100 steps against the solver's 200
-    (so no lag table), each s gets the same bits either way."""
+    Volterra family's initial profile for a whole grid off the lag route.
+    On a grid of several blocks with a partial last one, each s gets the
+    same bits either way."""
     m, p, sol = separable
     s = default_grid(2.0, 3 * dynamics.SHIFT_ROWS + 5)
     one_by_one = np.array([dynamics._shift_correction(m, p, sol, np.array([v]))[0]
                            for v in s])
     monkeypatch.setattr(dynamics, "SHIFT_ROWS", rows)
     np.testing.assert_array_equal(dynamics._shift_correction(m, p, sol, s), one_by_one)
-
-
-def _profile_grids(separable, steps, points, curve=HYP):
-    """(model, prefs with the curve, solution on `points` solver points, the
-    march grid of `steps` steps), from the separable fixture's problem."""
-    m, p, _ = separable
-    p = dataclasses.replace(p, discount=curve)
-    return m, p, solve(m, p, default_grid(2.0, points)), default_grid(2.0, steps + 1)
-
-
-def _single_rows(m, p, sol, s):
-    """I at each s by its own call, the block route."""
-    return np.array([dynamics._shift_correction(m, p, sol, s[i:i + 1])[0] for i in range(s.size)])
-
-
-# exponential 10 over T = 2: lag tables from f(-2) = e^20 to f(2) = e^-20
-STEEP = DiscountSpec.exponential(10.0)
-
-
-@pytest.mark.parametrize("curve", [HYP, DiscountSpec.exponential(1.5)])
-@pytest.mark.parametrize("steps, points", [(2000, 2001), (1000, 501), (3000, 501), (400, 201)])
-def test_shift_correction_on_a_nesting_march_grid_is_one_lag_sum(separable, monkeypatch,
-                                                                 curve, steps, points):
-    """The lag-table route: every solver point is a march point and the
-    table spans at most LAG_RANGE (243 and 403 here), so I(s) on the whole
-    march grid is one FFT lag sum.  It never reads the blocks, and each row
-    agrees with its single call up to rounding of that row's own terms,
-    int c(r) [f(r - s) + f(T - s) f(r) / f(T)] dr."""
-    m, p, sol, s = _profile_grids(separable, steps, points, curve)
-    one_by_one = _single_rows(m, p, sol, s)
-    f, T, sg = p.discount, m.horizon, sol.grid
-    cost = pointwise(m.cost, sg, sol.effort_values)
-    terms = np.array([simpson(cost * (f.value_extended(sg - v) + f.value(T - v) / f.value(T)
-                                      * f.value(sg)), sg) for v in s])
-    monkeypatch.setattr(dynamics, "simpson", None)  # the block route's quadrature
-    got = dynamics._shift_correction(m, p, sol, dynamics.LagTable.of(p, s))
-    assert np.all(np.abs(got - one_by_one) <= 1e-13 * terms)
-
-
-@pytest.mark.parametrize("steps, points, curve", [(300, 201, HYP), (2999, 501, HYP),
-                                                  (150, 201, HYP), (400, 201, STEEP),
-                                                  (3000, 501, STEEP)])
-def test_shift_correction_off_a_nesting_grid_keeps_the_blocks(separable, steps, points, curve):
-    """The block route, bit for bit, from the march's table wherever some
-    solver point is no march point (steps not a multiple of the solver's, or
-    fewer of them), and on a nesting grid whose lag table spans more than
-    LAG_RANGE (e^40 here)."""
-    m, p, sol, s = _profile_grids(separable, steps, points, curve)
-    table = dynamics.LagTable.of(p, s)
-    np.testing.assert_array_equal(dynamics._shift_correction(m, p, sol, table),
-                                  _single_rows(m, p, sol, s))
 
 
 def test_shift_correction_is_the_integral_it_names(separable):
@@ -712,7 +653,8 @@ def test_verify_contract_chunking_is_invisible(separable, discounted_income):
         assert (rep["principal_value"]["mean"], rep["principal_value"]["se"]) == \
             (principal.mean, principal.std_error)
         for row in rep["delta_residuals"]:
-            est = delta_correction_check(m, p, sol, ens, row["s"])
+            lhs, rhs = dynamics._correction_sides(m, p, sol, ens, row["s"])
+            est = dynamics._estimate(lhs - rhs, antithetic)
             assert (row["mean"], row["se"]) == (est.mean, est.std_error)
 
 

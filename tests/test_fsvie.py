@@ -275,6 +275,58 @@ def test_initial_profile_blocks_match_single_rows(separable_setup):
         want, ratio * p.r0 - dynamics._shift_correction(m, p, sol, grid))
 
 
+def _profile_grids(setup, steps, points, curve=HYP):
+    """(model, prefs with the curve, solution on `points` solver points, the
+    march grid of `steps` steps), from the separable fixture's problem."""
+    m, p, _ = setup
+    p = dataclasses.replace(p, discount=curve)
+    return m, p, solve(m, p, default_grid(2.0, points)), default_grid(2.0, steps + 1)
+
+
+def _single_rows(m, p, sol, s):
+    """I at each s by its own call, the block route."""
+    return np.array([dynamics._shift_correction(m, p, sol, s[i:i + 1])[0] for i in range(s.size)])
+
+
+# exponential 10 over T = 2: lag tables from f(-2) = e^20 to f(2) = e^-20
+STEEP = DiscountSpec.exponential(10.0)
+
+
+@pytest.mark.parametrize("curve", [HYP, DiscountSpec.exponential(1.5)])
+@pytest.mark.parametrize("steps, points", [(2000, 2001), (1000, 501), (3000, 501), (400, 201)])
+def test_shift_correction_on_a_nesting_march_grid_is_one_lag_sum(separable_setup, monkeypatch,
+                                                                 curve, steps, points):
+    """The lag-table route: every solver point is a march point and the
+    table spans at most LAG_RANGE (243 and 403 here), so I(s) on the whole
+    march grid is one FFT lag sum.  It never reads the blocks, and each row
+    agrees with its single call up to rounding of that row's own terms,
+    int c(r) [f(r - s) + f(T - s) f(r) / f(T)] dr."""
+    m, p, sol, s = _profile_grids(separable_setup, steps, points, curve)
+    one_by_one = _single_rows(m, p, sol, s)
+    f, T, sg = p.discount, m.horizon, sol.grid
+    cost = pointwise(m.cost, sg, sol.effort_values)
+    terms = np.array([simpson(cost * (f.value_extended(sg - v) + f.value(T - v) / f.value(T)
+                                      * f.value(sg)), sg) for v in s])
+    monkeypatch.setattr(dynamics, "simpson", None)  # the block route's quadrature
+    got = fsvie._lag_correction(m, p, sol, fsvie.LagTable.of(p, s))
+    assert np.all(np.abs(got - one_by_one) <= 1e-13 * terms)
+
+
+@pytest.mark.parametrize("steps, points, curve", [(300, 201, HYP), (2999, 501, HYP),
+                                                  (150, 201, HYP), (400, 201, STEEP),
+                                                  (3000, 501, STEEP)])
+def test_shift_correction_off_a_nesting_grid_keeps_the_blocks(separable_setup, steps, points,
+                                                              curve):
+    """The block route, bit for bit, from the march's table wherever some
+    solver point is no march point (steps not a multiple of the solver's, or
+    fewer of them), and on a nesting grid whose lag table spans more than
+    LAG_RANGE (e^40 here)."""
+    m, p, sol, s = _profile_grids(separable_setup, steps, points, curve)
+    table = fsvie.LagTable.of(p, s)
+    np.testing.assert_array_equal(fsvie._lag_correction(m, p, sol, table),
+                                  _single_rows(m, p, sol, s))
+
+
 def test_march_reproduces_the_picard_fixed_point(separable_setup):
     m, p, sol = separable_setup
     ens = simulate(m, sol.effort, 2, 300, seed=11)
@@ -340,7 +392,7 @@ def test_lag_table_rows_match_direct_weights(disc):
     # leaves a margin of about five)
     steps = 300
     grid = default_grid(2.0, steps + 1)
-    table = dynamics.LagTable.of(_rn(0.05, disc, "separable_rn"), grid)
+    table = fsvie.LagTable.of(_rn(0.05, disc, "separable_rn"), grid)
     assert table.curve == disc and table.values.shape == (2 * steps + 1,)
     weights = table.windows
     assert weights.shape == (steps, steps + 1)
@@ -348,7 +400,7 @@ def test_lag_table_rows_match_direct_weights(disc):
         np.testing.assert_allclose(weights[j], disc.value_extended(grid[j] - grid),
                                    rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(table.rows, disc.value(2.0 - grid), rtol=1e-14, atol=0.0)
-    ones = dynamics.LagTable.of(_cara(1.0, 0.5, -0.8, disc, "discounted_utility"), grid)
+    ones = fsvie.LagTable.of(_cara(1.0, 0.5, -0.8, disc, "discounted_utility"), grid)
     assert ones.curve is None and np.all(ones.values == 1.0)
 
 
@@ -406,10 +458,10 @@ def test_separable_march_does_its_work_once(separable_setup, monkeypatch):
     monkeypatch.setattr(DiscountSpec, "value_extended", counted_extended)
     monkeypatch.setattr(fsvie, "_lag_sum", counted_lag_sum)
     fields = []
-    # one value_extended call, the march's LagTable.  The product route
-    # sums the cost against it once, for the terminal rows (the profile's
-    # lag sum is dynamics'); the step loop reads the table row by row
-    for family, lag_sums in ((zf, 1), (_plain(zf), 0)):
+    # one value_extended call, the march's LagTable.  The profile is one lag
+    # sum over it; the product route sums the cost against it once more, for
+    # the terminal rows, where the step loop reads the table row by row
+    for family, lag_sums in ((zf, 2), (_plain(zf), 1)):
         fields.append(march(m, p, y0f, family, ens))
         assert calls == {"stars_on_grid": 1, "value_extended": 1, "lag_sum": lag_sums}
         calls.update(stars_on_grid=0, value_extended=0, lag_sum=0)
@@ -451,7 +503,7 @@ def test_family_table_forms_match_their_callable_forms(separable_setup, family):
     m, p, sol = separable_setup
     grid = default_grid(2.0, 401)
     y0f, zf = family(m, p, sol)
-    table = dynamics.LagTable.of(p, grid)
+    table = fsvie.LagTable.of(p, grid)
     y0 = pointwise(y0f, grid)
     f, sg = p.discount, sol.grid
     cost = pointwise(m.cost, sg, sol.effort_values)
@@ -467,7 +519,7 @@ def test_family_table_forms_match_their_callable_forms(separable_setup, family):
     other_curve = dataclasses.replace(p, discount=DiscountSpec.exponential(0.3))
     ones = _cara(1.0, 0.5, -0.8, HYP, "discounted_utility")
     for prefs, other in ((other_curve, grid), (ones, grid), (p, default_grid(1.5, 401))):
-        table = dynamics.LagTable.of(prefs, other)
+        table = fsvie.LagTable.of(prefs, other)
         for fn in (y0f, zf.s_factor, zf.t_factor):
             np.testing.assert_array_equal(fsvie._on_grid(fn, table), pointwise(fn, other))
     # so a march under another curve gives the bits of the family's plain callables
@@ -491,7 +543,7 @@ def test_fft_lag_sum_is_the_direct_convolution(separable_setup, curve, family, s
     grid = default_grid(2.0, steps + 1)
     _, zf = family(m, p, sol)
     _, cost = fsvie._diagonal_stars(m, p, grid[:-1], pointwise(zf, grid, grid)[:-1], None)
-    table = dynamics.LagTable.of(p, grid).values[1:]  # the march's lags, N - 1 down to -N
+    table = fsvie.LagTable.of(p, grid).values[1:]  # the march's lags, N - 1 down to -N
     want = np.convolve(table, cost, "valid")
     np.testing.assert_allclose(fsvie._lag_sum(table, cost), want, rtol=1e-13, atol=0.0)
 
