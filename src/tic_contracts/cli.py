@@ -147,6 +147,10 @@ def _load_config(path):
 def _build_problem(cfg):
     if "model" not in cfg or "preferences" not in cfg:
         _fail_usage("config needs 'model' and 'preferences' sections")
+    for where, parent, key in (("model", cfg, "model"), ("preferences", cfg, "preferences"),
+                               ("preferences.discount", cfg["preferences"], "discount")):
+        if not isinstance(parent.get(key, {}), dict):
+            _fail_usage(f"config section '{where}' must be a JSON object")
     try:
         model = MarketModel.from_json(cfg["model"])
         prefs = Preferences.from_json(cfg["preferences"])

@@ -20,7 +20,6 @@ hyperbolic family that means 1 + alpha * t > 0).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -159,8 +158,6 @@ class DiscountSpec:
 
     @classmethod
     def from_json(cls, obj) -> "DiscountSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         variant = obj["variant"]
         gamma = _number(obj["gamma"], "gamma")
         return cls(variant, gamma, **{name: _number(obj[key], key)

@@ -296,14 +296,14 @@ def _exact_means(model: MarketModel, prefs: Preferences, solution: ContractSolut
     dt = (T - s) / r_left.size
     sig = model.sigma_at(r_left)
     load = solution.loading(r_left)
-    drift = sig * pointwise(model.drift, r_left, actions)
-    cost = prefs.cost_weight(r_left - s) * pointwise(model.cost, r_left, actions)
 
     def total(terms, up):
         spread = np.sum(np.abs(np.diff(terms))) + np.max(np.abs(terms)) if sign else 0.0
         return float(np.sum(terms) + up * sign * spread) * dt
 
     with np.errstate(over="ignore", invalid="ignore"):
+        drift = sig * pointwise(model.drift, r_left, actions)
+        cost = prefs.cost_weight(r_left - s) * pointwise(model.cost, r_left, actions)
         pay = paid + total(drift * load, 1) - _risk(
             prefs.gamma_a, float(prefs.cost_weight(T - s)), lambda: total((sig * load) ** 2, -1))
         net = model.x0 - paid + total(drift * (1.0 - load), 1) - _risk(

@@ -14,7 +14,6 @@ best response.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -172,8 +171,6 @@ class MarketModel:
 
     @classmethod
     def from_json(cls, obj) -> "MarketModel":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         drift = obj["drift"]
         cost = obj["cost"]
         action = tuple(_number(v, "action bound") for v in obj["action"])
@@ -312,8 +309,6 @@ class Preferences:
 
     @classmethod
     def from_json(cls, obj) -> "Preferences":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(
             agent_utility=obj["agent"],
             principal_utility=obj["principal"],
@@ -383,9 +378,12 @@ def validate(model: MarketModel, prefs: Preferences) -> list:
         if model.action_lo < model.action_hi and horizon_ok:
             grid = np.linspace(model.action_lo, model.action_hi, 65)
             ts = np.array([[0.0], [0.5 * model.horizon], [model.horizon]])
-            c = pointwise(model.cost, ts, grid)
-            scale = np.maximum(1.0, np.abs(c).max(axis=1, keepdims=True))
-            if np.any(np.diff(c, 2, axis=1) < -1e-9 * scale):
+            # an overflowing cost: +inf can be convex, -inf (unbounded below) cannot
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = pointwise(model.cost, ts, grid)
+                second = np.diff(c, 2, axis=1)
+            scale = np.maximum(1.0, np.abs(np.where(np.isfinite(c), c, 0.0)).max(1, keepdims=True))
+            if np.any(c == -np.inf) or np.any(second < -1e-9 * scale):
                 problems.append("cost not convex on A, first-best solver unsupported")
 
     return problems

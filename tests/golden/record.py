@@ -66,7 +66,7 @@ JOBS = {
         "verify", bench_config("discounted_income", antithetic=True), *_MC),
     **{f"check:separable_hyp04_{steps}x2": _job(
         "check-constraint", bench_config("separable_hyp04"), "--steps", steps, "--paths", "2")
-       for steps in ("1", "3000", "3001")},
+       for steps in ("1", "3000", "3001", "80000")},
     **{f"check:s_constant_hyp04_{steps}x3": _job(
         "check-constraint", bench_config("s_constant_hyp04"), "--steps", steps)
        for steps in ("1000", "999")},
@@ -79,6 +79,10 @@ JOBS = {
         bench_config("separable_hyp04", discount=EXP10, grid_points=201, family=family),
         "--steps", steps, "--paths", "2")
        for family in ("optimal", "s_constant") for steps in ("300", "400")},
+    "check:exp10_optimal_20000x2": _job(
+        "check-constraint",
+        bench_config("separable_hyp04", discount=EXP10, grid_points=201, family="optimal"),
+        "--steps", "20000", "--paths", "2"),
     "check:usage_discounted_income": _job("check-constraint", bench_config("discounted_income")),
 }
 

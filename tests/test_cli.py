@@ -862,6 +862,11 @@ class TestUnreadFlags:
         assert not out.exists()
 
 
+def _bench_config(name):
+    with open(os.path.join(ROOT, "perfbench", "configs", f"{name}.json")) as fh:
+        return json.load(fh)
+
+
 def _error_of(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
 
@@ -1031,6 +1036,32 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert "RuntimeWarning" not in err
         assert "principal value diverged" in err
+
+    def test_first_best_cost_overflowing_on_a_wide_action_set_solves_quietly(self, tmp_path):
+        # the hm_linear cost overflows to +inf at every action but 0 of
+        # [0, 1e200]; the convexity check reads that as convex, without a
+        # warning, which the suite turns into an error
+        config = _bench_config("first_best_nonseparable")
+        config["model"]["action"] = [0.0, 1e200]
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["curves.csv", "solution.json"]
+
+    @pytest.mark.parametrize("name", ["separable_hyp04", "discounted_income"])
+    def test_overflowing_cost_in_the_spike_check_exits_2_without_a_warning(self, tmp_path,
+                                                                            capsys, name):
+        # the builtin cost overflows on [0, 1e200]; the spike check's exact
+        # means refuse the reward without a warning
+        config = _bench_config(name)
+        config["model"]["action"] = [0.0, 1e200]
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_config(tmp_path, config), "--out", str(out),
+                     "--paths", "200", "--steps", "50"]) == 2
+        captured = capsys.readouterr()
+        error = "spike check: the agent's mean reward seen from t = 0 is not finite"
+        assert captured.out == ""
+        assert captured.err == json.dumps({"error": error, "problems": [error]}) + "\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize("points", [500, 2001])
@@ -1280,6 +1311,43 @@ class TestParseErrors:
         out = tmp_path / "out"
         assert main(["solve", "--config", write_config(tmp_path, bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: bad config: {name} must be a number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "check-constraint"])
+    @pytest.mark.parametrize("path", [("model",), ("preferences",), ("preferences", "discount")])
+    @pytest.mark.parametrize("how", [json.dumps, list, lambda section: None],
+                             ids=["text", "list", "null"])
+    def test_a_section_that_is_not_an_object_exits_1_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, path, how):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work")
+
+        monkeypatch.setattr(cli.closed_form, "solve", no_work)
+        bad = _bench_config("separable_hyp04")
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = how(node[path[-1]])
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, bad), "--out", str(out)]) == 1
+        where = ".".join(path)
+        assert capsys.readouterr().err == f"error: config section '{where}' must be a JSON object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "check-constraint"])
+    @pytest.mark.parametrize("family,key", [("power", "p"), ("hm_linear", "k")])
+    def test_an_infinity_in_a_section_written_as_json_text_reaches_no_reader(
+            self, tmp_path, capsys, command, family, key):
+        # JSON text becomes data in one place, the strict loader: the same
+        # infinite parameter exits 2 in a plain config and 1 in a text section
+        config = _bench_config("separable_hyp04")
+        config["model"]["cost"] = {"family": family, "params": {key: math.inf}}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+        assert _error_of(capsys) == f"config.model.cost.params.{key} must be finite"
+        config["model"] = json.dumps(config["model"])
+        assert main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: config section 'model' must be a JSON object\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [

@@ -4,7 +4,6 @@ Reference numbers were produced with mpmath at 40 digits from the
 defining formulas and are pasted here as literals.
 """
 
-import json
 
 import numpy as np
 import pytest
@@ -255,7 +254,6 @@ def test_validation_rejects_bad_parameters():
 ])
 def test_from_json_reads_each_variants_keys(obj, spec):
     assert DiscountSpec.from_json(obj) == spec
-    assert DiscountSpec.from_json(json.dumps(obj)) == spec
     # every key the variant reads is required
     for key in obj:
         with pytest.raises(KeyError, match=key):
@@ -278,7 +276,6 @@ def test_from_json_builds_every_constructible_spec(variant, gamma, alpha, beta, 
     obj = {"variant": variant, "gamma": gamma, "alpha": spec.alpha, "beta": spec.beta,
            "lambda": spec.lam}
     assert DiscountSpec.from_json(obj) == spec
-    assert DiscountSpec.from_json(json.dumps(obj)) == spec
 
 
 @pytest.mark.parametrize("key,value", [("gamma", True), ("gamma", "0.3"), ("alpha", None),
@@ -308,4 +305,4 @@ def test_constructor_stores_plain_floats():
     assert spec == DiscountSpec.quasi_hyperbolic(1.0, 0.5, 2.0)
     assert all(type(getattr(spec, name)) is float for name in ("gamma", "alpha", "beta", "lam"))
     assert DiscountSpec.from_json(
-        '{"variant": "quasi_hyperbolic", "gamma": 1, "beta": 0.5, "lambda": 2}') == spec
+        {"variant": "quasi_hyperbolic", "gamma": 1, "beta": 0.5, "lambda": 2}) == spec

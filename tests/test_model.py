@@ -159,6 +159,17 @@ def test_validate_cost_convexity_for_first_best():
     assert any("convex" in msg for msg in validate(m, p))
 
 
+def test_validate_judges_convexity_where_the_cost_overflows():
+    # on [0, 1e200] the cost overflows at every action but 0: -inf is
+    # unbounded below, so not convex, and +inf is convex; the suite turns
+    # any warning into an error
+    p = exp_prefs(spec_tag="first_best_nonseparable")
+    for cost, convex in ((lambda t, a: -0.5 * a * a, False), (lambda t, a: 0.5 * a * a, True)):
+        m = MarketModel(x0=0.0, horizon=1.0, sigma=lambda t: 1.0, drift=lambda t, a: a,
+                        cost=cost, action_lo=0.0, action_hi=1e200)
+        assert any("convex" in msg for msg in validate(m, p)) != convex
+
+
 def test_preferences_reject_inconsistent_utilities():
     with pytest.raises(ValueError):
         exp_prefs(gamma_a=0.0)
@@ -190,13 +201,13 @@ def test_model_from_json_builds_the_family_model():
     family = {"family": "hm_linear", "params": {"k": 0.8}}
     obj = {"x0": 0.25, "T": 2, "sigma": 1.5, "drift": family, "cost": family,
            "action": [0.0, 5]}
-    for again in (MarketModel.from_json(obj), MarketModel.from_json(json.dumps(obj))):
-        assert (again.x0, again.horizon, again.action_lo, again.action_hi) == (0.25, 2.0, 0.0, 5.0)
-        assert again.families.slope == m.families.slope
-        for t, a in ((0.0, 0.3), (1.0, 2.0)):
-            assert math.isclose(again.drift(t, a), m.drift(t, a))
-            assert math.isclose(again.cost(t, a), m.cost(t, a))
-            assert again.sigma_at(t) == m.sigma_at(t)
+    again = MarketModel.from_json(obj)
+    assert (again.x0, again.horizon, again.action_lo, again.action_hi) == (0.25, 2.0, 0.0, 5.0)
+    assert again.families.slope == m.families.slope
+    for t, a in ((0.0, 0.3), (1.0, 2.0)):
+        assert math.isclose(again.drift(t, a), m.drift(t, a))
+        assert math.isclose(again.cost(t, a), m.cost(t, a))
+        assert again.sigma_at(t) == m.sigma_at(t)
 
     # only the builtin families have a JSON form
     with pytest.raises(ValueError, match="unknown cost family 'custom'"):
@@ -207,8 +218,23 @@ def test_preferences_from_json():
     text = ('{"agent": "exponential", "principal": "exponential", "gamma_a": 1, '
             '"gamma_p": 0.5, "r0": -0.5, "discount": {"variant": "exponential", "gamma": 0.3}, '
             '"spec": "discounted_utility"}')
-    assert Preferences.from_json(text) == exp_prefs()
     assert Preferences.from_json(json.loads(text)) == exp_prefs()
+
+
+@pytest.mark.parametrize("reader,obj", [
+    (DiscountSpec.from_json, {"variant": "exponential", "gamma": 0.3}),
+    (MarketModel.from_json, {"x0": 0.0, "T": 1.0, "sigma": 1.0, "action": [0.0, 1.0],
+                             "drift": {"family": "quadratic"}, "cost": {"family": "quadratic"}}),
+    (Preferences.from_json, {"agent": "risk_neutral", "principal": "risk_neutral", "r0": 0.0,
+                             "discount": {"variant": "exponential", "gamma": 0.3},
+                             "spec": "separable_rn"}),
+], ids=["discount", "model", "preferences"])
+def test_from_json_reads_parsed_objects_only(reader, obj):
+    # JSON text becomes data in one place, the CLI's strict loader, which
+    # refuses NaN and infinities; a reader given text does not parse it
+    reader(obj)
+    with pytest.raises(TypeError):
+        reader(json.dumps(obj))
 
 
 @pytest.mark.parametrize("tag", ["separable_rn", "discounted_utility", "discounted_income"])
